@@ -14,14 +14,13 @@ from .core import (ClusterStats, Dataset, InputFormatError,
                    PreconditionError, SizeGuardError, apply_move,
                    partition_energy, sigma, stats_of_subset)
 from .kh_engine import (BOTH, IDENTICAL, SINGLETONS, CorrectionResult,
-                        MoveProposal, PairScope, StabilityReport, SubsetPolicy,
+                        MoveProposal, StabilityReport, SubsetPolicy,
                         build_sequence, correct_pairs, correct_tuples,
                         merge_step, split_step, verify_stability)
 from .oracle import OracleResult, global_min, minimum_curve
 from .otsu1d import Histogram, build_histogram, optimal_thresholds
 from .reclass import (alpha, correction_improves, delta_e_correct,
-                      delta_e_merge, gap_identity, is_stable_move, merge_many,
-                      move_tolerance, reclass_delta)
+                      delta_e_merge, gap_identity, merge_many, move_tolerance)
 from .segment import (GrayImage, SegmentMap, read_pgm, segment_curve,
                       write_pgm)
 
@@ -32,12 +31,11 @@ __all__ = [
     "InputFormatError", "InternalConsistencyError", "PreconditionError",
     "SizeGuardError", "apply_move", "partition_energy", "sigma",
     "stats_of_subset",
-    "delta_e_merge", "delta_e_correct", "reclass_delta", "alpha",
-    "correction_improves", "is_stable_move", "merge_many", "gap_identity",
-    "move_tolerance",
+    "delta_e_merge", "delta_e_correct", "alpha",
+    "correction_improves", "merge_many", "gap_identity", "move_tolerance",
     "KMeansConfig", "lloyd", "incremental_seed", "kmeans_sequence",
     "is_lloyd_fixed_point",
-    "SubsetPolicy", "PairScope", "SINGLETONS", "IDENTICAL", "BOTH",
+    "SubsetPolicy", "SINGLETONS", "IDENTICAL", "BOTH",
     "MoveProposal", "StabilityReport", "CorrectionResult", "correct_pairs",
     "correct_tuples", "verify_stability", "merge_step", "split_step",
     "build_sequence",

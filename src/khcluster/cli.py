@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -29,24 +27,6 @@ EXIT_INPUT = 3
 EXIT_GUARD = 4
 
 METHOD_ORDER = ("kmeans", "kh", "otsu", "oracle")
-
-
-def thread_count() -> int:
-    """Worker cap from KH_THREADS; unset or invalid means serial."""
-    raw = os.environ.get("KH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _thread_map(fn, items):
-    """Order-preserving map, parallel only when KH_THREADS allows it."""
-    workers = thread_count()
-    if workers == 1 or len(items) < 2:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def load_csv(path) -> Dataset:
@@ -143,9 +123,6 @@ def _run_oracle(ds, m_max):
 
 
 def _run_methods(ds, args) -> dict:
-    if getattr(args, "scope", "all") != "all":
-        # point data carries no adjacency graph to restrict pairs with
-        raise PreconditionError("scope 'adjacent' needs adjacency; use segment")
     methods = args.methods.split(",")
     for name in methods:
         if name not in METHOD_ORDER:
@@ -162,8 +139,7 @@ def _run_methods(ds, args) -> dict:
             return _run_otsu(ds, args.m_max)
         return _run_oracle(ds, args.m_max)
 
-    results = _thread_map(run, methods)
-    return dict(zip(methods, results))
+    return {name: run(name) for name in methods}
 
 
 def _write_json(path: Path, obj) -> None:
@@ -255,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list from kmeans,kh,otsu,oracle")
         p.add_argument("--policy", choices=("singletons", "identical", "both"),
                        default="both")
-        p.add_argument("--scope", choices=("all", "adjacent"), default="all")
         p.add_argument("--l-max", type=int, default=3, dest="l_max")
         p.set_defaults(fn=fn)
 

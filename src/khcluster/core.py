@@ -66,7 +66,7 @@ class Dataset:
     between clusters as one subset.
     """
 
-    __slots__ = ("points",)
+    __slots__ = ("points", "_bit_ids")
 
     def __init__(self, points):
         pts = np.array(points, dtype=np.float64, copy=True)
@@ -78,6 +78,7 @@ class Dataset:
             raise PreconditionError("dataset coordinates must be finite")
         pts.setflags(write=False)
         self.points = pts
+        self._bit_ids = None
 
     @property
     def n(self) -> int:
@@ -91,9 +92,23 @@ class Dataset:
         return np.unique(self.points, axis=0)
 
     def identical_group_labels(self) -> np.ndarray:
-        """Label vector putting bit-identical rows into the same cluster."""
+        """Label vector putting equal-valued rows into the same cluster.
+
+        Rows compare by value, so 0.0 and -0.0 share a cluster.
+        """
         _, inverse = np.unique(self.points, axis=0, return_inverse=True)
         return inverse.reshape(-1).astype(np.int64)
+
+    def bit_group_ids(self) -> np.ndarray:
+        """Ids putting bit-identical rows together (0.0 and -0.0 differ).
+
+        Computed on first use and kept, since the points never change.
+        """
+        if self._bit_ids is None:
+            _, inverse = np.unique(self.points.view(np.int64), axis=0,
+                                   return_inverse=True)
+            self._bit_ids = inverse.reshape(-1)
+        return self._bit_ids
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ is how whole sequences of partitions are produced.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,67 +43,6 @@ BOTH = SubsetPolicy("both")
 
 
 @dataclass(frozen=True)
-class PairScope:
-    """Which cluster pairs may exchange points: all, or an adjacency graph."""
-
-    mode: str = "all"
-    edges: frozenset = frozenset()  # undirected (lo, hi) cluster id pairs
-
-    def __post_init__(self):
-        if self.mode not in ("all", "adjacent"):
-            raise PreconditionError(f"unknown pair scope {self.mode!r}")
-        for e in self.edges:
-            a, b = e
-            if a == b:
-                raise PreconditionError("adjacency must be irreflexive")
-            if a > b:
-                raise PreconditionError("adjacency edges are stored as (lo, hi)")
-
-    @classmethod
-    def all_pairs(cls) -> "PairScope":
-        return cls("all")
-
-    @classmethod
-    def adjacent(cls, edges) -> "PairScope":
-        norm = frozenset((min(a, b), max(a, b)) for a, b in edges)
-        return cls("adjacent", norm)
-
-    def admissible(self, a: int, b: int) -> bool:
-        if a == b:
-            return False
-        return self.mode == "all" or (min(a, b), max(a, b)) in self.edges
-
-    def allowed_matrix(self, m: int) -> np.ndarray:
-        """(m, m) boolean matrix of admissible ordered pairs."""
-        if self.mode == "all":
-            out = np.ones((m, m), dtype=bool)
-            np.fill_diagonal(out, False)
-            return out
-        out = np.zeros((m, m), dtype=bool)
-        for a, b in self.edges:
-            if a < m and b < m:
-                out[a, b] = out[b, a] = True
-        return out
-
-    def merged(self, a: int, b: int) -> "PairScope":
-        """Scope after merging cluster b into a (a < b): ids above b shift down."""
-        if self.mode == "all":
-            return self
-
-        def remap(c: int) -> int:
-            if c == b:
-                return a
-            return c - 1 if c > b else c
-
-        edges = set()
-        for u, v in self.edges:
-            uu, vv = remap(u), remap(v)
-            if uu != vv:
-                edges.add((min(uu, vv), max(uu, vv)))
-        return PairScope("adjacent", frozenset(edges))
-
-
-@dataclass(frozen=True)
 class MoveProposal:
     """A candidate subset move with its predicted error change."""
 
@@ -128,143 +67,102 @@ class CorrectionResult:
     no_op: bool = False
 
 
-def _cluster_groups(points: np.ndarray, member_idx: np.ndarray) -> list[list[int]]:
-    """Maximal groups of bit-identical rows, ordered by first point index."""
-    groups: dict[bytes, list[int]] = {}
-    for i in member_idx:
-        groups.setdefault(points[i].tobytes(), []).append(int(i))
-    return list(groups.values())
-
-
-def _scan_moves(part: Partition, policy: SubsetPolicy, scope: PairScope,
+def _scan_moves(part: Partition, policy: SubsetPolicy,
                 clusters: np.ndarray | None, tau: float, collect: bool):
     """Evaluate admissible moves. Returns (best, violations, pairs, subsets).
 
-    best is the lexicographically first most-negative candidate as a tuple
-    (delta, donor, acceptor, subset) or None; violations are all candidates
-    with delta < -tau when collect is true. checked_subsets counts the
-    (subset, acceptor) evaluations performed.
+    Candidates are single points and, unless the policy is singletons, the
+    maximal groups of bit-identical points of each cluster with k >= 2;
+    under the identical policy a point moves alone only when no twin shares
+    its cluster. best is the lexicographically first most-negative
+    candidate as a tuple (delta, donor, acceptor, subset) or None;
+    violations are all candidates with delta < -tau when collect is true.
+    checked_subsets counts the (subset, acceptor) evaluations performed.
     """
     m, n = part.m, part.n
-    points = part.ds.points
-    labels = part.labels
-    counts = part.counts
-
-    best = None
-    violations: list[MoveProposal] = []
     if m < 2:
-        return best, violations, 0, 0
+        return None, [], 0, 0
+    labels, counts = part.labels, part.counts
 
-    allowed = scope.allowed_matrix(m)
     in_play = np.ones(m, dtype=bool)
     if clusters is not None:
         in_play[:] = False
         in_play[clusters] = True
-        allowed = allowed & in_play[:, None] & in_play[None, :]
+    allowed = in_play[:, None] & in_play[None, :]
+    np.fill_diagonal(allowed, False)
 
-    centers = part.centroids()
-    d2 = squared_distances(points, centers)
-    rows = np.arange(n)
+    # one candidate row per movable subset: its first point and its size
+    lead = np.arange(n)
+    k = np.ones(n, dtype=np.int64)
+    gid = part.ds.bit_group_ids()
+    if policy.mode != "singletons" and gid.max() < n - 1:
+        key = labels * n + gid
+        _, first, inv, size = np.unique(key, return_index=True,
+                                        return_inverse=True, return_counts=True)
+        if policy.mode == "identical":
+            lead = lead[size[inv] == 1]
+        multi = size >= 2
+        k = np.concatenate((np.ones(lead.shape[0], dtype=np.int64), size[multi]))
+        lead = np.concatenate((lead, first[multi]))
 
-    checked_pairs = int(allowed.sum())
+    donor = labels[lead]
+    d2 = squared_distances(part.ds.points, part.centroids())[lead]
+    delta = reclass.transfer_deltas(d2[np.arange(lead.shape[0]), donor][:, None],
+                                    d2, k[:, None], counts[donor][:, None], counts)
+    delta[~allowed[donor]] = np.inf
 
-    # single-point moves, vectorized
-    n_own = counts[labels]
-    gain = d2[rows, labels] * (n_own / np.maximum(n_own - 1, 1))
-    delta = d2 * (counts / (counts + 1.0))[None, :] - gain[:, None]
-    delta[~allowed[labels]] = np.inf
-    delta[n_own == 1, :] = np.inf
-    if clusters is not None:
-        delta[~in_play[labels], :] = np.inf
+    def subset(r) -> tuple[int, ...]:
+        if k[r] == 1:
+            return (int(lead[r]),)
+        return tuple(np.flatnonzero(key == key[lead[r]]).tolist())
 
-    group_lists: dict[int, list[list[int]]] = {}
-    if policy.mode != "singletons":
-        donor_ids = np.flatnonzero(in_play) if clusters is not None else range(m)
-        for c in donor_ids:
-            if counts[c] >= 2 and allowed[c].any():
-                group_lists[int(c)] = _cluster_groups(points, np.flatnonzero(labels == c))
+    def ranked(rr, cc):
+        # lexicographic on (delta, donor, acceptor, first index, subset)
+        order = np.lexsort((k[rr], lead[rr], cc, donor[rr], delta[rr, cc]))
+        return rr[order], cc[order]
 
-    if policy.mode == "identical":
-        # points sharing a value move as the whole group, not one by one
-        in_singleton_group = np.zeros(n, dtype=bool)
-        for c, groups in group_lists.items():
-            for g in groups:
-                if len(g) == 1:
-                    in_singleton_group[g[0]] = True
-        delta[~in_singleton_group, :] = np.inf
-
-    checked_subsets = int(np.isfinite(delta).sum())
-
-    finite_min = delta.min() if delta.size else np.inf
-    if np.isfinite(finite_min):
-        ii, cc = np.nonzero(delta == finite_min)
-        cand = min((int(labels[i]), int(c), int(i)) for i, c in zip(ii, cc))
-        best = (float(finite_min), cand[0], cand[1], (cand[2],))
+    best = None
+    low = delta.min()
+    if np.isfinite(low):
+        rr, cc = ranked(*np.nonzero(delta == low))
+        r, a = rr[0], cc[0]
+        best = (float(delta[r, a]), int(donor[r]), int(a), subset(r))
+    violations = []
     if collect:
-        vi, vc = np.nonzero(delta < -tau)
-        for i, c in zip(vi, vc):
-            violations.append(MoveProposal(int(labels[i]), int(c),
-                                           (int(i),), float(delta[i, c])))
-
-    # identical-group moves with k >= 2 (k == 1 is covered above)
-    for c, groups in group_lists.items():
-        n1 = int(counts[c])
-        acceptors = np.flatnonzero(allowed[c])
-        if acceptors.size == 0:
-            continue
-        for g in groups:
-            k = len(g)
-            if k < 2 or k == n1:
-                continue
-            lead = g[0]
-            home = d2[lead, c] * (k * n1 / (n1 - k))
-            for a in acceptors:
-                a = int(a)
-                val = d2[lead, a] * (k * int(counts[a]) / (k + int(counts[a]))) - home
-                checked_subsets += 1
-                key = (val, c, a, lead, tuple(g))
-                if best is None or (key[0], key[1], key[2], key[3], key[4]) < (
-                        best[0], best[1], best[2], best[3][0], best[3]):
-                    best = (val, c, a, tuple(g))
-                if collect and val < -tau:
-                    violations.append(MoveProposal(c, a, tuple(g), val))
-
-    if collect:
-        violations.sort(key=lambda v: (v.predicted_delta, v.donor, v.acceptor, v.subset))
-    return best, violations, checked_pairs, checked_subsets
+        violations = [MoveProposal(int(donor[r]), int(a), subset(r), float(delta[r, a]))
+                      for r, a in zip(*ranked(*np.nonzero(delta < -tau)))]
+    return best, violations, int(allowed.sum()), int(np.isfinite(delta).sum())
 
 
-def _best_admissible(part: Partition, policy: SubsetPolicy, scope: PairScope,
+def _best_admissible(part: Partition, policy: SubsetPolicy,
                      clusters: np.ndarray | None = None) -> MoveProposal | None:
     tau = reclass.move_tolerance(part.total_e)
-    best, _, _, _ = _scan_moves(part, policy, scope, clusters, tau, collect=False)
+    best, _, _, _ = _scan_moves(part, policy, clusters, tau, collect=False)
     if best is None or not (best[0] < -tau):
         return None
     return MoveProposal(best[1], best[2], best[3], best[0])
 
 
-def verify_stability(p: Partition, policy: SubsetPolicy = BOTH,
-                     scope: PairScope = PairScope.all_pairs()) -> StabilityReport:
+def verify_stability(p: Partition, policy: SubsetPolicy = BOTH) -> StabilityReport:
     """Exhaustively test every admissible move; pure, the partition is untouched."""
     tau = reclass.move_tolerance(p.total_e)
-    _, violations, pairs, subsets = _scan_moves(p, policy, scope, None, tau, collect=True)
+    _, violations, pairs, subsets = _scan_moves(p, policy, None, tau, collect=True)
     return StabilityReport(not violations, violations, pairs, subsets)
 
 
-def correct_pairs(p: Partition, policy: SubsetPolicy = BOTH,
-                  scope: PairScope = PairScope.all_pairs()) -> CorrectionResult:
+def correct_pairs(p: Partition, policy: SubsetPolicy = BOTH) -> CorrectionResult:
     """Apply the globally best improving move until none remains.
 
     Each accepted move lowers E by more than the move tolerance, so the
-    loop terminates; the result verifies stable under the same policy and
-    scope. Ties break on the lowest (donor, acceptor, first index, subset).
+    loop terminates; the result verifies stable under the same policy.
+    Ties break on the lowest (donor, acceptor, first index, subset).
     """
     if p.m < 2:
         return CorrectionResult(p.copy(), 0, no_op=True)
     q = p.copy()
     moves = 0
     while True:
-        prop = _best_admissible(q, policy, scope)
+        prop = _best_admissible(q, policy)
         if prop is None:
             break
         q.move(np.asarray(prop.subset), prop.donor, prop.acceptor)
@@ -272,29 +170,8 @@ def correct_pairs(p: Partition, policy: SubsetPolicy = BOTH,
     return CorrectionResult(q, moves)
 
 
-def _connected_tuples(m: int, l: int, scope: PairScope) -> list[tuple[int, ...]]:
-    tuples = list(itertools.combinations(range(m), l))
-    if scope.mode == "all":
-        return tuples
-    out = []
-    for tup in tuples:
-        # induced subgraph must be connected
-        seen = {tup[0]}
-        frontier = [tup[0]]
-        while frontier:
-            u = frontier.pop()
-            for v in tup:
-                if v not in seen and scope.admissible(u, v):
-                    seen.add(v)
-                    frontier.append(v)
-        if len(seen) == l:
-            out.append(tup)
-    return out
-
-
-def correct_tuples(p: Partition, l: int, policy: SubsetPolicy = BOTH,
-                   scope: PairScope = PairScope.all_pairs()) -> CorrectionResult:
-    """Locally minimize E inside every scope-connected l-tuple of clusters.
+def correct_tuples(p: Partition, l: int, policy: SubsetPolicy = BOTH) -> CorrectionResult:
+    """Locally minimize E inside every l-tuple of clusters.
 
     Each tuple is optimized by repeated best single-subset moves between its
     own clusters; sweeps repeat until one full pass makes no move. For l = 2
@@ -305,14 +182,14 @@ def correct_tuples(p: Partition, l: int, policy: SubsetPolicy = BOTH,
     if l > p.m:
         return CorrectionResult(p.copy(), 0, no_op=True)
     q = p.copy()
-    tuples = _connected_tuples(q.m, l, scope)
+    tuples = list(itertools.combinations(range(q.m), l))
     total_moves = 0
     while True:
         swept_moves = 0
         for tup in tuples:
             sel = np.asarray(tup, dtype=np.int64)
             while True:
-                prop = _best_admissible(q, policy, scope, clusters=sel)
+                prop = _best_admissible(q, policy, clusters=sel)
                 if prop is None:
                     break
                 q.move(np.asarray(prop.subset), prop.donor, prop.acceptor)
@@ -330,11 +207,10 @@ def _merged_partition(p: Partition, a: int, b: int) -> Partition:
     return Partition.from_labels(p.ds, lbl, p.m - 1)
 
 
-def merge_step(p: Partition, policy: SubsetPolicy = BOTH,
-               scope: PairScope = PairScope.all_pairs()) -> Partition:
+def merge_step(p: Partition, policy: SubsetPolicy = BOTH) -> Partition:
     """Merge the pair whose post-correction error is lowest.
 
-    Every admissible pair is tentatively merged and corrected to pair
+    Every pair is tentatively merged and corrected to pair
     stability; the candidate with minimal corrected E wins. Exact ties fall
     back to the smaller raw merge cost, then the lower pair of ids.
     """
@@ -344,16 +220,12 @@ def merge_step(p: Partition, policy: SubsetPolicy = BOTH,
     best_part = None
     for a in range(p.m - 1):
         for b in range(a + 1, p.m):
-            if not scope.admissible(a, b):
-                continue
             raw = reclass.delta_e_merge(p.cluster_stats(a), p.cluster_stats(b))
-            res = correct_pairs(_merged_partition(p, a, b), policy, scope.merged(a, b))
+            res = correct_pairs(_merged_partition(p, a, b), policy)
             key = (res.partition.total_e, raw, a, b)
             if best_key is None or key < best_key:
                 best_key = key
                 best_part = res.partition
-    if best_part is None:
-        raise PreconditionError("no admissible pair to merge under this scope")
     return best_part
 
 
@@ -377,15 +249,12 @@ def _bisect_labels(sub: np.ndarray) -> np.ndarray:
     return res.partition.labels
 
 
-def split_step(p: Partition, policy: SubsetPolicy = BOTH,
-               scope: PairScope = PairScope.all_pairs()) -> Partition:
+def split_step(p: Partition, policy: SubsetPolicy = BOTH) -> Partition:
     """Split the cluster whose bisection gives the lowest post-correction error.
 
     Clusters of identical points have zero internal error and are never
     candidates. The new cluster takes id m; ties keep the lowest donor id.
     """
-    if scope.mode != "all":
-        raise PreconditionError("splitting is defined for the all-pairs scope")
     best_key = None
     best_part = None
     for c in range(p.m):
@@ -396,7 +265,7 @@ def split_step(p: Partition, policy: SubsetPolicy = BOTH,
         half = _bisect_labels(sub)
         lbl = p.labels.copy()
         lbl[idx[half == 1]] = p.m
-        res = correct_pairs(Partition.from_labels(p.ds, lbl, p.m + 1), policy, scope)
+        res = correct_pairs(Partition.from_labels(p.ds, lbl, p.m + 1), policy)
         key = (res.partition.total_e, c)
         if best_key is None or key < best_key:
             best_key = key
@@ -407,9 +276,7 @@ def split_step(p: Partition, policy: SubsetPolicy = BOTH,
 
 
 def build_sequence(ds: Dataset, m_max: int, direction: str = "both",
-                   policy: SubsetPolicy = BOTH,
-                   scope: PairScope = PairScope.all_pairs(),
-                   l_max: int = 3) -> PartitionSequence:
+                   policy: SubsetPolicy = BOTH, l_max: int = 3) -> PartitionSequence:
     """Stable partitions for every count 1..m_max.
 
     bottom_up splits from the single cluster; top_down merges from the
@@ -422,8 +289,6 @@ def build_sequence(ds: Dataset, m_max: int, direction: str = "both",
     structural change the partition is re-stabilized with tuple corrections
     for l = 2..l_max.
     """
-    if scope.mode != "all":
-        raise PreconditionError("sequence building is defined for the all-pairs scope")
     if direction not in ("bottom_up", "top_down", "both"):
         raise PreconditionError(f"unknown direction {direction!r}")
     if l_max < 2:
@@ -435,7 +300,7 @@ def build_sequence(ds: Dataset, m_max: int, direction: str = "both",
     def polish(part: Partition) -> tuple[Partition, int]:
         moves = 0
         for l in range(2, min(l_max, part.m) + 1):
-            r = correct_tuples(part, l, policy, scope)
+            r = correct_tuples(part, l, policy)
             part = r.partition
             moves += r.n_moves
         return part, moves
@@ -451,7 +316,7 @@ def build_sequence(ds: Dataset, m_max: int, direction: str = "both",
         part = Partition.from_labels(ds, np.zeros(ds.n, dtype=np.int64), 1)
         record(1, part, "bottom_up", 0)
         for _ in range(2, m_max + 1):
-            part = split_step(part, policy, scope)
+            part = split_step(part, policy)
             part, moves = polish(part)
             record(part.m, part, "bottom_up", moves)
 
@@ -460,7 +325,7 @@ def build_sequence(ds: Dataset, m_max: int, direction: str = "both",
         if v <= m_max:
             record(v, part, "top_down", 0)
         for _ in range(v - 1, 0, -1):
-            part = merge_step(part, policy, scope)
+            part = merge_step(part, policy)
             part, moves = polish(part)
             if part.m <= m_max:
                 record(part.m, part, "top_down", moves)

@@ -12,15 +12,14 @@ strict sharpening of the nearest-centroid rule that plain K-means uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ClusterStats, InternalConsistencyError, PreconditionError,
-                   squared_distances)
+from .core import ClusterStats, PreconditionError, squared_distances
 
 # Moves whose predicted |delta| falls below move_tolerance() are treated as
-# non-improving; engines and predicates share this scale.
+# non-improving. The engines scale it by the total error of the partition,
+# correction_improves by the donor plus acceptor error.
 TOLERANCE_SCALE = 1e-12
 
 
@@ -29,18 +28,17 @@ def move_tolerance(energy_scale: float) -> float:
     return TOLERANCE_SCALE * (1.0 + energy_scale)
 
 
-@dataclass(frozen=True)
-class DeltaE:
-    """A predicted change of the total squared error."""
+def transfer_deltas(home_sq, away_sq, k, n1, n2):
+    """Error change of moving k identical-mean points from donor to acceptor.
 
-    value: float
-    kind: str  # "merge" or "correct"
-
-    def __post_init__(self):
-        if self.kind not in ("merge", "correct"):
-            raise PreconditionError(f"unknown delta kind {self.kind!r}")
-        if self.kind == "merge" and self.value < 0.0:
-            raise InternalConsistencyError("a merge can never lower the total error")
+    home_sq and away_sq are the squared distances of the subset mean to the
+    donor and acceptor centroids, n1 and n2 the cluster sizes. Broadcasts
+    over numpy arrays. Moves that would empty the donor (k >= n1) get +inf.
+    """
+    k, n1, n2 = np.asarray(k), np.asarray(n1), np.asarray(n2)
+    delta = (away_sq * (k * n2 / (k + n2))
+             - home_sq * (k * n1 / np.maximum(n1 - k, 1)))
+    return np.where(k < n1, delta, np.inf)
 
 
 def _require_cluster(stats: ClusterStats, name: str) -> None:
@@ -77,20 +75,9 @@ def delta_e_correct(sub: ClusterStats, donor: ClusterStats, acceptor: ClusterSta
     if k == n1:
         raise PreconditionError("subset equals the donor cluster; use delta_e_merge")
     i = sub.centroid
-    da = i - acceptor.centroid
     dd = i - donor.centroid
-    return float((da @ da) * (k * n2 / (k + n2)) - (dd @ dd) * (k * n1 / (n1 - k)))
-
-
-def reclass_delta(sub: ClusterStats, donor: ClusterStats, acceptor: ClusterStats) -> DeltaE:
-    """Dispatch on the subset size: a full-cluster transfer is a merge."""
-    if sub.n == donor.n:
-        return DeltaE(delta_e_merge(donor, acceptor), "merge")
-    return DeltaE(delta_e_correct(sub, donor, acceptor), "correct")
-
-
-def _alpha_squared(k: int, n1: int, n2: int) -> float:
-    return n2 * (n1 - k) / (n1 * (n2 + k))
+    da = i - acceptor.centroid
+    return float(transfer_deltas(dd @ dd, da @ da, k, n1, n2))
 
 
 def alpha(k: int, n1: int, n2: int) -> float:
@@ -103,34 +90,18 @@ def alpha(k: int, n1: int, n2: int) -> float:
         raise PreconditionError("subset size must satisfy 1 <= k <= n1")
     if n2 < 1:
         raise PreconditionError("acceptor cluster must be nonempty")
-    return math.sqrt(_alpha_squared(k, n1, n2))
+    return math.sqrt(n2 * (n1 - k) / (n1 * (n2 + k)))
 
 
 def correction_improves(sub: ClusterStats, donor: ClusterStats, acceptor: ClusterStats) -> bool:
-    """True iff moving the subset strictly lowers the total error.
-
-    Evaluated through squared norms, no square roots: the move improves
-    iff |I - I1|^2 > alpha^2 * |I - I2|^2 beyond the shared move tolerance.
-    Agrees with the sign of delta_e_correct outside that tolerance band.
-    """
+    """True iff moving the subset lowers the total error beyond the move
+    tolerance, scaled by the donor plus acceptor error."""
     k, n1, n2 = sub.n, donor.n, acceptor.n
     if k < 1 or n1 < 1 or n2 < 1:
         raise PreconditionError("empty cluster in improvement test")
     if k >= n1:
         raise PreconditionError("improvement test needs a proper subset of the donor")
-    i = sub.centroid
-    dd = i - donor.centroid
-    da = i - acceptor.centroid
-    home_sq = float(dd @ dd)
-    away_sq = float(da @ da)
-    tau = move_tolerance(donor.energy + acceptor.energy)
-    # delta_e_correct < -tau, rearranged to avoid the difference of fractions
-    return home_sq - _alpha_squared(k, n1, n2) * away_sq > tau * (n1 - k) / (k * n1)
-
-
-def is_stable_move(sub: ClusterStats, donor: ClusterStats, acceptor: ClusterStats) -> bool:
-    """True iff the move does not improve the partition."""
-    return not correction_improves(sub, donor, acceptor)
+    return delta_e_correct(sub, donor, acceptor) < -move_tolerance(donor.energy + acceptor.energy)
 
 
 def merge_many(clusters: list[ClusterStats]) -> float:

@@ -338,27 +338,14 @@ class SegmentMap:
 
     # -- merging
 
-    def merge_best(self, lookahead: bool = False) -> tuple[int, int]:
+    def merge_best(self) -> tuple[int, int]:
         """Merge the adjacent pair with minimal error increase.
 
         Returns (kept, absorbed). Cost ties resolve to the lowest id pair,
         the survivor is the larger segment, equal sizes keep the lower id.
-        With lookahead, every adjacent pair is tentatively merged and
-        boundary-corrected on a copy, and the pair with the lowest
-        post-correction error wins; the merge itself is applied uncorrected.
         """
         if self.segment_count < 2:
             raise PreconditionError("merging needs at least two segments")
-        if lookahead:
-            best = None
-            for a, b in sorted(self.contact):
-                trial = self.copy()
-                trial._merge(a, b)
-                trial.correct_boundaries()
-                key = (trial.total_e, self._merge_cost(a, b), a, b)
-                if best is None or key < best:
-                    best = key
-            return self._merge(best[2], best[3])
         while self.heap:
             cost, a, b, va, vb = heapq.heappop(self.heap)
             if (self.alive[a] and self.alive[b]
@@ -423,46 +410,55 @@ class SegmentMap:
         _, first = np.unique(key, return_index=True)
         return p[first], acc[first]
 
-    def _move_deltas(self, p, acc, don):
-        """Predicted error change for each (pixel, donor, acceptor) candidate."""
-        x = self.img.intensities[p]
-        n1 = self.counts[don].astype(np.float64)
-        n2 = self.counts[acc].astype(np.float64)
-        i1 = self.sums[don] / n1
-        i2 = self.sums[acc] / n2
-        gain = (x - i1) ** 2 * (n1 / np.maximum(n1 - 1.0, 1.0))
-        cost = (x - i2) ** 2 * (n2 / (n2 + 1.0))
-        delta = cost - gain
-        delta[n1 < 2] = np.inf
-        return delta
+    def _ranked_moves(self, below: float):
+        """Boundary moves predicted to change the error by less than below.
 
-    def _group_candidates(self, p, acc, don):
-        """Same-intensity pixel groups sharing donor and acceptor, k >= 2."""
-        if p.shape[0] == 0:
-            return []
-        x = self.img.intensities[p]
-        bits = np.ascontiguousarray(x).view(np.int64)
-        order = np.lexsort((p, bits, acc, don))
-        don_s, acc_s, bits_s, p_s = don[order], acc[order], bits[order], p[order]
-        x_s = x[order]
-        n = p_s.shape[0]
-        starts = np.concatenate(
-            ([0], np.flatnonzero((don_s[1:] != don_s[:-1])
-                                 | (acc_s[1:] != acc_s[:-1])
-                                 | (bits_s[1:] != bits_s[:-1])) + 1))
-        lengths = np.diff(np.concatenate((starts, [n])))
-        out = []
-        for i in np.flatnonzero(lengths >= 2):
-            lo, k = int(starts[i]), int(lengths[i])
-            d, a = int(don_s[lo]), int(acc_s[lo])
-            n1, n2 = int(self.counts[d]), int(self.counts[a])
-            if k < n1:
-                xv = float(x_s[lo])
-                home = (xv - self._mean(d)) ** 2 * (k * n1 / (n1 - k))
-                away = (xv - self._mean(a)) ** 2 * (k * n2 / (k + n2))
-                out.append((away - home, d, a,
-                            tuple(int(q) for q in p_s[lo:lo + k])))
-        return out
+        Candidates are single border pixels and groups (k >= 2) of
+        bit-identical intensity that share donor and acceptor. Yields
+        (delta, donor, acceptor, subset) in (delta, donor, acceptor, subset)
+        order. Only segments marked dirty are considered when the map was
+        boundary-stable before.
+        """
+        p, acc = self._boundary_candidates()
+        don = self.labels[p]
+        if self._dirty is not None:
+            # stats elsewhere are unchanged since the last stable point,
+            # so new improving moves must touch a dirty segment
+            mark = np.zeros(self.counts.shape[0], dtype=bool)
+            mark[list(self._dirty)] = True
+            sel = mark[don] | mark[acc]
+            p, acc, don = p[sel], acc[sel], don[sel]
+        k = np.ones(p.shape[0], dtype=np.int64)
+        start = np.arange(p.shape[0])
+        pool = p
+        # group moves exist only where some donor can spare two pixels
+        good = self.counts[don] >= 2
+        if (self.counts[don[good]] >= 3).any():
+            gp, gacc, gdon = p[good], acc[good], don[good]
+            bits = np.ascontiguousarray(self.img.intensities[gp]).view(np.int64)
+            order = np.lexsort((gp, bits, gacc, gdon))
+            gp, gacc, gdon, bits = gp[order], gacc[order], gdon[order], bits[order]
+            starts = np.concatenate(
+                ([0], np.flatnonzero((gdon[1:] != gdon[:-1])
+                                     | (gacc[1:] != gacc[:-1])
+                                     | (bits[1:] != bits[:-1])) + 1))
+            sizes = np.diff(np.append(starts, gp.shape[0]))
+            multi = sizes >= 2
+            k = np.concatenate((k, sizes[multi]))
+            start = np.concatenate((start, p.shape[0] + starts[multi]))
+            acc = np.concatenate((acc, gacc[starts[multi]]))
+            don = np.concatenate((don, gdon[starts[multi]]))
+            pool = np.concatenate((p, gp))
+        lead = pool[start]
+        x = self.img.intensities[lead]
+        n1, n2 = self.counts[don], self.counts[acc]
+        delta = reclass.transfer_deltas((x - self.sums[don] / n1) ** 2,
+                                        (x - self.sums[acc] / n2) ** 2, k, n1, n2)
+        sel = np.flatnonzero(delta < below)
+        order = sel[np.lexsort((k[sel], lead[sel], acc[sel], don[sel], delta[sel]))]
+        for i in order:
+            yield (float(delta[i]), int(don[i]), int(acc[i]),
+                   tuple(pool[start[i]:start[i] + k[i]].tolist()))
 
     def _donor_survives(self, subset: tuple[int, ...], don: int) -> bool:
         """True when removing the subset keeps the donor 4-connected.
@@ -597,42 +593,14 @@ class SegmentMap:
         Returns the number of moves performed.
         """
         n_moves = 0
-        while True:
-            if self.segment_count < 2:
-                break
+        while self.segment_count >= 2:
             tau = reclass.move_tolerance(self.total_e)
-            p, acc = self._boundary_candidates()
-            don = self.labels[p]
-            if self._dirty is not None:
-                # stats elsewhere are unchanged since the last stable point,
-                # so new improving moves must touch a dirty segment
-                if not self._dirty:
-                    break
-                mark = np.zeros(self.counts.shape[0], dtype=bool)
-                mark[list(self._dirty)] = True
-                sel = mark[don] | mark[acc]
-                p, acc, don = p[sel], acc[sel], don[sel]
-            delta = self._move_deltas(p, acc, don)
-            improving = np.flatnonzero(delta < -tau)
-            good = np.flatnonzero(delta < np.inf)
-            # group moves exist only where some donor can spare two pixels
-            groups = []
-            if good.size and (self.counts[don[good]] >= 3).any():
-                groups = [c for c in
-                          self._group_candidates(p[good], acc[good], don[good])
-                          if c[0] < -tau]
-            cands = [(float(delta[i]), int(don[i]), int(acc[i]), (int(p[i]),))
-                     for i in improving]
-            cands += groups
-            cands.sort(key=lambda c: (c[0], c[1], c[2], c[3]))
-            applied = False
-            for d, dn, ac, subset in cands:
+            for _, dn, ac, subset in self._ranked_moves(-tau):
                 if self._donor_survives(subset, dn):
                     self._apply_move(subset, dn, ac)
                     n_moves += 1
-                    applied = True
                     break
-            if not applied:
+            else:
                 self._dirty = set()
                 break
         return n_moves

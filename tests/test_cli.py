@@ -7,7 +7,7 @@ import pytest
 
 from helpers import labeled_energy
 from khcluster.cli import (EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_USAGE,
-                           load_csv, main, thread_count)
+                           load_csv, main)
 from khcluster.core import InputFormatError
 from khcluster.segment import GrayImage, read_pgm, write_pgm
 
@@ -41,15 +41,6 @@ def test_load_csv_diagnostics(tmp_path):
     p.write_text("# nothing\n")
     with pytest.raises(InputFormatError, match="no data rows"):
         load_csv(p)
-
-
-def test_thread_count(monkeypatch):
-    monkeypatch.delenv("KH_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("KH_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("KH_THREADS", "lots")
-    assert thread_count() == 1
 
 
 def test_cluster_all_methods_agree_on_easy_data(tmp_path, capsys):
@@ -154,8 +145,6 @@ def test_exit_codes(tmp_path):
     assert main(["cluster", "--input", str(big), "--methods", "oracle",
                  "--m-max", "2", "--out", str(tmp_path)]) == EXIT_GUARD
 
-    assert main(["cluster", "--input", str(data), "--scope", "adjacent",
-                 "--out", str(tmp_path)]) == EXIT_USAGE
     assert main(["cluster", "--input", str(data), "--methods", "dbscan",
                  "--out", str(tmp_path)]) == EXIT_USAGE
     assert main(["cluster", "--input", str(data), "--methods", "kh,kh",
@@ -194,15 +183,3 @@ def test_identical_runs_are_byte_identical(tmp_path):
     assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
     assert (outs[0] / "comparison.csv").read_bytes() == (outs[1] / "comparison.csv").read_bytes()
 
-
-def test_threaded_run_matches_serial(tmp_path, monkeypatch):
-    data = tmp_path / "pts.csv"
-    write_csv(data, [[0.0], [1.0], [9.0], [10.0]])
-    serial = tmp_path / "serial"
-    assert main(["cluster", "--input", str(data), "--m-max", "3",
-                 "--methods", "kmeans,kh,otsu,oracle", "--out", str(serial)]) == EXIT_OK
-    monkeypatch.setenv("KH_THREADS", "4")
-    threaded = tmp_path / "threaded"
-    assert main(["cluster", "--input", str(data), "--m-max", "3",
-                 "--methods", "kmeans,kh,otsu,oracle", "--out", str(threaded)]) == EXIT_OK
-    assert (serial / "report.json").read_bytes() == (threaded / "report.json").read_bytes()

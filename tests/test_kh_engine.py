@@ -8,34 +8,15 @@ from hypothesis import strategies as st
 from helpers import labeled_energy, random_dataset, random_labels
 from khcluster.baselines import KMeansConfig, is_lloyd_fixed_point, lloyd
 from khcluster.core import Dataset, Partition, PreconditionError, apply_move
-from khcluster.kh_engine import (BOTH, IDENTICAL, SINGLETONS, PairScope,
-                                 SubsetPolicy, build_sequence, correct_pairs,
-                                 correct_tuples, merge_step, split_step,
-                                 verify_stability)
+from khcluster.kh_engine import (BOTH, IDENTICAL, SINGLETONS, SubsetPolicy,
+                                 build_sequence, correct_pairs, correct_tuples,
+                                 merge_step, split_step, verify_stability)
 from khcluster.oracle import global_min
 
 
 def test_policy_and_scope_validation():
     with pytest.raises(PreconditionError):
         SubsetPolicy("pairs")
-    with pytest.raises(PreconditionError):
-        PairScope("nearby")
-    with pytest.raises(PreconditionError):
-        PairScope("adjacent", frozenset({(1, 1)}))
-    with pytest.raises(PreconditionError):
-        PairScope("adjacent", frozenset({(2, 1)}))
-
-
-def test_scope_admissibility_and_merge_remap():
-    sc = PairScope.adjacent([(2, 1), (0, 1)])
-    assert sc.admissible(1, 0) and sc.admissible(1, 2)
-    assert not sc.admissible(0, 2)
-    mat = sc.allowed_matrix(3)
-    assert mat[0, 1] and mat[1, 0] and mat[1, 2] and not mat[0, 2]
-    assert not mat.diagonal().any()
-    # merging 1 into 0: the old (1, 2) edge becomes (0, 1), (0, 1) collapses
-    assert sc.merged(0, 1).edges == frozenset({(0, 1)})
-    assert PairScope.all_pairs().merged(0, 1).mode == "all"
 
 
 def test_correct_pairs_leaves_stable_partition_alone():
@@ -101,16 +82,6 @@ def test_identical_policy_moves_duplicate_pairs_together():
     assert res_both.n_moves == 1
 
 
-def test_adjacency_scope_blocks_nonadjacent_improvement():
-    ds = Dataset([0.0, 2.0, 9.0, 2.1])
-    p = Partition.from_labels(ds, [0, 0, 1, 2])
-    narrow = correct_pairs(p, BOTH, PairScope.adjacent([(0, 1)]))
-    assert narrow.n_moves == 0
-    wide = correct_pairs(p, BOTH, PairScope.all_pairs())
-    assert wide.n_moves >= 1
-    assert wide.partition.total_e < p.total_e
-
-
 def test_correct_tuples_validation_and_l2_agreement():
     ds = Dataset([0.0, 1.0, 9.0, 10.0])
     p = Partition.from_labels(ds, [0, 0, 1, 1])
@@ -165,15 +136,6 @@ def test_split_step_needs_distinct_points():
     p = Partition.from_labels(ds, [0, 0, 0])
     with pytest.raises(PreconditionError):
         split_step(p)
-
-
-def test_sequence_ops_require_all_pairs_scope():
-    ds = Dataset([0.0, 1.0, 9.0, 10.0])
-    p = Partition.from_labels(ds, [0, 0, 1, 1])
-    with pytest.raises(PreconditionError):
-        split_step(p, scope=PairScope.adjacent([(0, 1)]))
-    with pytest.raises(PreconditionError):
-        build_sequence(ds, 2, scope=PairScope.adjacent([(0, 1)]))
 
 
 def test_build_sequence_frozen_curve():
@@ -237,17 +199,37 @@ def test_sequence_partitions_need_not_nest():
 
 
 def test_proposal_deltas_match_applied_change():
+    """Every violation's predicted delta is the E change of applying it.
+
+    Half the datasets resample their rows with replacement, so identical
+    groups with k >= 2 are candidates too.
+    """
     rng = np.random.default_rng(21)
-    for _ in range(30):
+    group_moves = 0
+    for trial in range(40):
         n = int(rng.integers(6, 30))
         ds = random_dataset(rng, n, int(rng.integers(1, 4)))
+        if trial % 2:
+            ds = Dataset(ds.points[rng.integers(0, n, n)])
         m = int(rng.integers(2, 5))
         p = Partition.from_labels(ds, random_labels(rng, n, m))
-        rep = verify_stability(p)
-        for prop in rep.violations[:5]:
-            q = apply_move(p, np.asarray(prop.subset), prop.donor, prop.acceptor)
-            actual = q.total_e - p.total_e
-            assert abs(actual - prop.predicted_delta) <= 1e-9 * (1.0 + p.total_e)
+        for policy in (SINGLETONS, IDENTICAL, BOTH):
+            violations = verify_stability(p, policy).violations
+            keys = [(v.predicted_delta, v.donor, v.acceptor, v.subset) for v in violations]
+            assert keys == sorted(keys)
+            for prop in violations:
+                sub = np.asarray(prop.subset)
+                twins = np.flatnonzero((p.labels == prop.donor)
+                                       & (ds.points == ds.points[sub[0]]).all(axis=1))
+                if policy is SINGLETONS:
+                    assert sub.size == 1
+                elif policy is IDENTICAL or sub.size > 1:
+                    assert np.array_equal(sub, twins)  # a whole group moves
+                group_moves += sub.size > 1
+                q = apply_move(p, sub, prop.donor, prop.acceptor)
+                actual = q.total_e - p.total_e
+                assert abs(actual - prop.predicted_delta) <= 1e-9 * (1.0 + p.total_e)
+    assert group_moves > 0
 
 
 @settings(max_examples=50, deadline=None)

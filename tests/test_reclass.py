@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import energy_by_means, random_move_instance
 from khcluster import reclass
-from khcluster.core import ClusterStats, InternalConsistencyError, PreconditionError
+from khcluster.core import ClusterStats, PreconditionError
 
 # worked example used throughout: donor {0, 2}, acceptor {10}, subset {2}
 DONOR = ClusterStats.from_points([[0.0], [2.0]])
@@ -42,20 +42,6 @@ def test_correct_rejects_full_cluster():
         reclass.delta_e_correct(DONOR, DONOR, ACCEPTOR)
     with pytest.raises(PreconditionError):
         reclass.delta_e_correct(ACCEPTOR + DONOR, DONOR, ACCEPTOR)
-
-
-def test_reclass_delta_dispatch():
-    d = reclass.reclass_delta(SUB, DONOR, ACCEPTOR)
-    assert d.kind == "correct" and d.value == pytest.approx(30.0)
-    d = reclass.reclass_delta(DONOR, DONOR, ACCEPTOR)
-    assert d.kind == "merge" and d.value == pytest.approx(54.0)
-
-
-def test_delta_e_guards_negative_merge():
-    with pytest.raises(InternalConsistencyError):
-        reclass.DeltaE(-1.0, "merge")
-    with pytest.raises(PreconditionError):
-        reclass.DeltaE(0.0, "split")
 
 
 def test_alpha_hand_value_and_bounds():
@@ -169,7 +155,6 @@ def test_improvement_predicate_agrees_with_delta(seed):
         assert improves
     elif delta > 2 * tau:
         assert not improves
-    assert reclass.is_stable_move(s_sub, s_don, s_acc) == (not improves)
 
 
 def test_alpha_monotone_in_k_small_grid():

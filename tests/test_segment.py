@@ -178,24 +178,28 @@ def test_sigma_column():
     assert sm.segment_sigma() == pytest.approx(sigma(sm.total_e, 4))
 
 
-def test_lookahead_merge_never_loses_to_raw():
-    """One step from any state, the lookahead pick bounds the raw pick."""
-    rng = np.random.default_rng(4)
+def test_ranked_move_deltas_match_applied_change():
+    """Every ranked boundary candidate, single pixel or same-intensity group,
+    predicts the E change of applying it."""
+    rng = np.random.default_rng(9)
+    group_moves = 0
     for _ in range(6):
-        arr = rng.choice([10.0, 90.0, 200.0], size=(4, 4))
-        base = SegmentMap.from_image(GrayImage.from_array(arr))
-        base.correct_boundaries()
-        for _ in range(6):
-            if base.segment_count < 3:
-                break
-            ahead = base.copy()
-            ahead.merge_best(lookahead=True)
-            ahead.correct_boundaries()
-            raw = base.copy()
-            raw.merge_best()
-            raw.correct_boundaries()
-            assert ahead.total_e <= raw.total_e + 1e-9 * (1 + raw.total_e)
-            base = raw
+        h, w = int(rng.integers(3, 7)), int(rng.integers(3, 7))
+        arr = rng.choice([10.0, 90.0, 200.0], size=(h, w))
+        sm = SegmentMap.from_image(GrayImage.from_array(arr))
+        while sm.segment_count > max(2, h * w // 4):
+            sm.merge_best()
+        e = labeled_energy(arr.reshape(-1, 1), sm.labels)
+        cands = list(sm._ranked_moves(np.inf))
+        keys = [(d, dn, ac, sub) for d, dn, ac, sub in cands]
+        assert keys == sorted(keys)
+        for delta, don, acc, subset in cands:
+            trial = sm.copy()
+            trial._apply_move(subset, don, acc)
+            actual = labeled_energy(arr.reshape(-1, 1), trial.labels) - e
+            assert abs(actual - delta) <= 1e-9 * (1.0 + e)
+            group_moves += len(subset) > 1
+    assert group_moves > 0
 
 
 def test_random_images_stay_consistent():
