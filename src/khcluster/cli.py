@@ -74,8 +74,9 @@ def _load_dataset(args) -> Dataset:
     return load_csv(args.input)
 
 
-def _partition_record(p: Partition, moves: int) -> dict:
-    report = kh_engine.verify_stability(p)
+def _partition_record(p: Partition, moves: int,
+                      policy: kh_engine.SubsetPolicy) -> dict:
+    report = kh_engine.verify_stability(p, policy)
     return {
         "labels": [int(c) for c in p.labels],
         "E": p.total_e,
@@ -85,22 +86,21 @@ def _partition_record(p: Partition, moves: int) -> dict:
     }
 
 
-def _run_kmeans(ds, m_max, seed):
+def _run_kmeans(ds, m_max, seed, policy):
     seq = baselines.kmeans_sequence(ds, m_max, rng_seed=seed)
     return {str(m): _partition_record(seq.by_cluster_count[m],
-                                      seq.info[m]["iterations"])
+                                      seq.info[m]["iterations"], policy)
             for m in seq.cluster_counts()}
 
 
 def _run_kh(ds, m_max, policy, l_max):
-    seq = kh_engine.build_sequence(ds, m_max, "both",
-                                   kh_engine.SubsetPolicy(policy), l_max=l_max)
+    seq = kh_engine.build_sequence(ds, m_max, "both", policy, l_max=l_max)
     return {str(m): _partition_record(seq.by_cluster_count[m],
-                                      seq.info[m]["tuple_moves"])
+                                      seq.info[m]["tuple_moves"], policy)
             for m in seq.cluster_counts()}
 
 
-def _run_otsu(ds, m_max):
+def _run_otsu(ds, m_max, policy):
     if ds.d != 1:
         raise PreconditionError("otsu requires one-dimensional data")
     h = otsu1d.build_histogram(ds)
@@ -109,35 +109,38 @@ def _run_otsu(ds, m_max):
         labels = otsu1d.assign_classes(
             h, ds.points[:, 0], np.asarray(point.thresholds))
         p = Partition.from_labels(ds, labels.astype(np.int64), point.m)
-        out[str(point.m)] = _partition_record(p, 0)
+        out[str(point.m)] = _partition_record(p, 0, policy)
     return out
 
 
-def _run_oracle(ds, m_max):
+def _run_oracle(ds, m_max, policy):
     out = {}
     for res in oracle.minimum_curve(ds, m_max):
         labels = np.asarray(res.best_labels, dtype=np.int64)
         p = Partition.from_labels(ds, labels, res.m)
-        out[str(res.m)] = _partition_record(p, 0)
+        out[str(res.m)] = _partition_record(p, 0, policy)
     return out
 
 
 def _run_methods(ds, args) -> dict:
+    """Run each requested method; every record's stability is audited under
+    the run's subset policy."""
     methods = args.methods.split(",")
     for name in methods:
         if name not in METHOD_ORDER:
             raise PreconditionError(f"unknown method {name!r}")
     if len(set(methods)) != len(methods):
         raise PreconditionError("duplicate method requested")
+    policy = kh_engine.SubsetPolicy(args.policy)
 
     def run(name):
         if name == "kmeans":
-            return _run_kmeans(ds, args.m_max, args.seed)
+            return _run_kmeans(ds, args.m_max, args.seed, policy)
         if name == "kh":
-            return _run_kh(ds, args.m_max, args.policy, args.l_max)
+            return _run_kh(ds, args.m_max, policy, args.l_max)
         if name == "otsu":
-            return _run_otsu(ds, args.m_max)
-        return _run_oracle(ds, args.m_max)
+            return _run_otsu(ds, args.m_max, policy)
+        return _run_oracle(ds, args.m_max, policy)
 
     return {name: run(name) for name in methods}
 

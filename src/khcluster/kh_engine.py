@@ -67,33 +67,48 @@ class CorrectionResult:
     no_op: bool = False
 
 
+@dataclass
+class _MoveScan:
+    """Every admissible move of one partition version.
+
+    One row per movable subset: lead is its first point, k its size, donor
+    its cluster; key is the (cluster, bit group) key of every point, or None
+    when no groups were formed. delta holds the rows x m error changes,
+    +inf where the move is not admissible.
+    """
+
+    lead: np.ndarray
+    k: np.ndarray
+    key: np.ndarray | None
+    donor: np.ndarray
+    delta: np.ndarray
+
+    def subset(self, r) -> tuple[int, ...]:
+        if self.k[r] == 1:
+            return (int(self.lead[r]),)
+        return tuple(np.flatnonzero(self.key == self.key[self.lead[r]]).tolist())
+
+    def ranked(self, rr, cc):
+        """Rows and acceptors sorted on (delta, donor, acceptor, first index, subset)."""
+        order = np.lexsort((self.k[rr], self.lead[rr], cc, self.donor[rr],
+                            self.delta[rr, cc]))
+        return rr[order], cc[order]
+
+
 def _scan_moves(part: Partition, policy: SubsetPolicy,
-                clusters: np.ndarray | None, tau: float, collect: bool):
-    """Evaluate admissible moves. Returns (best, violations, pairs, subsets).
+                clusters: np.ndarray | None = None) -> _MoveScan:
+    """Evaluate the admissible moves between the given clusters (all when None).
 
     Candidates are single points and, unless the policy is singletons, the
     maximal groups of bit-identical points of each cluster with k >= 2;
     under the identical policy a point moves alone only when no twin shares
-    its cluster. best is the lexicographically first most-negative
-    candidate as a tuple (delta, donor, acceptor, subset) or None;
-    violations are all candidates with delta < -tau when collect is true.
-    checked_subsets counts the (subset, acceptor) evaluations performed.
+    its cluster. A move into its own cluster, or one that would empty the
+    donor, is not admissible.
     """
-    m, n = part.m, part.n
-    if m < 2:
-        return None, [], 0, 0
-    labels, counts = part.labels, part.counts
-
-    in_play = np.ones(m, dtype=bool)
-    if clusters is not None:
-        in_play[:] = False
-        in_play[clusters] = True
-    allowed = in_play[:, None] & in_play[None, :]
-    np.fill_diagonal(allowed, False)
-
-    # one candidate row per movable subset: its first point and its size
+    n, m, labels, counts = part.n, part.m, part.labels, part.counts
     lead = np.arange(n)
     k = np.ones(n, dtype=np.int64)
+    key = None
     gid = part.ds.bit_group_ids()
     if policy.mode != "singletons" and gid.max() < n - 1:
         key = labels * n + gid
@@ -106,48 +121,57 @@ def _scan_moves(part: Partition, policy: SubsetPolicy,
         lead = np.concatenate((lead, first[multi]))
 
     donor = labels[lead]
+    rows = np.arange(lead.shape[0])
     d2 = squared_distances(part.ds.points, part.centroids())[lead]
-    delta = reclass.transfer_deltas(d2[np.arange(lead.shape[0]), donor][:, None],
+    delta = reclass.transfer_deltas(d2[rows, donor][:, None],
                                     d2, k[:, None], counts[donor][:, None], counts)
-    delta[~allowed[donor]] = np.inf
-
-    def subset(r) -> tuple[int, ...]:
-        if k[r] == 1:
-            return (int(lead[r]),)
-        return tuple(np.flatnonzero(key == key[lead[r]]).tolist())
-
-    def ranked(rr, cc):
-        # lexicographic on (delta, donor, acceptor, first index, subset)
-        order = np.lexsort((k[rr], lead[rr], cc, donor[rr], delta[rr, cc]))
-        return rr[order], cc[order]
-
-    best = None
-    low = delta.min()
-    if np.isfinite(low):
-        rr, cc = ranked(*np.nonzero(delta == low))
-        r, a = rr[0], cc[0]
-        best = (float(delta[r, a]), int(donor[r]), int(a), subset(r))
-    violations = []
-    if collect:
-        violations = [MoveProposal(int(donor[r]), int(a), subset(r), float(delta[r, a]))
-                      for r, a in zip(*ranked(*np.nonzero(delta < -tau)))]
-    return best, violations, int(allowed.sum()), int(np.isfinite(delta).sum())
+    delta[rows, donor] = np.inf
+    if clusters is not None:
+        out = np.ones(m, dtype=bool)
+        out[clusters] = False
+        delta[out[donor]] = np.inf
+        delta[:, out] = np.inf
+    return _MoveScan(lead, k, key, donor, delta)
 
 
 def _best_admissible(part: Partition, policy: SubsetPolicy,
                      clusters: np.ndarray | None = None) -> MoveProposal | None:
+    """The lexicographically first most-negative move, if it beats the tolerance."""
     tau = reclass.move_tolerance(part.total_e)
-    best, _, _, _ = _scan_moves(part, policy, clusters, tau, collect=False)
-    if best is None or not (best[0] < -tau):
+    scan = _scan_moves(part, policy, clusters)
+    low = scan.delta.min()
+    if not low < -tau:
         return None
-    return MoveProposal(best[1], best[2], best[3], best[0])
+    rr, cc = scan.ranked(*np.nonzero(scan.delta == low))
+    r, a = rr[0], cc[0]
+    return MoveProposal(int(scan.donor[r]), int(a), scan.subset(r), float(low))
+
+
+def _movable_tuples(part: Partition, policy: SubsetPolicy,
+                    tuples: np.ndarray) -> np.ndarray:
+    """Indices of the tuples (rows of cluster ids) that hold a (donor,
+    acceptor) pair with an improving move, from one full scan."""
+    tau = reclass.move_tolerance(part.total_e)
+    scan = _scan_moves(part, policy)
+    rows, acceptors = np.nonzero(scan.delta < -tau)
+    hot = np.zeros((part.m, part.m), dtype=bool)
+    hot[scan.donor[rows], acceptors] = True
+    return np.flatnonzero(hot[tuples[:, :, None], tuples[:, None, :]].any(axis=(1, 2)))
 
 
 def verify_stability(p: Partition, policy: SubsetPolicy = BOTH) -> StabilityReport:
-    """Exhaustively test every admissible move; pure, the partition is untouched."""
+    """Exhaustively test every admissible move; pure, the partition is untouched.
+
+    checked_pairs counts the ordered (donor, acceptor) pairs and
+    checked_subsets the (subset, acceptor) evaluations performed.
+    """
     tau = reclass.move_tolerance(p.total_e)
-    _, violations, pairs, subsets = _scan_moves(p, policy, None, tau, collect=True)
-    return StabilityReport(not violations, violations, pairs, subsets)
+    scan = _scan_moves(p, policy)
+    violations = [MoveProposal(int(scan.donor[r]), int(a), scan.subset(r),
+                               float(scan.delta[r, a]))
+                  for r, a in zip(*scan.ranked(*np.nonzero(scan.delta < -tau)))]
+    return StabilityReport(not violations, violations, p.m * (p.m - 1),
+                           int(np.isfinite(scan.delta).sum()))
 
 
 def correct_pairs(p: Partition, policy: SubsetPolicy = BOTH) -> CorrectionResult:
@@ -174,29 +198,37 @@ def correct_tuples(p: Partition, l: int, policy: SubsetPolicy = BOTH) -> Correct
     """Locally minimize E inside every l-tuple of clusters.
 
     Each tuple is optimized by repeated best single-subset moves between its
-    own clusters; sweeps repeat until one full pass makes no move. For l = 2
-    the admissible move set coincides with correct_pairs.
+    own clusters; sweeps over the tuples repeat until one full pass makes no
+    move. For l = 2 the admissible move set coincides with correct_pairs.
+
+    A tuple's moves are a subset of the full move set, with the same deltas
+    and tolerance, so a tuple holding no (donor, acceptor) pair with an
+    improving move cannot move and is skipped; one that holds such a pair
+    always moves. The pairs come from one full scan, repeated after every
+    tuple that moved: a pair-stable input costs one scan.
     """
     if l < 2:
         raise PreconditionError("tuples need at least two clusters")
     if l > p.m:
         return CorrectionResult(p.copy(), 0, no_op=True)
     q = p.copy()
-    tuples = list(itertools.combinations(range(q.m), l))
+    tuples = np.array(list(itertools.combinations(range(q.m), l)), dtype=np.int64)
     total_moves = 0
+    start = 0
     while True:
-        swept_moves = 0
-        for tup in tuples:
-            sel = np.asarray(tup, dtype=np.int64)
-            while True:
-                prop = _best_admissible(q, policy, clusters=sel)
-                if prop is None:
-                    break
-                q.move(np.asarray(prop.subset), prop.donor, prop.acceptor)
-                swept_moves += 1
-        total_moves += swept_moves
-        if swept_moves == 0:
+        movable = _movable_tuples(q, policy, tuples)
+        if movable.size == 0:
             break
+        # the sweep goes on after the last tuple that moved, then wraps around
+        later = movable[movable >= start]
+        t = later[0] if later.size else movable[0]
+        while True:
+            prop = _best_admissible(q, policy, clusters=tuples[t])
+            if prop is None:
+                break
+            q.move(np.asarray(prop.subset), prop.donor, prop.acceptor)
+            total_moves += 1
+        start = t + 1
     return CorrectionResult(q, total_moves)
 
 
@@ -287,7 +319,9 @@ def build_sequence(ds: Dataset, m_max: int, direction: str = "both",
     ends above the k-means baseline; the greedy split/merge constructions
     alone can lose to incremental seeding on rare instances. After each
     structural change the partition is re-stabilized with tuple corrections
-    for l = 2..l_max.
+    for l = 2..l_max. split_step and merge_step already return pair-stable
+    partitions, so on those routes the polish costs one scan per l and
+    moves nothing; only the k-means route's partitions can move there.
     """
     if direction not in ("bottom_up", "top_down", "both"):
         raise PreconditionError(f"unknown direction {direction!r}")

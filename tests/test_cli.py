@@ -8,7 +8,8 @@ import pytest
 from helpers import labeled_energy
 from khcluster.cli import (EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_USAGE,
                            load_csv, main)
-from khcluster.core import InputFormatError
+from khcluster.core import Dataset, InputFormatError, Partition
+from khcluster.kh_engine import BOTH, verify_stability
 from khcluster.segment import GrayImage, read_pgm, write_pgm
 
 
@@ -64,6 +65,31 @@ def test_cluster_all_methods_agree_on_easy_data(tmp_path, capsys):
     assert table[0] == "m,E_kmeans,E_kh,E_otsu,E_oracle"
     assert table[2].startswith("2,")
     assert all(float(v) == pytest.approx(1.0) for v in table[2].split(",")[1:])
+
+
+def test_stability_flag_is_audited_under_the_run_policy(tmp_path):
+    """Records are checked under --policy, not under the default both.
+
+    On this duplicate-heavy grid the m = 4 kh partition is stable for
+    single-point moves, while moving a whole group of equal values would
+    still lower E.
+    """
+    values = [8, 3, 8, 0, 3, 2, 5, 2, 0, 7, 7, 5, 8, 3, 1, 6, 7,
+              7, 8, 1, 4, 1, 2, 6, 6, 7, 3, 1, 0, 8, 2, 4, 3]
+    data = tmp_path / "grid.csv"
+    write_csv(data, [[float(v)] for v in values])
+    out = tmp_path / "run"
+    code = main(["cluster", "--input", str(data), "--m-max", "4", "--methods", "kh",
+                 "--policy", "singletons", "--out", str(out)])
+    assert code == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["policy"] == "singletons"
+    records = report["methods"]["kh"]
+    assert sorted(records) == ["1", "2", "3", "4"]
+    assert all(rec["stable"] is True for rec in records.values())
+    four = Partition.from_labels(Dataset([float(v) for v in values]),
+                                 records["4"]["labels"], 4)
+    assert not verify_stability(four, BOTH).stable
 
 
 def test_cluster_reports_the_corrected_optimum(tmp_path):
