@@ -317,11 +317,12 @@ def build_sequence(ds: Dataset, m_max: int, direction: str = "both",
     and keeps the lowest error per count, preferring the construction routes
     on exact ties. The k-means route is what guarantees the sequence never
     ends above the k-means baseline; the greedy split/merge constructions
-    alone can lose to incremental seeding on rare instances. After each
-    structural change the partition is re-stabilized with tuple corrections
-    for l = 2..l_max. split_step and merge_step already return pair-stable
-    partitions, so on those routes the polish costs one scan per l and
-    moves nothing; only the k-means route's partitions can move there.
+    alone can lose to incremental seeding on rare instances. Each k-means
+    partition is stabilized with tuple corrections for l = 2..l_max.
+    split_step and merge_step return pair-stable partitions, and
+    correct_tuples moves only where the full scan finds an improving
+    (donor, acceptor) pair, so on those routes it could never move: they
+    are recorded as they are, with 0 tuple moves.
     """
     if direction not in ("bottom_up", "top_down", "both"):
         raise PreconditionError(f"unknown direction {direction!r}")
@@ -330,14 +331,6 @@ def build_sequence(ds: Dataset, m_max: int, direction: str = "both",
     v = ds.unique_rows().shape[0]
     if not 1 <= m_max <= v:
         raise PreconditionError("m_max must lie between 1 and the distinct point count")
-
-    def polish(part: Partition) -> tuple[Partition, int]:
-        moves = 0
-        for l in range(2, min(l_max, part.m) + 1):
-            r = correct_tuples(part, l, policy)
-            part = r.partition
-            moves += r.n_moves
-        return part, moves
 
     found: dict[int, tuple[Partition, str, int]] = {}
 
@@ -351,8 +344,7 @@ def build_sequence(ds: Dataset, m_max: int, direction: str = "both",
         record(1, part, "bottom_up", 0)
         for _ in range(2, m_max + 1):
             part = split_step(part, policy)
-            part, moves = polish(part)
-            record(part.m, part, "bottom_up", moves)
+            record(part.m, part, "bottom_up", 0)
 
     if direction in ("top_down", "both"):
         part = Partition.from_labels(ds, ds.identical_group_labels(), v)
@@ -360,13 +352,15 @@ def build_sequence(ds: Dataset, m_max: int, direction: str = "both",
             record(v, part, "top_down", 0)
         for _ in range(v - 1, 0, -1):
             part = merge_step(part, policy)
-            part, moves = polish(part)
             if part.m <= m_max:
-                record(part.m, part, "top_down", moves)
+                record(part.m, part, "top_down", 0)
 
     if direction == "both":
         for part in kmeans_sequence(ds, m_max).by_cluster_count.values():
-            part, moves = polish(part)
+            moves = 0
+            for l in range(2, min(l_max, part.m) + 1):
+                r = correct_tuples(part, l, policy)
+                part, moves = r.partition, moves + r.n_moves
             record(part.m, part, "kmeans", moves)
 
     seq = PartitionSequence(method=f"kh-{direction}")

@@ -6,9 +6,13 @@ invalidated heap over the region adjacency graph. Between merges, boundary
 correction moves single pixels or same-intensity pixel groups across
 segment borders whenever that lowers the total squared error, subject to a
 connectivity lock: a move that would tear the donor apart is refused even
-when its error delta is favorable. Contact counts (the number of adjacent
-pixel pairs straddling each segment border) are maintained exactly so the
-adjacency graph never drifts from the labelling.
+when its error delta is favorable. The lock is exact, with no window
+heuristics: searches from the donor pixels next to the moved ones run in
+turn and stop at the smaller side of a cut. Once the map is
+boundary-stable, only the borders of segments changed since then are
+listed as candidates. Contact counts (the number of adjacent pixel pairs
+straddling each segment border) are maintained exactly so the adjacency
+graph never drifts from the labelling.
 """
 
 from __future__ import annotations
@@ -187,6 +191,31 @@ def _edge(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
+def _neighbor_pairs(w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only arrays (a, b) of every 4-neighbour pixel pair, a < b:
+    horizontal pairs first, then vertical."""
+    idx = np.arange(w * h, dtype=np.int64).reshape(h, w)
+    a = np.concatenate((idx[:, :-1].ravel(), idx[:-1, :].ravel()))
+    b = np.concatenate((idx[:, 1:].ravel(), idx[1:, :].ravel()))
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a, b
+
+
+def _neighbor_table(w: int, h: int) -> tuple[tuple[int, ...], ...]:
+    """The 4-neighbours of every pixel, in the order up, down, left, right."""
+    n = w * h
+    table = list(zip(range(-w, n - w), range(w, n + w),
+                     range(-1, n - 1), range(1, n + 1)))
+    edge = {*range(w), *range(n - w, n), *range(0, n, w), *range(w - 1, n, w)}
+    for p in edge:
+        r, c = divmod(p, w)
+        table[p] = tuple(q for q, inside in ((p - w, r > 0), (p + w, r < h - 1),
+                                             (p - 1, c > 0), (p + 1, c < w - 1))
+                         if inside)
+    return tuple(table)
+
+
 @dataclass(frozen=True)
 class CurveRow:
     count: int
@@ -207,6 +236,8 @@ class SegmentMap:
     def __init__(self, img: GrayImage, labels: np.ndarray):
         self.img = img
         self.w, self.h = img.width, img.height
+        self._pairs = _neighbor_pairs(self.w, self.h)
+        self._nbrs = _neighbor_table(self.w, self.h)
         self.labels = np.asarray(labels, dtype=np.int64).copy()
         if self.labels.shape != (img.n_pixels,):
             raise PreconditionError("label buffer does not match the image")
@@ -251,14 +282,11 @@ class SegmentMap:
         for p, s in enumerate(lab):
             self.pixels.setdefault(int(s), set()).add(p)
         self.adj = {int(s): set() for s in np.flatnonzero(self.alive)}
-        self.contact = {}
-        l2 = lab.reshape(self.h, self.w)
-        los, his = [], []
-        for a, b in ((l2[:, :-1], l2[:, 1:]), (l2[:-1, :], l2[1:, :])):
-            diff = a != b
-            los.append(np.minimum(a[diff], b[diff]))
-            his.append(np.maximum(a[diff], b[diff]))
-        keys = np.concatenate(los) * cap + np.concatenate(his)
+        a, b = self._pairs
+        la, lb = lab[a], lab[b]
+        cut = la != lb
+        la, lb = la[cut], lb[cut]
+        keys = np.minimum(la, lb) * cap + np.maximum(la, lb)
         uniq, cnt = np.unique(keys, return_counts=True)
         self.contact = {(int(k // cap), int(k % cap)): int(c)
                         for k, c in zip(uniq, cnt)}
@@ -293,16 +321,8 @@ class SegmentMap:
         heapq.heappush(self.heap, (self._merge_cost(a, b), a, b,
                                    int(self.version[a]), int(self.version[b])))
 
-    def _neighbors(self, p: int):
-        r, c = divmod(p, self.w)
-        if r > 0:
-            yield p - self.w
-        if r < self.h - 1:
-            yield p + self.w
-        if c > 0:
-            yield p - 1
-        if c < self.w - 1:
-            yield p + 1
+    def _neighbors(self, p: int) -> tuple[int, ...]:
+        return self._nbrs[p]
 
     def _tick(self) -> None:
         self._ops += 1
@@ -317,6 +337,8 @@ class SegmentMap:
         other = object.__new__(SegmentMap)
         other.img = self.img
         other.w, other.h = self.w, self.h
+        other._pairs = self._pairs  # both fixed by the shape, read only
+        other._nbrs = self._nbrs
         other.labels = self.labels.copy()
         other.counts = self.counts.copy()
         other.sums = self.sums.copy()
@@ -394,20 +416,24 @@ class SegmentMap:
     # -- boundary correction
 
     def _boundary_candidates(self):
-        """(pixel, acceptor) pairs where a pixel borders a foreign segment."""
-        l2 = self.labels.reshape(self.h, self.w)
-        idx = np.arange(self.labels.shape[0], dtype=np.int64).reshape(self.h, self.w)
-        ps, accs = [], []
-        for a, b, ia, ib in (
-                (l2[:, :-1], l2[:, 1:], idx[:, :-1], idx[:, 1:]),
-                (l2[:-1, :], l2[1:, :], idx[:-1, :], idx[1:, :])):
-            diff = a != b
-            ps.append(ia[diff]); accs.append(b[diff])
-            ps.append(ib[diff]); accs.append(a[diff])
-        p = np.concatenate(ps)
-        acc = np.concatenate(accs)
-        key = p * self.counts.shape[0] + acc
-        _, first = np.unique(key, return_index=True)
+        """(pixel, acceptor) pairs where a pixel borders a foreign segment.
+
+        Sorted by (pixel, acceptor). When the map was boundary-stable before
+        (_dirty is known), only the borders of dirty segments are listed:
+        stats elsewhere are unchanged since then, so a new improving move
+        must take from or give to a dirty segment.
+        """
+        a, b = self._pairs
+        la, lb = self.labels[a], self.labels[b]
+        cut = la != lb
+        if self._dirty is not None:
+            mark = np.zeros(self.counts.shape[0], dtype=bool)
+            mark[list(self._dirty)] = True
+            cut &= mark[la] | mark[lb]
+        a, b, la, lb = a[cut], b[cut], la[cut], lb[cut]
+        p = np.concatenate((a, b))
+        acc = np.concatenate((lb, la))
+        _, first = np.unique(p * self.counts.shape[0] + acc, return_index=True)
         return p[first], acc[first]
 
     def _ranked_moves(self, below: float):
@@ -417,17 +443,11 @@ class SegmentMap:
         bit-identical intensity that share donor and acceptor. Yields
         (delta, donor, acceptor, subset) in (delta, donor, acceptor, subset)
         order. Only segments marked dirty are considered when the map was
-        boundary-stable before.
+        boundary-stable before (see _boundary_candidates); a group shares
+        its donor and acceptor, so it is kept or dropped whole.
         """
         p, acc = self._boundary_candidates()
         don = self.labels[p]
-        if self._dirty is not None:
-            # stats elsewhere are unchanged since the last stable point,
-            # so new improving moves must touch a dirty segment
-            mark = np.zeros(self.counts.shape[0], dtype=bool)
-            mark[list(self._dirty)] = True
-            sel = mark[don] | mark[acc]
-            p, acc, don = p[sel], acc[sel], don[sel]
         k = np.ones(p.shape[0], dtype=np.int64)
         start = np.arange(p.shape[0])
         pool = p
@@ -463,6 +483,13 @@ class SegmentMap:
     def _donor_survives(self, subset: tuple[int, ...], don: int) -> bool:
         """True when removing the subset keeps the donor 4-connected.
 
+        Exact: one search starts from each donor pixel next to the subset
+        (at most 4k seeds), all over the donor minus the subset, and they
+        advance in turn, one pixel each. Searches that meet join. The
+        answer is yes once a single search is left, and no as soon as a
+        search runs dry while others remain, i.e. it has walked a whole
+        piece that holds no other seed. A refusal thus costs about
+        (seeds) x (size of the smallest piece), not the whole donor.
         Results are cached against the donor's version: a verdict stays
         valid until the donor's pixel set changes.
         """
@@ -475,57 +502,41 @@ class SegmentMap:
         return ok
 
     def _donor_survives_uncached(self, subset: tuple[int, ...], don: int) -> bool:
-        dn = []
+        pix = self.pixels[don]
         moved = set(subset)
-        for p in subset:
-            for q in self._neighbors(p):
-                if q not in moved and self.labels[q] == don:
-                    dn.append(q)
-        dn = sorted(set(dn))
-        if len(dn) <= 1:
+        seeds = sorted({q for p in subset for q in self._neighbors(p)
+                        if q in pix and q not in moved})
+        if len(seeds) <= 1:
             # nothing to reconnect; the rest of the donor was not touching
             # the subset, so its connectivity is unchanged
             return True
-        if len(subset) == 1:
-            p = subset[0]
-            for radius in (1, 3):  # 3x3 first, then 7x7
-                if self._locally_connected(p, dn, don, radius):
-                    return True
-        # donor-wide search, early exit once every border neighbor is reached
-        remaining = self.pixels[don] - moved
-        targets = set(dn)
-        seen = {dn[0]}
-        targets.discard(dn[0])
-        stack = [dn[0]]
-        while stack and targets:
-            u = stack.pop()
-            for q in self._neighbors(u):
-                if q in remaining and q not in seen:
-                    seen.add(q)
-                    targets.discard(q)
-                    stack.append(q)
-        return not targets
-
-    def _locally_connected(self, p: int, dn: list[int], don: int,
-                           radius: int) -> bool:
-        """Sufficient cut-vertex test inside a window around p."""
-        r, c = divmod(p, self.w)
-        window = set()
-        for rr in range(max(r - radius, 0), min(r + radius + 1, self.h)):
-            base = rr * self.w
-            for cc in range(max(c - radius, 0), min(c + radius + 1, self.w)):
-                q = base + cc
-                if q != p and self.labels[q] == don:
-                    window.add(q)
-        seen = {dn[0]}
-        stack = [dn[0]]
-        while stack:
-            u = stack.pop()
-            for q in self._neighbors(u):
-                if q in window and q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        return all(q in seen for q in dn)
+        owner = dict(zip(seeds, range(len(seeds))))  # pixel -> search that took it
+        parent = list(range(len(seeds)))
+        stacks = [[q] for q in seeds]
+        live = len(seeds)
+        while True:
+            for i, stack in enumerate(stacks):
+                if parent[i] != i:
+                    continue
+                if not stack:
+                    return False
+                for q in self._neighbors(stack.pop()):
+                    if q not in pix or q in moved:
+                        continue
+                    j = owner.get(q)
+                    if j is None:
+                        owner[q] = i
+                        stack.append(q)
+                        continue
+                    while parent[j] != j:
+                        j = parent[j]
+                    if j != i:
+                        parent[j] = i
+                        stack.extend(stacks[j])
+                        stacks[j] = []
+                        live -= 1
+                        if live == 1:
+                            return True
 
     def _apply_move(self, subset: tuple[int, ...], don: int, acc: int) -> None:
         e_before = self._seg_energy(don) + self._seg_energy(acc)

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: files in, files out, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,3 +210,27 @@ def test_identical_runs_are_byte_identical(tmp_path):
     assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
     assert (outs[0] / "comparison.csv").read_bytes() == (outs[1] / "comparison.csv").read_bytes()
 
+
+
+def test_outputs_match_golden_fixtures(tmp_path):
+    """Committed inputs and outputs (tests/data/README.md) pin the exact bytes
+    of a segment run and a cluster run; exact speed-ups must keep them."""
+    data = Path(__file__).parent / "data"
+    seg = data / "segment_quadrant12"
+    out = tmp_path / "seg"
+    assert main(["segment", "--input", str(seg / "input.pgm"), "--m-max", "4",
+                 "--out", str(out)]) == EXIT_OK
+    for name in ("segment_curve.csv", "approx_merge_only_4.pgm",
+                 "approx_corrected_4.pgm"):
+        assert (out / name).read_bytes() == (seg / name).read_bytes(), name
+
+    clu = data / "cluster_dup40"
+    out = tmp_path / "clu"
+    assert main(["cluster", "--input", str(clu / "input.csv"),
+                 "--methods", "kmeans,kh,otsu", "--m-max", "4",
+                 "--out", str(out)]) == EXIT_OK
+    assert (out / "comparison.csv").read_bytes() == (clu / "comparison.csv").read_bytes()
+    # the report's input path differs between runs; its methods object does not
+    methods = json.loads((out / "report.json").read_text())["methods"]
+    assert json.dumps(methods, indent=2, sort_keys=True) + "\n" == \
+        (clu / "methods.json").read_text()

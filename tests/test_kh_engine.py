@@ -181,6 +181,45 @@ def test_pair_stable_tuple_correction_costs_one_scan(monkeypatch):
         assert np.array_equal(res.partition.labels, p.labels)
 
 
+
+def test_build_sequence_polishes_only_kmeans_partitions(monkeypatch):
+    """split_step and merge_step return pair-stable partitions, on which
+    correct_tuples cannot move, so only k-means partitions are polished."""
+    kmeans_parts, calls = [], []
+    real_kmeans, real_tuples = kh_engine.kmeans_sequence, kh_engine.correct_tuples
+
+    def recording_kmeans(*args, **kwargs):
+        seq = real_kmeans(*args, **kwargs)
+        kmeans_parts.extend(seq.by_cluster_count.values())
+        return seq
+
+    def counting_tuples(p, l, policy=BOTH):
+        calls.append((p, l))
+        return real_tuples(p, l, policy)
+
+    monkeypatch.setattr(kh_engine, "kmeans_sequence", recording_kmeans)
+    monkeypatch.setattr(kh_engine, "correct_tuples", counting_tuples)
+    rng = np.random.default_rng(21)
+    for policy in (SINGLETONS, IDENTICAL, BOTH):
+        ds = random_dataset(rng, 14, 2)
+        ds = Dataset(ds.points[rng.integers(0, 14, 14)])
+        for direction in ("bottom_up", "top_down", "both"):
+            kmeans_parts.clear()
+            calls.clear()
+            seq = build_sequence(ds, 4, direction, policy, l_max=3)
+            expected = [l for part in kmeans_parts
+                        for l in range(2, min(3, part.m) + 1)]
+            assert [l for _, l in calls] == expected
+            # each chain starts from the k-means partition itself
+            firsts = [p for p, l in calls if l == 2]
+            assert len(firsts) == len([q for q in kmeans_parts if q.m >= 2])
+            assert all(any(p is q for q in kmeans_parts) for p in firsts)
+            for m in seq.cluster_counts():
+                if seq.info[m]["direction"] != "kmeans":
+                    assert seq.info[m]["tuple_moves"] == 0
+                assert verify_stability(seq.by_cluster_count[m], policy).stable
+
+
 def test_merge_step_frozen_example():
     ds = Dataset([0.0, 1.0, 9.0, 10.0])
     p = Partition.from_labels(ds, [0, 0, 1, 2])

@@ -1,5 +1,7 @@
 """Connected segmentation: PGM I/O, merging, boundary correction, curves."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -258,3 +260,148 @@ def test_segment_curve_is_deterministic():
     assert [(r.count, r.error) for r in a.corrected] == \
            [(r.count, r.error) for r in b.corrected]
     assert np.array_equal(a.final_corrected.labels, b.final_corrected.labels)
+
+
+def test_neighbor_table_matches_the_grid():
+    for w in range(1, 7):
+        for h in range(1, 7):
+            sm = SegmentMap.from_image(GrayImage.from_array(np.zeros((h, w))))
+            for p in range(w * h):
+                r, c = divmod(p, w)
+                want = [(r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)]
+                assert sm._neighbors(p) == tuple(
+                    rr * w + cc for rr, cc in want if 0 <= rr < h and 0 <= cc < w)
+
+def _stays_connected(sm, subset, don):
+    """Plain search: is the donor minus the subset one 4-connected piece?"""
+    rest = sm.pixels[don] - set(subset)
+    seed = min(rest)
+    seen, stack = {seed}, [seed]
+    while stack:
+        r, c = divmod(stack.pop(), sm.w)
+        for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            q = rr * sm.w + cc
+            if 0 <= rr < sm.h and 0 <= cc < sm.w and q in rest and q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return len(seen) == len(rest)
+
+
+def test_lock_is_exact_on_random_images():
+    """Along corrected curves, every ranked candidate's lock verdict equals
+    a plain search over the donor minus the subset."""
+    rng = np.random.default_rng(31)
+    verdicts = dict.fromkeys(itertools.product((False, True), repeat=2), 0)
+    for _ in range(14):
+        h, w = int(rng.integers(3, 13)), int(rng.integers(3, 13))
+        arr = (rng.choice([20.0, 90.0, 150.0, 220.0], size=(h, w))
+               + rng.integers(0, 2, size=(h, w)))
+        sm = SegmentMap.from_image(GrayImage.from_array(arr))
+        while sm.segment_count > 1:
+            sm.merge_best()
+            for _, don, _, subset in sm._ranked_moves(np.inf):
+                ok = sm._donor_survives_uncached(subset, don)
+                assert ok == _stays_connected(sm, subset, don)
+                verdicts[len(subset) > 1, ok] += 1
+            sm.correct_boundaries()
+    # single pixels and groups, each both kept and refused
+    assert min(verdicts.values()) > 100
+
+
+@pytest.mark.parametrize("rows, subset, expect", [
+    # ring: the pixel's two neighbours meet only the long way round
+    (["000000000",
+      "011111110",
+      "012222210",
+      "012222210",
+      "012222210",
+      "012222210",
+      "012222210",
+      "011111110",
+      "000000000"], [(1, 4)], True),
+    # 1-px path: an inner pixel cuts it, an end pixel does not
+    (["0000000", "1111111", "2222222"], [(1, 3)], False),
+    (["0000000", "1111111", "2222222"], [(1, 6)], True),
+    # comb: spine on row 3, teeth on columns 0, 2, 4, 6
+    (["1010101",
+      "1010101",
+      "1010101",
+      "1111111",
+      "0000000"], [(3, 1)], False),
+    (["1010101",
+      "1010101",
+      "1010101",
+      "1111111",
+      "0000000"], [(0, 2)], True),
+    (["1010101",
+      "1010101",
+      "1010101",
+      "1111111",
+      "0000000"], [(3, 4)], False),
+    # groups: a whole inner column cuts the block, an edge column does not,
+    # two pixels of the inner column leave a bridge
+    (["111111", "111111", "111111", "000000"], [(0, 2), (1, 2), (2, 2)], False),
+    (["111111", "111111", "111111", "000000"], [(0, 5), (1, 5), (2, 5)], True),
+    (["111111", "111111", "111111", "000000"], [(0, 2), (1, 2)], True),
+])
+def test_lock_on_hand_built_shapes(rows, subset, expect):
+    lab = np.array([[int(ch) for ch in row] for row in rows])
+    img = GrayImage.from_array(lab * 50.0)
+    sm = SegmentMap(img, lab.reshape(-1))
+    flat = tuple(sorted(r * lab.shape[1] + c for r, c in subset))
+    assert _stays_connected(sm, flat, 1) == expect
+    assert sm._donor_survives_uncached(flat, 1) == expect
+    assert sm._donor_survives(flat, 1) == expect
+
+
+def test_lock_refusal_costs_the_short_side(monkeypatch):
+    """Cutting a 200-pixel path next to its end walks only the short piece,
+    though the lowest seed lies on the long one."""
+    n = 200
+    lab = np.repeat([[0], [1], [2]], n, axis=1)
+    sm = SegmentMap(GrayImage.from_array(lab * 50.0), lab.reshape(-1))
+    calls = []
+    real = SegmentMap._neighbors
+
+    def counting(self, p):
+        calls.append(p)
+        return real(self, p)
+
+    monkeypatch.setattr(SegmentMap, "_neighbors", counting)
+    cut = n + n - 3  # row 1, column 197: pieces of 197 and 2 pixels
+    assert not sm._donor_survives_uncached((cut,), 1)
+    assert len(calls) <= 20
+
+
+def test_dirty_borders_equal_a_filtered_full_rebuild(monkeypatch):
+    """Every border listing along corrected curves equals a full rebuild,
+    filtered to pairs that touch a dirty segment when those are known."""
+    real = SegmentMap._boundary_candidates
+    seen = {True: 0, False: 0}
+
+    def checked(self):
+        p, acc = real(self)
+        lab = self.labels.reshape(self.h, self.w)
+        pairs = set()
+        for r in range(self.h):
+            for c in range(self.w):
+                for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                    if 0 <= rr < self.h and 0 <= cc < self.w \
+                            and lab[rr, cc] != lab[r, c]:
+                        pairs.add((r * self.w + c, int(lab[rr, cc])))
+        if self._dirty is not None:
+            pairs = {(q, a) for q, a in pairs
+                     if self.labels[q] in self._dirty or a in self._dirty}
+        want = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+        assert np.array_equal(p, want[:, 0]) and np.array_equal(acc, want[:, 1])
+        seen[self._dirty is None] += 1
+        return p, acc
+
+    monkeypatch.setattr(SegmentMap, "_boundary_candidates", checked)
+    rng = np.random.default_rng(41)
+    for _ in range(6):
+        h, w = int(rng.integers(3, 10)), int(rng.integers(3, 10))
+        arr = (rng.choice([20.0, 90.0, 150.0, 220.0], size=(h, w))
+               + rng.integers(0, 2, size=(h, w)))
+        segment_curve(GrayImage.from_array(arr))
+    assert seen[True] > 0 and seen[False] > 100
