@@ -1,14 +1,15 @@
 """Minimum squared error clustering by subset reclassification.
 
 The package splits into the partition bookkeeping (core), the closed-form
-error deltas for subset moves (reclass), the correction engines and
-sequence builders (kh_engine), K-means baselines (baselines), exact 1-D
-thresholding (otsu1d), an exhaustive small-instance oracle (oracle), image
-segmentation (segment), and the command line front end (cli).
+error deltas for subset moves and their one acceptance tolerance (reclass),
+the correction loop and sequence builder (kh_engine), K-means baselines
+(baselines), exact 1-D thresholding (otsu1d), an exhaustive small-instance
+oracle (oracle), image segmentation (segment), and the command line front
+end (cli).
 """
 
-from .baselines import KMeansConfig, incremental_seed, is_lloyd_fixed_point, \
-    kmeans_sequence, lloyd
+from .baselines import (KMeansConfig, is_lloyd_fixed_point, kmeans_sequence,
+                        lloyd)
 from .core import (ClusterStats, Dataset, InputFormatError,
                    InternalConsistencyError, Partition, PartitionSequence,
                    PreconditionError, SizeGuardError, apply_move,
@@ -19,8 +20,8 @@ from .kh_engine import (BOTH, IDENTICAL, SINGLETONS, CorrectionResult,
                         merge_step, split_step, verify_stability)
 from .oracle import OracleResult, global_min, minimum_curve
 from .otsu1d import Histogram, build_histogram, optimal_thresholds
-from .reclass import (alpha, correction_improves, delta_e_correct,
-                      delta_e_merge, gap_identity, merge_many, move_tolerance)
+from .reclass import (alpha, delta_e_correct, delta_e_merge, gap_identity,
+                      merge_many, move_tolerance)
 from .segment import (GrayImage, SegmentMap, read_pgm, segment_curve,
                       write_pgm)
 
@@ -32,8 +33,8 @@ __all__ = [
     "SizeGuardError", "apply_move", "partition_energy", "sigma",
     "stats_of_subset",
     "delta_e_merge", "delta_e_correct", "alpha",
-    "correction_improves", "merge_many", "gap_identity", "move_tolerance",
-    "KMeansConfig", "lloyd", "incremental_seed", "kmeans_sequence",
+    "merge_many", "gap_identity", "move_tolerance",
+    "KMeansConfig", "lloyd", "kmeans_sequence",
     "is_lloyd_fixed_point",
     "SubsetPolicy", "SINGLETONS", "IDENTICAL", "BOTH",
     "MoveProposal", "StabilityReport", "CorrectionResult", "correct_pairs",

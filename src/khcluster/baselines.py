@@ -1,4 +1,4 @@
-"""Lloyd iteration and incremental center seeding, the baseline to surpass."""
+"""Lloyd iteration and incremental K-means sequences, the baseline to surpass."""
 
 from __future__ import annotations
 
@@ -20,31 +20,30 @@ SUBSAMPLE_SIZE = 512
 
 @dataclass
 class KMeansConfig:
-    """Target cluster count plus one of three seeding modes.
+    """Target cluster count plus one of two seeding modes.
 
-    Seeding is taken from init_centers when given, else from init_labels,
-    else centers are grown incrementally from the single-cluster solution.
+    Seeding is taken from init_centers when given, else from init_labels;
+    one of the two is required. kmeans_sequence grows centers incrementally.
     """
 
     m: int
     max_iters: int = 200
     init_centers: np.ndarray | None = None
     init_labels: np.ndarray | None = None
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.m < 1:
             raise PreconditionError("cluster count must be at least 1")
         if self.max_iters < 1:
             raise PreconditionError("need at least one iteration")
+        if self.init_centers is None and self.init_labels is None:
+            raise PreconditionError("give init_centers or init_labels")
 
     @property
     def seeding(self) -> str:
         if self.init_centers is not None:
             return "provided_centers"
-        if self.init_labels is not None:
-            return "provided_labels"
-        return "incremental"
+        return "provided_labels"
 
 
 @dataclass
@@ -104,10 +103,6 @@ def lloyd(ds: Dataset, cfg: KMeansConfig) -> LloydResult:
     """
     if cfg.m > ds.n:
         raise PreconditionError("more clusters than points")
-    if cfg.seeding == "incremental":
-        part, iters = _incremental(ds, cfg.m, cfg.max_iters, cfg.rng_seed)
-        return LloydResult(part, iters, True)
-
     points = ds.points
     if cfg.seeding == "provided_centers":
         centers = np.atleast_2d(np.asarray(cfg.init_centers, dtype=np.float64))
@@ -166,31 +161,15 @@ def _grow_one(ds: Dataset, prev: Partition, max_iters: int, rng_seed: int):
     return best.partition, iters
 
 
-def _incremental(ds: Dataset, m: int, max_iters: int, rng_seed: int):
-    part = Partition.from_labels(ds, np.zeros(ds.n, dtype=np.int64), 1)
-    iters = 0
-    for _ in range(2, m + 1):
-        part, it = _grow_one(ds, part, max_iters, rng_seed)
-        iters += it
-    return part, iters
-
-
-def incremental_seed(ds: Dataset, m: int, max_iters: int = 200, rng_seed: int = 0) -> Partition:
-    """Grow from 1 center to m, trying every distinct point as the new center.
-
-    Above SUBSAMPLE_ABOVE points the candidate set is a seeded subsample of
-    SUBSAMPLE_SIZE distinct rows. Deterministic: the first candidate that
-    attains the best error wins.
-    """
-    if not 2 <= m <= ds.n:
-        raise PreconditionError("incremental seeding needs 2 <= m <= N")
-    part, _ = _incremental(ds, m, max_iters, rng_seed)
-    return part
-
-
 def kmeans_sequence(ds: Dataset, m_max: int, max_iters: int = 200,
                     rng_seed: int = 0) -> PartitionSequence:
-    """Incremental K-means solutions for every count 1..m_max."""
+    """Incremental K-means solutions for every count 1..m_max.
+
+    Each count grows the previous solution by one center, trying every
+    distinct point as the new center and keeping the first Lloyd run that
+    attains the lowest error. Above SUBSAMPLE_ABOVE distinct points the
+    candidates are a subsample of SUBSAMPLE_SIZE rows seeded by rng_seed.
+    """
     if not 1 <= m_max <= ds.n:
         raise PreconditionError("need 1 <= m_max <= N")
     seq = PartitionSequence(method="kmeans")

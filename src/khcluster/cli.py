@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,9 +31,13 @@ METHOD_ORDER = ("kmeans", "kh", "otsu", "oracle")
 
 
 def load_csv(path) -> Dataset:
-    """Numeric CSV, one point per row. A non-numeric first row is a header."""
+    """Numeric CSV, one point per row. A non-numeric first row is a header.
+
+    A UTF-8 byte-order mark is skipped. nan and infinite values are malformed
+    input, reported with their line and column.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise InputFormatError("file is not UTF-8 text") from None
     rows = []
@@ -46,10 +51,14 @@ def load_csv(path) -> Dataset:
         bad_col = None
         for col, f in enumerate(fields, start=1):
             try:
-                vals.append(float(f))
+                v = float(f)
             except ValueError:
                 bad_col = col
                 break
+            if not math.isfinite(v):
+                raise InputFormatError(f"not a finite number: {f!r}",
+                                       line=line_no, column=col)
+            vals.append(v)
         if bad_col is not None:
             if not rows and width is None:
                 width = len(fields)  # header row fixes the column count
@@ -93,10 +102,10 @@ def _run_kmeans(ds, m_max, seed, policy):
             for m in seq.cluster_counts()}
 
 
-def _run_kh(ds, m_max, policy, l_max):
-    seq = kh_engine.build_sequence(ds, m_max, "both", policy, l_max=l_max)
+def _run_kh(ds, m_max, policy):
+    seq = kh_engine.build_sequence(ds, m_max, policy)
     return {str(m): _partition_record(seq.by_cluster_count[m],
-                                      seq.info[m]["tuple_moves"], policy)
+                                      seq.info[m]["moves"], policy)
             for m in seq.cluster_counts()}
 
 
@@ -137,7 +146,7 @@ def _run_methods(ds, args) -> dict:
         if name == "kmeans":
             return _run_kmeans(ds, args.m_max, args.seed, policy)
         if name == "kh":
-            return _run_kh(ds, args.m_max, policy, args.l_max)
+            return _run_kh(ds, args.m_max, policy)
         if name == "otsu":
             return _run_otsu(ds, args.m_max, policy)
         return _run_oracle(ds, args.m_max, policy)
@@ -170,7 +179,6 @@ def cmd_cluster(args) -> int:
         "d": ds.d,
         "seed": args.seed,
         "mMax": args.m_max,
-        "lMax": args.l_max,
         "policy": args.policy,
         "methods": by_method,
     }
@@ -234,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list from kmeans,kh,otsu,oracle")
         p.add_argument("--policy", choices=("singletons", "identical", "both"),
                        default="both")
-        p.add_argument("--l-max", type=int, default=3, dest="l_max")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("segment")

@@ -1,11 +1,12 @@
 """Greatest-reduction subset reclassification, and merge/split sequence building.
 
 A partition is stable when no admissible subset move lowers the total
-squared error beyond the shared move tolerance. correct_pairs drives a
-partition to stability by repeatedly applying the single best move;
+squared error beyond the shared move tolerance. Every move has one donor
+and one acceptor, so stability is pair stability, and correct_pairs, which
+repeatedly applies the single best move, is the one correction loop:
+merge_step, split_step and every route of build_sequence end in it.
 correct_tuples localizes the same search inside small groups of clusters;
-merge_step and split_step change the cluster count and re-stabilize, which
-is how whole sequences of partitions are produced.
+it ends pair-stable too, and nothing in the package calls it.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class StabilityReport:
 class CorrectionResult:
     partition: Partition
     n_moves: int
-    no_op: bool = False
 
 
 @dataclass
@@ -182,7 +182,7 @@ def correct_pairs(p: Partition, policy: SubsetPolicy = BOTH) -> CorrectionResult
     Ties break on the lowest (donor, acceptor, first index, subset).
     """
     if p.m < 2:
-        return CorrectionResult(p.copy(), 0, no_op=True)
+        return CorrectionResult(p.copy(), 0)
     q = p.copy()
     moves = 0
     while True:
@@ -210,7 +210,7 @@ def correct_tuples(p: Partition, l: int, policy: SubsetPolicy = BOTH) -> Correct
     if l < 2:
         raise PreconditionError("tuples need at least two clusters")
     if l > p.m:
-        return CorrectionResult(p.copy(), 0, no_op=True)
+        return CorrectionResult(p.copy(), 0)
     q = p.copy()
     tuples = np.array(list(itertools.combinations(range(q.m), l)), dtype=np.int64)
     total_moves = 0
@@ -307,27 +307,22 @@ def split_step(p: Partition, policy: SubsetPolicy = BOTH) -> Partition:
     return best_part
 
 
-def build_sequence(ds: Dataset, m_max: int, direction: str = "both",
-                   policy: SubsetPolicy = BOTH, l_max: int = 3) -> PartitionSequence:
+def build_sequence(ds: Dataset, m_max: int,
+                   policy: SubsetPolicy = BOTH) -> PartitionSequence:
     """Stable partitions for every count 1..m_max.
 
-    bottom_up splits from the single cluster; top_down merges from the
-    partition into groups of identical points (zero error); both runs the
-    two, additionally corrects each incrementally seeded k-means partition,
-    and keeps the lowest error per count, preferring the construction routes
-    on exact ties. The k-means route is what guarantees the sequence never
-    ends above the k-means baseline; the greedy split/merge constructions
-    alone can lose to incremental seeding on rare instances. Each k-means
-    partition is stabilized with tuple corrections for l = 2..l_max.
-    split_step and merge_step return pair-stable partitions, and
-    correct_tuples moves only where the full scan finds an improving
-    (donor, acceptor) pair, so on those routes it could never move: they
-    are recorded as they are, with 0 tuple moves.
+    Three routes run: bottom_up splits from the single cluster, top_down
+    merges from the partition into groups of identical points (zero error),
+    and kmeans stabilizes each incrementally seeded k-means partition with
+    correct_pairs. The lowest error per count is kept, preferring the
+    routes in that order on exact ties. The k-means route is what
+    guarantees the sequence never ends above the k-means baseline; the
+    greedy split/merge constructions alone can lose to incremental seeding
+    on rare instances. split_step and merge_step already end in
+    correct_pairs, so their partitions are recorded with 0 moves.
+    info[m] holds the winning route under "direction" (the benchmark's
+    tracer counts route wins from that key), its "E" and its "moves".
     """
-    if direction not in ("bottom_up", "top_down", "both"):
-        raise PreconditionError(f"unknown direction {direction!r}")
-    if l_max < 2:
-        raise PreconditionError("l_max must be at least 2")
     v = ds.unique_rows().shape[0]
     if not 1 <= m_max <= v:
         raise PreconditionError("m_max must lie between 1 and the distinct point count")
@@ -339,32 +334,26 @@ def build_sequence(ds: Dataset, m_max: int, direction: str = "both",
         if cur is None or part.total_e < cur[0].total_e:
             found[m] = (part, tag, moves)
 
-    if direction in ("bottom_up", "both"):
-        part = Partition.from_labels(ds, np.zeros(ds.n, dtype=np.int64), 1)
-        record(1, part, "bottom_up", 0)
-        for _ in range(2, m_max + 1):
-            part = split_step(part, policy)
-            record(part.m, part, "bottom_up", 0)
+    part = Partition.from_labels(ds, np.zeros(ds.n, dtype=np.int64), 1)
+    record(1, part, "bottom_up", 0)
+    for _ in range(2, m_max + 1):
+        part = split_step(part, policy)
+        record(part.m, part, "bottom_up", 0)
 
-    if direction in ("top_down", "both"):
-        part = Partition.from_labels(ds, ds.identical_group_labels(), v)
-        if v <= m_max:
-            record(v, part, "top_down", 0)
-        for _ in range(v - 1, 0, -1):
-            part = merge_step(part, policy)
-            if part.m <= m_max:
-                record(part.m, part, "top_down", 0)
+    part = Partition.from_labels(ds, ds.identical_group_labels(), v)
+    if v <= m_max:
+        record(v, part, "top_down", 0)
+    for _ in range(v - 1, 0, -1):
+        part = merge_step(part, policy)
+        if part.m <= m_max:
+            record(part.m, part, "top_down", 0)
 
-    if direction == "both":
-        for part in kmeans_sequence(ds, m_max).by_cluster_count.values():
-            moves = 0
-            for l in range(2, min(l_max, part.m) + 1):
-                r = correct_tuples(part, l, policy)
-                part, moves = r.partition, moves + r.n_moves
-            record(part.m, part, "kmeans", moves)
+    for part in kmeans_sequence(ds, m_max).by_cluster_count.values():
+        r = correct_pairs(part, policy)
+        record(part.m, r.partition, "kmeans", r.n_moves)
 
-    seq = PartitionSequence(method=f"kh-{direction}")
+    seq = PartitionSequence(method="kh")
     for m, (part, tag, moves) in sorted(found.items()):
         seq.by_cluster_count[m] = part
-        seq.info[m] = {"direction": tag, "E": part.total_e, "tuple_moves": moves}
+        seq.info[m] = {"direction": tag, "E": part.total_e, "moves": moves}
     return seq

@@ -17,9 +17,9 @@ import numpy as np
 
 from .core import ClusterStats, PreconditionError, squared_distances
 
-# Moves whose predicted |delta| falls below move_tolerance() are treated as
-# non-improving. The engines scale it by the total error of the partition,
-# correction_improves by the donor plus acceptor error.
+# A move is accepted only when its predicted delta lies below
+# -move_tolerance(total error of the partition); kh_engine and segment both
+# use that one scale, so near-zero deltas never count as improvements.
 TOLERANCE_SCALE = 1e-12
 
 
@@ -91,17 +91,6 @@ def alpha(k: int, n1: int, n2: int) -> float:
     if n2 < 1:
         raise PreconditionError("acceptor cluster must be nonempty")
     return math.sqrt(n2 * (n1 - k) / (n1 * (n2 + k)))
-
-
-def correction_improves(sub: ClusterStats, donor: ClusterStats, acceptor: ClusterStats) -> bool:
-    """True iff moving the subset lowers the total error beyond the move
-    tolerance, scaled by the donor plus acceptor error."""
-    k, n1, n2 = sub.n, donor.n, acceptor.n
-    if k < 1 or n1 < 1 or n2 < 1:
-        raise PreconditionError("empty cluster in improvement test")
-    if k >= n1:
-        raise PreconditionError("improvement test needs a proper subset of the donor")
-    return delta_e_correct(sub, donor, acceptor) < -move_tolerance(donor.energy + acceptor.energy)
 
 
 def merge_many(clusters: list[ClusterStats]) -> float:

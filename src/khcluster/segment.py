@@ -333,28 +333,6 @@ class SegmentMap:
     def segment_count(self) -> int:
         return int(self.alive.sum())
 
-    def copy(self) -> "SegmentMap":
-        other = object.__new__(SegmentMap)
-        other.img = self.img
-        other.w, other.h = self.w, self.h
-        other._pairs = self._pairs  # both fixed by the shape, read only
-        other._nbrs = self._nbrs
-        other.labels = self.labels.copy()
-        other.counts = self.counts.copy()
-        other.sums = self.sums.copy()
-        other.sumsqs = self.sumsqs.copy()
-        other.alive = self.alive.copy()
-        other.version = self.version.copy()
-        other.pixels = {k: set(v) for k, v in self.pixels.items()}
-        other.adj = {k: set(v) for k, v in self.adj.items()}
-        other.contact = dict(self.contact)
-        other.total_e = self.total_e
-        other.heap = list(self.heap)
-        other._ops = self._ops
-        other._lock_cache = dict(self._lock_cache)
-        other._dirty = None if self._dirty is None else set(self._dirty)
-        return other
-
     def segment_sigma(self) -> float:
         return sigma(self.total_e, self.img.n_pixels)
 

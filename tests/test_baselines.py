@@ -1,4 +1,4 @@
-"""Lloyd iteration, incremental seeding, and the fixed-point predicate."""
+"""Lloyd iteration, incremental K-means sequences, and the fixed-point predicate."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import labeled_energy, random_dataset, random_labels
 from khcluster.baselines import (KMeansConfig, is_lloyd_fixed_point,
-                                 incremental_seed, kmeans_sequence, lloyd)
+                                 kmeans_sequence, lloyd)
 from khcluster.core import Dataset, PreconditionError
 
 
@@ -58,7 +58,7 @@ def test_lloyd_repairs_empty_clusters():
 def test_lloyd_validation():
     ds = Dataset([0.0, 1.0])
     with pytest.raises(PreconditionError):
-        lloyd(ds, KMeansConfig(m=3))
+        lloyd(ds, KMeansConfig(m=3, init_labels=[0, 1]))
     with pytest.raises(PreconditionError):
         lloyd(ds, KMeansConfig(m=2, init_centers=np.zeros((3, 1))))
     with pytest.raises(PreconditionError):
@@ -73,12 +73,13 @@ def test_config_seeding_priority():
     c = KMeansConfig(m=2, init_centers=np.zeros((2, 1)), init_labels=[0, 1])
     assert c.seeding == "provided_centers"
     assert KMeansConfig(m=2, init_labels=[0, 1]).seeding == "provided_labels"
-    assert KMeansConfig(m=2).seeding == "incremental"
+    with pytest.raises(PreconditionError):
+        KMeansConfig(m=2)  # kmeans_sequence is the incremental grower
 
 
 def test_incremental_seed_four_points():
     ds = Dataset([0.0, 1.0, 9.0, 10.0])
-    part = incremental_seed(ds, 2)
+    part = kmeans_sequence(ds, 2).by_cluster_count[2]
     assert part.total_e == pytest.approx(1.0)
     assert part.labels[0] == part.labels[1]
     assert part.labels[2] == part.labels[3]

@@ -45,6 +45,35 @@ def test_load_csv_diagnostics(tmp_path):
         load_csv(p)
 
 
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    """A BOM file and the same file without one give the same report bytes,
+    apart from the input path."""
+    body = "1.0\n2.0\n8.0\n9.0\n"
+    reports = []
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        data = tmp_path / f"{name}.csv"
+        data.write_bytes(prefix + body.encode("utf-8"))
+        out = tmp_path / name
+        assert main(["cluster", "--input", str(data), "--m-max", "2",
+                     "--methods", "kmeans,kh", "--out", str(out)]) == EXIT_OK
+        text = (out / "report.json").read_text()
+        reports.append(text.replace(json.dumps(str(data)), '"IN"'))
+    assert reports[0] == reports[1]
+    assert json.loads(reports[1])["n"] == 4
+
+
+@pytest.mark.parametrize("spelling", ["nan", "inf", "-inf"])
+def test_non_finite_field_is_malformed_input(tmp_path, capsys, spelling):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"1.0,2.0\n3.0,{spelling}\n5.0,6.0\n")
+    with pytest.raises(InputFormatError) as exc:
+        load_csv(bad)
+    assert exc.value.line == 2 and exc.value.column == 2
+    assert main(["cluster", "--input", str(bad), "--out", str(tmp_path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "line 2" in err and "column 2" in err
+
+
 def test_cluster_all_methods_agree_on_easy_data(tmp_path, capsys):
     data = tmp_path / "pts.csv"
     write_csv(data, [[0.0], [1.0], [9.0], [10.0]])
@@ -53,6 +82,8 @@ def test_cluster_all_methods_agree_on_easy_data(tmp_path, capsys):
                  "--methods", "kmeans,kh,otsu,oracle", "--out", str(out)])
     assert code == EXIT_OK
     report = json.loads((out / "report.json").read_text())
+    assert sorted(report) == sorted(["schemaVersion", "command", "input", "n", "d",
+                                     "seed", "mMax", "policy", "methods"])
     assert report["schemaVersion"] == 1
     assert report["command"] == "cluster"
     assert report["n"] == 4 and report["d"] == 1
@@ -179,6 +210,8 @@ def test_exit_codes(tmp_path):
     assert main(["segment", "--input", str(data), "--format", "csv",
                  "--out", str(tmp_path)]) == EXIT_USAGE
     assert main(["cluster", "--input", str(data), "--frobnicate"]) == EXIT_USAGE
+    assert main(["cluster", "--input", str(data), "--l-max", "3",
+                 "--out", str(tmp_path)]) == EXIT_USAGE
 
     empty = tmp_path / "empty.csv"
     empty.write_text("# header only\n")

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from helpers import labeled_energy, random_dataset, random_labels
 from khcluster import kh_engine
-from khcluster.baselines import KMeansConfig, is_lloyd_fixed_point, lloyd
+from khcluster.baselines import (KMeansConfig, is_lloyd_fixed_point,
+                                 kmeans_sequence, lloyd)
 from khcluster.core import Dataset, Partition, PreconditionError, apply_move
 from khcluster.kh_engine import (BOTH, IDENTICAL, SINGLETONS, SubsetPolicy,
                                  build_sequence, correct_pairs, correct_tuples,
@@ -90,7 +91,8 @@ def test_correct_tuples_validation_and_l2_agreement():
     p = Partition.from_labels(ds, [0, 0, 1, 1])
     with pytest.raises(PreconditionError):
         correct_tuples(p, 1)
-    assert correct_tuples(p, 3).no_op  # l exceeds the cluster count
+    res = correct_tuples(p, 3)  # l exceeds the cluster count
+    assert res.n_moves == 0 and res.partition.labels.tolist() == [0, 0, 1, 1]
     stable = correct_pairs(p).partition
     res = correct_tuples(stable, 2)
     assert res.n_moves == 0
@@ -182,42 +184,34 @@ def test_pair_stable_tuple_correction_costs_one_scan(monkeypatch):
 
 
 
-def test_build_sequence_polishes_only_kmeans_partitions(monkeypatch):
-    """split_step and merge_step return pair-stable partitions, on which
-    correct_tuples cannot move, so only k-means partitions are polished."""
-    kmeans_parts, calls = [], []
-    real_kmeans, real_tuples = kh_engine.kmeans_sequence, kh_engine.correct_tuples
+def test_build_sequence_polishes_only_kmeans_partitions():
+    """The kmeans route is correct_pairs of each k-means partition; split_step
+    and merge_step already end in correct_pairs, so their records have 0 moves.
 
-    def recording_kmeans(*args, **kwargs):
-        seq = real_kmeans(*args, **kwargs)
-        kmeans_parts.extend(seq.by_cluster_count.values())
-        return seq
-
-    def counting_tuples(p, l, policy=BOTH):
-        calls.append((p, l))
-        return real_tuples(p, l, policy)
-
-    monkeypatch.setattr(kh_engine, "kmeans_sequence", recording_kmeans)
-    monkeypatch.setattr(kh_engine, "correct_tuples", counting_tuples)
-    rng = np.random.default_rng(21)
+    On this 17-point grid the corrected k-means partition wins m = 5 under
+    every policy, after one move; where it loses, the winner is no worse.
+    """
+    ds = Dataset([[-2, -2], [1, -1], [0, 3], [3, 1], [-1, -2], [-2, -1],
+                  [0, -3], [-3, 1], [-6, -1], [1, -3], [-3, -2], [2, 0],
+                  [-6, -1], [3, 3], [2, -1], [-6, 1], [-1, 0]])
+    km = kmeans_sequence(ds, 5)
     for policy in (SINGLETONS, IDENTICAL, BOTH):
-        ds = random_dataset(rng, 14, 2)
-        ds = Dataset(ds.points[rng.integers(0, 14, 14)])
-        for direction in ("bottom_up", "top_down", "both"):
-            kmeans_parts.clear()
-            calls.clear()
-            seq = build_sequence(ds, 4, direction, policy, l_max=3)
-            expected = [l for part in kmeans_parts
-                        for l in range(2, min(3, part.m) + 1)]
-            assert [l for _, l in calls] == expected
-            # each chain starts from the k-means partition itself
-            firsts = [p for p, l in calls if l == 2]
-            assert len(firsts) == len([q for q in kmeans_parts if q.m >= 2])
-            assert all(any(p is q for q in kmeans_parts) for p in firsts)
-            for m in seq.cluster_counts():
-                if seq.info[m]["direction"] != "kmeans":
-                    assert seq.info[m]["tuple_moves"] == 0
-                assert verify_stability(seq.by_cluster_count[m], policy).stable
+        seq = build_sequence(ds, 5, policy)
+        assert seq.cluster_counts() == [1, 2, 3, 4, 5]
+        moved_wins = 0
+        for m in seq.cluster_counts():
+            part, info = seq.by_cluster_count[m], seq.info[m]
+            ref = correct_pairs(km.by_cluster_count[m], policy)
+            if info["direction"] == "kmeans":
+                assert np.array_equal(part.labels, ref.partition.labels)
+                assert part.total_e == ref.partition.total_e
+                assert info["moves"] == ref.n_moves
+                moved_wins += ref.n_moves > 0
+            else:
+                assert info["moves"] == 0
+                assert part.total_e <= ref.partition.total_e
+            assert verify_stability(part, policy).stable
+        assert moved_wins == 1
 
 
 def test_merge_step_frozen_example():
@@ -273,17 +267,10 @@ def test_build_sequence_frozen_curve():
     assert seq.energy(2) == pytest.approx(1.0)
     assert seq.energy(3) == pytest.approx(0.5)
     assert seq.energy(4) == pytest.approx(0.0)
-    assert seq.method == "kh-both"
+    assert seq.method == "kh"
     for m in seq.cluster_counts():
         assert verify_stability(seq.by_cluster_count[m]).stable
         assert seq.info[m]["direction"] in ("bottom_up", "top_down")
-
-
-def test_build_sequence_single_directions_agree_here():
-    ds = Dataset([0.0, 1.0, 9.0, 10.0])
-    for direction in ("bottom_up", "top_down"):
-        seq = build_sequence(ds, 4, direction=direction)
-        assert [seq.energy(m) for m in (1, 2, 3, 4)] == pytest.approx([82.0, 1.0, 0.5, 0.0])
 
 
 def test_build_sequence_validation():
@@ -291,9 +278,7 @@ def test_build_sequence_validation():
     with pytest.raises(PreconditionError):
         build_sequence(ds, 3)
     with pytest.raises(PreconditionError):
-        build_sequence(ds, 2, direction="sideways")
-    with pytest.raises(PreconditionError):
-        build_sequence(ds, 2, l_max=1)
+        build_sequence(ds, 0)
 
 
 def test_stable_partition_need_not_be_optimal():

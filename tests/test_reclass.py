@@ -139,24 +139,6 @@ def test_gap_identity_and_decomposition(seed):
     assert abs(correct - (merge - converted)) <= 1e-9 * (1.0 + abs(correct))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_improvement_predicate_agrees_with_delta(seed):
-    """correction_improves matches the sign of the delta outside the tolerance band."""
-    rng = np.random.default_rng(seed)
-    donor_pts, acc_pts, idx = random_move_instance(rng)
-    s_sub = ClusterStats.from_points(donor_pts[idx])
-    s_don = ClusterStats.from_points(donor_pts)
-    s_acc = ClusterStats.from_points(acc_pts)
-    delta = reclass.delta_e_correct(s_sub, s_don, s_acc)
-    tau = reclass.move_tolerance(s_don.energy + s_acc.energy)
-    improves = reclass.correction_improves(s_sub, s_don, s_acc)
-    if delta < -2 * tau:
-        assert improves
-    elif delta > 2 * tau:
-        assert not improves
-
-
 def test_alpha_monotone_in_k_small_grid():
     for n1 in range(2, 12):
         for n2 in range(1, 12):

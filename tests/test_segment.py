@@ -196,7 +196,7 @@ def test_ranked_move_deltas_match_applied_change():
         keys = [(d, dn, ac, sub) for d, dn, ac, sub in cands]
         assert keys == sorted(keys)
         for delta, don, acc, subset in cands:
-            trial = sm.copy()
+            trial = SegmentMap(sm.img, sm.labels)
             trial._apply_move(subset, don, acc)
             actual = labeled_energy(arr.reshape(-1, 1), trial.labels) - e
             assert abs(actual - delta) <= 1e-9 * (1.0 + e)
