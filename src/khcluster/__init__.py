@@ -12,8 +12,8 @@ from .baselines import (KMeansConfig, is_lloyd_fixed_point, kmeans_sequence,
                         lloyd)
 from .core import (ClusterStats, Dataset, InputFormatError,
                    InternalConsistencyError, Partition, PartitionSequence,
-                   PreconditionError, SizeGuardError, apply_move,
-                   partition_energy, sigma, stats_of_subset)
+                   PreconditionError, SizeGuardError, partition_energy,
+                   sigma)
 from .kh_engine import (BOTH, IDENTICAL, SINGLETONS, CorrectionResult,
                         MoveProposal, StabilityReport, SubsetPolicy,
                         build_sequence, correct_pairs, correct_tuples,
@@ -30,8 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ClusterStats", "Dataset", "Partition", "PartitionSequence",
     "InputFormatError", "InternalConsistencyError", "PreconditionError",
-    "SizeGuardError", "apply_move", "partition_energy", "sigma",
-    "stats_of_subset",
+    "SizeGuardError", "partition_energy", "sigma",
     "delta_e_merge", "delta_e_correct", "alpha",
     "merge_many", "gap_identity", "move_tolerance",
     "KMeansConfig", "lloyd", "kmeans_sequence",

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Dataset, InternalConsistencyError, Partition,
-                   PartitionSequence, PreconditionError, squared_distances)
+                   PartitionSequence, PreconditionError, coordinate_sums,
+                   squared_distances)
 
 # Relative tolerance for assignment ties; a point keeps its current cluster
 # when the best alternative is not closer than this.
@@ -16,6 +17,9 @@ ASSIGN_TIE_REL = 1e-12
 # Candidate centers are subsampled above this many points.
 SUBSAMPLE_ABOVE = 2000
 SUBSAMPLE_SIZE = 512
+
+# Lloyd stops after this many iterations even when not yet converged.
+MAX_ITERS = 200
 
 
 @dataclass
@@ -27,15 +31,12 @@ class KMeansConfig:
     """
 
     m: int
-    max_iters: int = 200
     init_centers: np.ndarray | None = None
     init_labels: np.ndarray | None = None
 
     def __post_init__(self):
         if self.m < 1:
             raise PreconditionError("cluster count must be at least 1")
-        if self.max_iters < 1:
-            raise PreconditionError("need at least one iteration")
         if self.init_centers is None and self.init_labels is None:
             raise PreconditionError("give init_centers or init_labels")
 
@@ -55,9 +56,7 @@ class LloydResult:
 
 def _means(points: np.ndarray, labels: np.ndarray, m: int) -> np.ndarray:
     counts = np.bincount(labels, minlength=m).astype(np.float64)
-    out = np.empty((m, points.shape[1]))
-    for j in range(points.shape[1]):
-        out[:, j] = np.bincount(labels, weights=points[:, j], minlength=m)
+    out = coordinate_sums(points, labels, m)
     # empty clusters keep their zero sum; callers repair them before use
     np.divide(out, counts[:, None], out=out, where=counts[:, None] > 0)
     return out
@@ -119,7 +118,7 @@ def lloyd(ds: Dataset, cfg: KMeansConfig) -> LloydResult:
     converged = False
     prev_e = np.inf
     it = 0
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         d2 = squared_distances(points, centers)
         new_labels = _assign(d2, labels)
         if labels is not None and np.array_equal(new_labels, labels):
@@ -145,15 +144,14 @@ def _candidate_rows(ds: Dataset, rng_seed: int) -> np.ndarray:
     return cands
 
 
-def _grow_one(ds: Dataset, prev: Partition, max_iters: int, rng_seed: int):
+def _grow_one(ds: Dataset, prev: Partition, rng_seed: int):
     """Best Lloyd run over all candidate placements of one extra center."""
     base = prev.centroids()
     best: LloydResult | None = None
     iters = 0
     for row in _candidate_rows(ds, rng_seed):
         centers = np.vstack([base, row])
-        res = lloyd(ds, KMeansConfig(m=prev.m + 1, max_iters=max_iters,
-                                     init_centers=centers))
+        res = lloyd(ds, KMeansConfig(m=prev.m + 1, init_centers=centers))
         iters += res.iterations
         if best is None or res.partition.total_e < best.partition.total_e:
             best = res
@@ -161,8 +159,7 @@ def _grow_one(ds: Dataset, prev: Partition, max_iters: int, rng_seed: int):
     return best.partition, iters
 
 
-def kmeans_sequence(ds: Dataset, m_max: int, max_iters: int = 200,
-                    rng_seed: int = 0) -> PartitionSequence:
+def kmeans_sequence(ds: Dataset, m_max: int, rng_seed: int = 0) -> PartitionSequence:
     """Incremental K-means solutions for every count 1..m_max.
 
     Each count grows the previous solution by one center, trying every
@@ -177,7 +174,7 @@ def kmeans_sequence(ds: Dataset, m_max: int, max_iters: int = 200,
     seq.by_cluster_count[1] = part
     seq.info[1] = {"iterations": 0, "E": part.total_e}
     for m in range(2, m_max + 1):
-        part, iters = _grow_one(ds, part, max_iters, rng_seed)
+        part, iters = _grow_one(ds, part, rng_seed)
         seq.by_cluster_count[m] = part
         seq.info[m] = {"iterations": iters, "E": part.total_e}
     return seq

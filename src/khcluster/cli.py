@@ -30,11 +30,20 @@ EXIT_GUARD = 4
 METHOD_ORDER = ("kmeans", "kh", "otsu", "oracle")
 
 
-def load_csv(path) -> Dataset:
-    """Numeric CSV, one point per row. A non-numeric first row is a header.
+def _as_float(field: str) -> float | None:
+    try:
+        return float(field)
+    except ValueError:
+        return None
 
-    A UTF-8 byte-order mark is skipped. nan and infinite values are malformed
-    input, reported with their line and column.
+
+def load_csv(path) -> Dataset:
+    """Numeric CSV, one point per row. A first row none of whose fields is a
+    number is a header.
+
+    A UTF-8 byte-order mark is skipped. Any other non-numeric field, and nan
+    or infinite values, are malformed input, reported with the line and
+    column of the first bad field.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
@@ -47,24 +56,17 @@ def load_csv(path) -> Dataset:
         if not body:
             continue
         fields = [f.strip() for f in body.split(",")]
-        vals = []
-        bad_col = None
-        for col, f in enumerate(fields, start=1):
-            try:
-                v = float(f)
-            except ValueError:
-                bad_col = col
-                break
+        vals = [_as_float(f) for f in fields]
+        if width is None and all(v is None for v in vals):
+            width = len(fields)  # header row fixes the column count
+            continue
+        for col, (f, v) in enumerate(zip(fields, vals), start=1):
+            if v is None:
+                raise InputFormatError(f"not a number: {f!r}",
+                                       line=line_no, column=col)
             if not math.isfinite(v):
                 raise InputFormatError(f"not a finite number: {f!r}",
                                        line=line_no, column=col)
-            vals.append(v)
-        if bad_col is not None:
-            if not rows and width is None:
-                width = len(fields)  # header row fixes the column count
-                continue
-            raise InputFormatError(f"not a number: {fields[bad_col - 1]!r}",
-                                   line=line_no, column=bad_col)
         if width is None:
             width = len(fields)
         elif len(fields) != width:
@@ -115,8 +117,7 @@ def _run_otsu(ds, m_max, policy):
     h = otsu1d.build_histogram(ds)
     out = {}
     for point in otsu1d.curve(h, m_max):
-        labels = otsu1d.assign_classes(
-            h, ds.points[:, 0], np.asarray(point.thresholds))
+        labels = otsu1d.assign_classes(ds.points[:, 0], np.asarray(point.thresholds))
         p = Partition.from_labels(ds, labels.astype(np.int64), point.m)
         out[str(point.m)] = _partition_record(p, 0, policy)
     return out
@@ -168,6 +169,16 @@ def _write_comparison(by_method: dict, m_max: int, out: Path) -> None:
     (out / "comparison.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _out_dir(args) -> Path:
+    """The --out directory, created with its parents when missing."""
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise PreconditionError(f"cannot create output directory: {e}") from None
+    return out
+
+
 def cmd_cluster(args) -> int:
     ds = _load_dataset(args)
     by_method = _run_methods(ds, args)
@@ -182,8 +193,7 @@ def cmd_cluster(args) -> int:
         "policy": args.policy,
         "methods": by_method,
     }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     _write_json(out / "report.json", report)
     _write_comparison(by_method, args.m_max, out)
     print(f"wrote {out / 'report.json'} and {out / 'comparison.csv'}")
@@ -193,20 +203,16 @@ def cmd_cluster(args) -> int:
 def cmd_compare(args) -> int:
     ds = _load_dataset(args)
     by_method = _run_methods(ds, args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     _write_comparison(by_method, args.m_max, out)
     print(f"wrote {out / 'comparison.csv'}")
     return EXIT_OK
 
 
 def cmd_segment(args) -> int:
-    if args.format != "pgm":
-        raise PreconditionError("segment requires --format pgm")
     img = segment.read_pgm(args.input)
     result = segment.segment_curve(img, m_min=args.m_max, init=args.init)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     lines = ["count,E,sigma,variant"]
     for variant, rows in (("merge_only", result.merge_only),
                           ("corrected", result.corrected)):
@@ -228,16 +234,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Minimum squared error clustering by subset reclassification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default):
+    def common(p):
         p.add_argument("--input", required=True, help="input data file")
-        p.add_argument("--format", choices=("csv", "pgm"), default=fmt_default)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--m-max", type=int, default=3, dest="m_max")
-        p.add_argument("--seed", type=int, default=0)
 
     for name, fn in (("cluster", cmd_cluster), ("compare", cmd_compare)):
         p = sub.add_parser(name)
-        common(p, "csv")
+        common(p)
+        p.add_argument("--format", choices=("csv", "pgm"), default="csv")
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--methods", default="kh",
                        help="comma list from kmeans,kh,otsu,oracle")
         p.add_argument("--policy", choices=("singletons", "identical", "both"),
@@ -245,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("segment")
-    common(p, "pgm")
+    common(p)
     p.set_defaults(m_max=1)  # segment counts run downward, stop at 1
     p.add_argument("--init", choices=("pixels", "flat_zones"), default="pixels")
     p.set_defaults(fn=cmd_segment)
@@ -260,8 +266,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except (InputFormatError, FileNotFoundError, IsADirectoryError,
-            PermissionError) as e:
+    except (InputFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except SizeGuardError as e:

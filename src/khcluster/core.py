@@ -16,7 +16,7 @@ import numpy as np
 
 # A mutated partition refreshes its statistics from scratch after this many
 # accepted moves, which bounds floating-point drift.
-DEFAULT_REFRESH_INTERVAL = 1024
+REFRESH_INTERVAL = 1024
 
 # Cluster energies are clamped to zero when they come out negative within
 # this relative band; anything more negative is a bookkeeping bug.
@@ -124,10 +124,6 @@ class ClusterStats:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         return cls(int(pts.shape[0]), pts.sum(axis=0), float((pts * pts).sum()))
 
-    @classmethod
-    def zero(cls, d: int) -> "ClusterStats":
-        return cls(0, np.zeros(d), 0.0)
-
     @property
     def centroid(self) -> np.ndarray:
         if self.n < 1:
@@ -149,18 +145,6 @@ class ClusterStats:
         return ClusterStats(self.n - other.n, self.sum - other.sum, self.sumsq - other.sumsq)
 
 
-def stats_of_subset(ds: Dataset, idx) -> ClusterStats:
-    """Statistics of the points at the given index set (nonempty, no duplicates)."""
-    ii = np.asarray(idx, dtype=np.int64).reshape(-1)
-    if ii.size == 0:
-        raise PreconditionError("subset must be nonempty")
-    if ii.min() < 0 or ii.max() >= ds.n:
-        raise PreconditionError("subset index out of range")
-    if np.unique(ii).size != ii.size:
-        raise PreconditionError("subset indices must be distinct")
-    return ClusterStats.from_points(ds.points[ii])
-
-
 def _validated_labels(ds: Dataset, labels, m: int | None) -> tuple[np.ndarray, int]:
     lab = np.asarray(labels, dtype=np.int64).reshape(-1)
     if lab.shape[0] != ds.n:
@@ -178,26 +162,35 @@ def _validated_labels(ds: Dataset, labels, m: int | None) -> tuple[np.ndarray, i
     return lab, m
 
 
+def coordinate_sums(points: np.ndarray, labels: np.ndarray, m: int) -> np.ndarray:
+    """(m, d) per-cluster coordinate sums; empty clusters sum to zero."""
+    sums = np.empty((m, points.shape[1]))
+    for j in range(points.shape[1]):
+        sums[:, j] = np.bincount(labels, weights=points[:, j], minlength=m)
+    return sums
+
+
 def _stats_arrays(points: np.ndarray, labels: np.ndarray, m: int):
     counts = np.bincount(labels, minlength=m)
-    d = points.shape[1]
-    sums = np.empty((m, d))
-    for j in range(d):
-        sums[:, j] = np.bincount(labels, weights=points[:, j], minlength=m)
+    sums = coordinate_sums(points, labels, m)
     sumsqs = np.bincount(labels, weights=(points * points).sum(axis=1), minlength=m)
     return counts, sums, sumsqs
+
+
+def _total_energy(counts: np.ndarray, sums: np.ndarray, sumsqs: np.ndarray) -> float:
+    """Sum of the clamped cluster energies, in cluster order."""
+    total = 0.0
+    for c in range(counts.shape[0]):
+        total += clamped_cluster_energy(
+            float(sumsqs[c]), float(sums[c] @ sums[c]), int(counts[c])
+        )
+    return total
 
 
 def partition_energy(ds: Dataset, labels, m: int | None = None) -> float:
     """Total squared error of a labeling, computed fresh from the points."""
     lab, m = _validated_labels(ds, labels, m)
-    counts, sums, sumsqs = _stats_arrays(ds.points, lab, m)
-    total = 0.0
-    for c in range(m):
-        total += clamped_cluster_energy(
-            float(sumsqs[c]), float(sums[c] @ sums[c]), int(counts[c])
-        )
-    return total
+    return _total_energy(*_stats_arrays(ds.points, lab, m))
 
 
 class Partition:
@@ -208,30 +201,22 @@ class Partition:
     """
 
     __slots__ = ("ds", "labels", "counts", "sums", "sumsqs", "total_e",
-                 "refresh_interval", "_moves_since_refresh")
+                 "_moves_since_refresh")
 
-    def __init__(self, ds, labels, counts, sums, sumsqs, total_e,
-                 refresh_interval=DEFAULT_REFRESH_INTERVAL):
+    def __init__(self, ds, labels, counts, sums, sumsqs, total_e):
         self.ds = ds
         self.labels = labels
         self.counts = counts
         self.sums = sums
         self.sumsqs = sumsqs
         self.total_e = total_e
-        self.refresh_interval = refresh_interval
         self._moves_since_refresh = 0
 
     @classmethod
-    def from_labels(cls, ds: Dataset, labels, m: int | None = None,
-                    refresh_interval: int = DEFAULT_REFRESH_INTERVAL) -> "Partition":
+    def from_labels(cls, ds: Dataset, labels, m: int | None = None) -> "Partition":
         lab, m = _validated_labels(ds, labels, m)
         counts, sums, sumsqs = _stats_arrays(ds.points, lab, m)
-        total = 0.0
-        for c in range(m):
-            total += clamped_cluster_energy(
-                float(sumsqs[c]), float(sums[c] @ sums[c]), int(counts[c])
-            )
-        return cls(ds, lab, counts, sums, sumsqs, total, refresh_interval)
+        return cls(ds, lab, counts, sums, sumsqs, _total_energy(counts, sums, sumsqs))
 
     @property
     def m(self) -> int:
@@ -293,24 +278,19 @@ class Partition:
         self.labels[ii] = acceptor
 
         self._moves_since_refresh += 1
-        if self._moves_since_refresh >= self.refresh_interval:
+        if self._moves_since_refresh >= REFRESH_INTERVAL:
             self.recompute()
 
     def recompute(self) -> None:
         """Rebuild statistics and total error from the labels."""
         counts, sums, sumsqs = _stats_arrays(self.ds.points, self.labels, self.m)
         self.counts, self.sums, self.sumsqs = counts, sums, sumsqs
-        total = 0.0
-        for c in range(self.m):
-            total += self.cluster_energy(c)
-        self.total_e = total
+        self.total_e = _total_energy(counts, sums, sumsqs)
         self._moves_since_refresh = 0
 
     def copy(self) -> "Partition":
-        p = Partition(self.ds, self.labels.copy(), self.counts.copy(),
-                      self.sums.copy(), self.sumsqs.copy(), self.total_e,
-                      self.refresh_interval)
-        return p
+        return Partition(self.ds, self.labels.copy(), self.counts.copy(),
+                         self.sums.copy(), self.sumsqs.copy(), self.total_e)
 
     def check_consistency(self, rel_tol: float = 1e-9) -> None:
         """Raise if the tracked total error drifted from a fresh computation."""
@@ -319,13 +299,6 @@ class Partition:
             raise InternalConsistencyError(
                 f"tracked E {self.total_e!r} drifted from recomputed E {fresh!r}"
             )
-
-
-def apply_move(p: Partition, idx, donor: int, acceptor: int) -> Partition:
-    """Copy of p with the subset idx moved from donor to acceptor."""
-    q = p.copy()
-    q.move(idx, donor, acceptor)
-    return q
 
 
 def sigma(e: float, n_points: int) -> float:

@@ -57,7 +57,6 @@ class MoveProposal:
 class StabilityReport:
     stable: bool
     violations: list[MoveProposal]
-    checked_pairs: int
     checked_subsets: int
 
 
@@ -162,15 +161,14 @@ def _movable_tuples(part: Partition, policy: SubsetPolicy,
 def verify_stability(p: Partition, policy: SubsetPolicy = BOTH) -> StabilityReport:
     """Exhaustively test every admissible move; pure, the partition is untouched.
 
-    checked_pairs counts the ordered (donor, acceptor) pairs and
-    checked_subsets the (subset, acceptor) evaluations performed.
+    checked_subsets counts the (subset, acceptor) evaluations performed.
     """
     tau = reclass.move_tolerance(p.total_e)
     scan = _scan_moves(p, policy)
     violations = [MoveProposal(int(scan.donor[r]), int(a), scan.subset(r),
                                float(scan.delta[r, a]))
                   for r, a in zip(*scan.ranked(*np.nonzero(scan.delta < -tau)))]
-    return StabilityReport(not violations, violations, p.m * (p.m - 1),
+    return StabilityReport(not violations, violations,
                            int(np.isfinite(scan.delta).sum()))
 
 

@@ -115,7 +115,7 @@ def optimal_thresholds(h: Histogram, m: int) -> tuple[np.ndarray, float]:
     return _thresholds_from(arg, h, m), float(cost[m, h.v])
 
 
-def assign_classes(h: Histogram, x: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+def assign_classes(x: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """Class index per value: class c holds values <= thresholds[c]."""
     return np.searchsorted(thresholds, np.asarray(x, dtype=np.float64), side="left")
 

@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import reclass
-from .core import (InputFormatError, InternalConsistencyError,
-                   PreconditionError, clamped_cluster_energy, sigma)
-
-REFRESH_INTERVAL = 1024  # full stats/heap rebuild cadence, washes out float drift
+from .core import (REFRESH_INTERVAL, InputFormatError,
+                   InternalConsistencyError, PreconditionError,
+                   clamped_cluster_energy, sigma)
 
 
 @dataclass(frozen=True)
@@ -57,9 +56,6 @@ class GrayImage:
         if a.ndim != 2:
             raise PreconditionError("expected a 2-D array of intensities")
         return cls(a.shape[1], a.shape[0], a.reshape(-1))
-
-    def as_array(self) -> np.ndarray:
-        return self.intensities.reshape(self.height, self.width).copy()
 
     @property
     def n_pixels(self) -> int:
@@ -171,25 +167,16 @@ def read_pgm(path) -> GrayImage:
     return GrayImage(width, height, np.asarray(vals, dtype=np.float64))
 
 
-def write_pgm(img: GrayImage, path, binary: bool = True) -> None:
-    """Write 8-bit PGM; intensities round half up to the nearest integer."""
+def write_pgm(img: GrayImage, path) -> None:
+    """Write 8-bit binary (P5) PGM; intensities round half up to the nearest integer."""
     px = np.clip(np.floor(img.intensities + 0.5), 0, 255).astype(np.uint8)
-    header = f"{'P5' if binary else 'P2'}\n{img.width} {img.height}\n255\n"
+    header = f"P5\n{img.width} {img.height}\n255\n"
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
-        if binary:
-            f.write(px.tobytes())
-        else:
-            rows = px.reshape(img.height, img.width)
-            for r in rows:
-                f.write((" ".join(str(int(v)) for v in r) + "\n").encode("ascii"))
+        f.write(px.tobytes())
 
 
 # ------------------------------------------------------------- segment map
-
-def _edge(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
 
 def _neighbor_pairs(w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only arrays (a, b) of every 4-neighbour pixel pair, a < b:
@@ -227,10 +214,13 @@ class SegmentMap:
     """Mutable segmentation with exact sufficient statistics per segment.
 
     Segment ids are dense at construction; merging kills ids but never
-    creates them. The merge heap is lazily invalidated: every entry carries
-    the version of both endpoints and is discarded when either version
-    moved on. Each pixel move and merge updates the border contact counts
-    from the labelling before it changes, so adjacency stays exact.
+    creates them; the live ids are the keys of pixels. The merge heap is
+    lazily invalidated: every entry carries the version of both endpoints
+    and is discarded when either version moved on, which also discards
+    every entry of a merged-away id. adj[s][t] is the number of 4-neighbour
+    pixel pairs straddling the border of s and t, kept in both directions.
+    Each pixel move and merge updates it from the labelling before it
+    changes, so adjacency stays exact.
     """
 
     def __init__(self, img: GrayImage, labels: np.ndarray):
@@ -245,11 +235,9 @@ class SegmentMap:
         self.counts = np.zeros(cap, dtype=np.int64)
         self.sums = np.zeros(cap, dtype=np.float64)
         self.sumsqs = np.zeros(cap, dtype=np.float64)
-        self.alive = np.zeros(cap, dtype=bool)
         self.version = np.zeros(cap, dtype=np.int64)
         self.pixels: dict[int, set[int]] = {}
-        self.adj: dict[int, set[int]] = {}
-        self.contact: dict[tuple[int, int], int] = {}
+        self.adj: dict[int, dict[int, int]] = {}
         self.total_e = 0.0
         self.heap: list = []
         self._ops = 0
@@ -277,29 +265,25 @@ class SegmentMap:
         self.counts = np.bincount(lab, minlength=cap)
         self.sums = np.bincount(lab, weights=px, minlength=cap)
         self.sumsqs = np.bincount(lab, weights=px * px, minlength=cap)
-        self.alive = self.counts > 0
         self.pixels = {}
         for p, s in enumerate(lab):
             self.pixels.setdefault(int(s), set()).add(p)
-        self.adj = {int(s): set() for s in np.flatnonzero(self.alive)}
+        self.adj = {s: {} for s in self.pixels}
+        self.total_e = float(sum(self._seg_energy(int(s))
+                                 for s in np.flatnonzero(self.counts)))
+        self.version += 1
+        self.heap = []
+        self._lock_cache = {}
+        self._dirty = None
         a, b = self._pairs
         la, lb = lab[a], lab[b]
         cut = la != lb
         la, lb = la[cut], lb[cut]
         keys = np.minimum(la, lb) * cap + np.maximum(la, lb)
         uniq, cnt = np.unique(keys, return_counts=True)
-        self.contact = {(int(k // cap), int(k % cap)): int(c)
-                        for k, c in zip(uniq, cnt)}
-        for u, v in self.contact:
-            self.adj[u].add(v)
-            self.adj[v].add(u)
-        self.total_e = float(sum(self._seg_energy(int(s))
-                                 for s in np.flatnonzero(self.alive)))
-        self.version[self.alive] += 1
-        self.heap = []
-        self._lock_cache = {}
-        self._dirty = None
-        for u, v in sorted(self.contact):
+        for k, c in zip(uniq.tolist(), cnt.tolist()):
+            u, v = divmod(k, cap)
+            self.adj[u][v] = self.adj[v][u] = c
             self._push_edge(u, v)
 
     # -- bookkeeping primitives
@@ -317,7 +301,8 @@ class SegmentMap:
         return d * d * (na * nb / (na + nb))
 
     def _push_edge(self, a: int, b: int) -> None:
-        a, b = _edge(a, b)
+        if a > b:
+            a, b = b, a
         heapq.heappush(self.heap, (self._merge_cost(a, b), a, b,
                                    int(self.version[a]), int(self.version[b])))
 
@@ -331,7 +316,7 @@ class SegmentMap:
 
     @property
     def segment_count(self) -> int:
-        return int(self.alive.sum())
+        return len(self.pixels)
 
     def segment_sigma(self) -> float:
         return sigma(self.total_e, self.img.n_pixels)
@@ -348,8 +333,7 @@ class SegmentMap:
             raise PreconditionError("merging needs at least two segments")
         while self.heap:
             cost, a, b, va, vb = heapq.heappop(self.heap)
-            if (self.alive[a] and self.alive[b]
-                    and va == self.version[a] and vb == self.version[b]):
+            if va == self.version[a] and vb == self.version[b]:
                 return self._merge(a, b)
         raise InternalConsistencyError("adjacency exists but the heap ran dry")
 
@@ -368,20 +352,12 @@ class SegmentMap:
         self.counts[b] = 0
         self.sums[b] = 0.0
         self.sumsqs[b] = 0.0
-        self.alive[b] = False
         self.total_e += self._seg_energy(a) - e_before
 
-        self.contact.pop(_edge(a, b), None)
-        self.adj[a].discard(b)
-        for t in self.adj.pop(b):
-            if t == a:
-                continue
-            self.adj[t].discard(b)
-            self.adj[t].add(a)
-            self.adj[a].add(t)
-            moved = self.contact.pop(_edge(b, t))
-            key = _edge(a, t)
-            self.contact[key] = self.contact.get(key, 0) + moved
+        for t, c in self.adj.pop(b).items():
+            del self.adj[t][b]
+            if t != a:
+                self.adj[a][t] = self.adj[t][a] = self.adj[a].get(t, 0) + c
         self.version[a] += 1
         self.version[b] += 1
         if self._dirty is not None:
@@ -556,23 +532,14 @@ class SegmentMap:
         self._tick()
 
     def _contact_inc(self, a: int, b: int) -> None:
-        key = _edge(a, b)
-        new = key not in self.contact
-        self.contact[key] = self.contact.get(key, 0) + 1
-        if new:
-            self.adj[a].add(b)
-            self.adj[b].add(a)
-            self._push_edge(a, b)
+        self.adj[a][b] = self.adj[b][a] = self.adj[a].get(b, 0) + 1
 
     def _contact_dec(self, a: int, b: int) -> None:
-        key = _edge(a, b)
-        left = self.contact[key] - 1
+        left = self.adj[a][b] - 1
         if left:
-            self.contact[key] = left
+            self.adj[a][b] = self.adj[b][a] = left
         else:
-            del self.contact[key]
-            self.adj[a].discard(b)
-            self.adj[b].discard(a)
+            del self.adj[a][b], self.adj[b][a]
 
     def correct_boundaries(self) -> int:
         """Apply improving boundary moves, best first, until none is admissible.
@@ -604,22 +571,21 @@ class SegmentMap:
     def check_consistency(self) -> None:
         """Recompute all derived state from the labelling and compare."""
         snapshot = (self.counts.copy(), self.sums.copy(), self.sumsqs.copy(),
-                    dict(self.contact), {k: set(v) for k, v in self.adj.items()},
+                    {k: dict(v) for k, v in self.adj.items()},
                     {k: set(v) for k, v in self.pixels.items()}, self.total_e)
         self._rebuild()
-        counts, sums, sumsqs, contact, adj, pixels, e = snapshot
+        counts, sums, sumsqs, adj, pixels, e = snapshot
         if not np.array_equal(counts, self.counts):
             raise InternalConsistencyError("segment counts drifted")
-        if contact != self.contact:
+        if adj != self.adj:
             raise InternalConsistencyError("contact counts drifted")
-        if adj != self.adj or pixels != self.pixels:
-            raise InternalConsistencyError("adjacency or membership drifted")
+        if pixels != self.pixels:
+            raise InternalConsistencyError("segment membership drifted")
         scale = 1e-9 * (1.0 + abs(self.total_e))
         if abs(e - self.total_e) > scale or \
                 np.abs(sums - self.sums).max() > 1e-9 * (1.0 + np.abs(self.sums).max()):
             raise InternalConsistencyError("running statistics drifted")
-        for s in np.flatnonzero(self.alive):
-            s = int(s)
+        for s in self.pixels:
             seed = next(iter(self.pixels[s]))
             seen, stack = {seed}, [seed]
             while stack:
@@ -634,7 +600,7 @@ class SegmentMap:
 
 def _flat_zone_labels(img: GrayImage) -> np.ndarray:
     """Connected regions of exactly equal intensity, ids in scan order."""
-    w, h = img.width, img.height
+    nbrs = _neighbor_table(img.width, img.height)
     px = img.intensities
     labels = np.full(img.n_pixels, -1, dtype=np.int64)
     nxt = 0
@@ -645,10 +611,8 @@ def _flat_zone_labels(img: GrayImage) -> np.ndarray:
         stack = [start]
         while stack:
             u = stack.pop()
-            r, c = divmod(u, w)
-            for q in ((u - w) if r > 0 else -1, (u + w) if r < h - 1 else -1,
-                      (u - 1) if c > 0 else -1, (u + 1) if c < w - 1 else -1):
-                if q >= 0 and labels[q] < 0 and px[q] == px[u]:
+            for q in nbrs[u]:
+                if labels[q] < 0 and px[q] == px[u]:
                     labels[q] = nxt
                     stack.append(q)
         nxt += 1

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import labeled_energy, random_dataset, random_labels
+from khcluster import baselines
 from khcluster.baselines import (KMeansConfig, is_lloyd_fixed_point,
                                  kmeans_sequence, lloyd)
 from khcluster.core import Dataset, PreconditionError
@@ -65,8 +66,25 @@ def test_lloyd_validation():
         lloyd(ds, KMeansConfig(m=2, init_labels=[0, 5]))
     with pytest.raises(PreconditionError):
         KMeansConfig(m=0)
-    with pytest.raises(PreconditionError):
-        KMeansConfig(m=2, max_iters=0)
+
+
+def test_candidate_subsample_above_the_limit(monkeypatch):
+    """Above SUBSAMPLE_ABOVE distinct points the candidate centers are a
+    sorted SUBSAMPLE_SIZE-row subset of unique_rows(), fixed by rng_seed."""
+    monkeypatch.setattr(baselines, "SUBSAMPLE_ABOVE", 8)
+    monkeypatch.setattr(baselines, "SUBSAMPLE_SIZE", 5)
+    rng = np.random.default_rng(4)
+    ds = Dataset(np.round(rng.normal(0.0, 2.0, (40, 2)), 2))
+    uniq = ds.unique_rows()
+    cands = baselines._candidate_rows(ds, 7)
+    assert cands.shape == (5, 2)
+    pos = [int(np.flatnonzero((uniq == c).all(axis=1))[0]) for c in cands]
+    assert pos == sorted(set(pos))
+    assert np.array_equal(baselines._candidate_rows(ds, 7), cands)
+    a, b = kmeans_sequence(ds, 4, rng_seed=7), kmeans_sequence(ds, 4, rng_seed=7)
+    for m in a.cluster_counts():
+        assert np.array_equal(a.by_cluster_count[m].labels, b.by_cluster_count[m].labels)
+        assert a.energy(m) == b.energy(m)
 
 
 def test_config_seeding_priority():

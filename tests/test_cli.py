@@ -8,7 +8,7 @@ import pytest
 
 from helpers import labeled_energy
 from khcluster.cli import (EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_USAGE,
-                           load_csv, main)
+                           build_parser, load_csv, main)
 from khcluster.core import Dataset, InputFormatError, Partition
 from khcluster.kh_engine import BOTH, verify_stability
 from khcluster.segment import GrayImage, read_pgm, write_pgm
@@ -40,6 +40,12 @@ def test_load_csv_diagnostics(tmp_path):
     with pytest.raises(InputFormatError) as exc:
         load_csv(p)
     assert exc.value.line == 2
+    # a first row with a numeric field is data, not a header
+    for text, col in (("1.0,2.x\n3,4\n5,6\n7,8\n", 2), ("x,1\n3,4\n", 1)):
+        p.write_text(text)
+        with pytest.raises(InputFormatError) as exc:
+            load_csv(p)
+        assert exc.value.line == 1 and exc.value.column == col
     p.write_text("# nothing\n")
     with pytest.raises(InputFormatError, match="no data rows"):
         load_csv(p)
@@ -182,7 +188,7 @@ def test_segment_command_outputs(tmp_path):
     assert (out / "approx_merge_only_2.pgm").exists()
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     data = tmp_path / "pts.csv"
     write_csv(data, [[0.0], [1.0], [9.0], [10.0]])
 
@@ -209,6 +215,8 @@ def test_exit_codes(tmp_path):
                  "--out", str(tmp_path)]) == EXIT_USAGE
     assert main(["segment", "--input", str(data), "--format", "csv",
                  "--out", str(tmp_path)]) == EXIT_USAGE
+    assert main(["segment", "--input", str(data), "--seed", "1",
+                 "--out", str(tmp_path)]) == EXIT_USAGE
     assert main(["cluster", "--input", str(data), "--frobnicate"]) == EXIT_USAGE
     assert main(["cluster", "--input", str(data), "--l-max", "3",
                  "--out", str(tmp_path)]) == EXIT_USAGE
@@ -221,13 +229,43 @@ def test_exit_codes(tmp_path):
     notext.write_bytes(b"\xff\xfe\x00rubbish")
     assert main(["cluster", "--input", str(notext), "--out", str(tmp_path)]) == EXIT_INPUT
 
+    # an input path that cannot be opened is unreadable input, and an --out
+    # that cannot be created is a usage error; both print a one-line error
+    img = tmp_path / "tiny.pgm"
+    write_pgm(GrayImage.from_array(np.array([[0.0, 10.0]])), img)
+    capsys.readouterr()
+    for argv, code in (
+            (["cluster", "--input", str(data / "x.csv")], EXIT_INPUT),
+            (["cluster", "--input", str(data), "--out", str(data)], EXIT_USAGE),
+            (["compare", "--input", str(data), "--out", str(data / "sub")], EXIT_USAGE),
+            (["segment", "--input", str(img), "--out", str(img)], EXIT_USAGE)):
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _option_strings(command):
+    sub = build_parser()._subparsers._group_actions[0].choices[command]
+    return {s for action in sub._actions for s in action.option_strings}
+
+
+def test_each_command_takes_exactly_its_options():
+    """Pinned, so an option that changes nothing cannot come back unnoticed."""
+    shared = {"-h", "--help", "--input", "--out", "--m-max"}
+    for command in ("cluster", "compare"):
+        assert _option_strings(command) == shared | {
+            "--format", "--seed", "--methods", "--policy"}
+    assert _option_strings("segment") == shared | {"--init"}
+
 
 def test_error_message_carries_position(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    bad.write_text("0,1\n2,3\n4,oops\n")
-    assert main(["cluster", "--input", str(bad), "--out", str(tmp_path)]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert "line 3" in err and "column 2" in err
+    for text, where in (("0,1\n2,3\n4,oops\n", ("line 3", "column 2")),
+                        ("1.0,2.x\n3,4\n5,6\n7,8\n", ("line 1", "column 2"))):
+        bad.write_text(text)
+        assert main(["cluster", "--input", str(bad), "--out", str(tmp_path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert all(w in err for w in where)
 
 
 def test_identical_runs_are_byte_identical(tmp_path):

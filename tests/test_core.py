@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import energy_by_means, labeled_energy, random_dataset, random_labels
+from khcluster import core
 from khcluster.core import (ClusterStats, Dataset, InternalConsistencyError,
-                            Partition, PreconditionError, apply_move,
-                            clamped_cluster_energy, partition_energy, sigma,
-                            stats_of_subset)
+                            Partition, PreconditionError,
+                            clamped_cluster_energy, partition_energy, sigma)
 
 
 def test_dataset_reshapes_flat_input():
@@ -85,17 +85,6 @@ def test_cluster_stats_energy_matches_direct():
     assert ClusterStats.from_points(pts).energy == pytest.approx(energy_by_means(pts))
 
 
-def test_stats_of_subset_validation():
-    ds = Dataset([0.0, 1.0, 2.0])
-    assert stats_of_subset(ds, [0, 2]).n == 2
-    with pytest.raises(PreconditionError):
-        stats_of_subset(ds, [])
-    with pytest.raises(PreconditionError):
-        stats_of_subset(ds, [0, 0])
-    with pytest.raises(PreconditionError):
-        stats_of_subset(ds, [3])
-
-
 def test_move_updates_energy_exactly():
     ds = Dataset([0.0, 1.0, 9.0, 10.0])
     p = Partition.from_labels(ds, [0, 0, 0, 1])
@@ -116,21 +105,28 @@ def test_move_rejects_bad_subsets():
         p.move([0, 1], 0, 1)  # would empty the donor
     with pytest.raises(PreconditionError):
         p.move([], 0, 1)
+    with pytest.raises(PreconditionError):
+        p.move([2, 2], 1, 0)  # repeated index
+    with pytest.raises(PreconditionError):
+        p.move([4], 1, 0)  # out of range
 
 
-def test_apply_move_leaves_source_untouched():
+def test_move_on_a_copy_leaves_source_untouched():
     ds = Dataset([0.0, 1.0, 9.0, 10.0])
     p = Partition.from_labels(ds, [0, 0, 0, 1])
-    q = apply_move(p, [2], 0, 1)
+    q = p.copy()
+    q.move([2], 0, 1)
     assert p.labels.tolist() == [0, 0, 0, 1]
+    assert p.total_e == pytest.approx(146.0 / 3.0)  # {0, 1, 9} about 10/3
     assert q.labels.tolist() == [0, 0, 1, 1]
     assert q.total_e == pytest.approx(1.0)
 
 
-def test_periodic_refresh_keeps_statistics_exact():
+def test_periodic_refresh_keeps_statistics_exact(monkeypatch):
+    monkeypatch.setattr(core, "REFRESH_INTERVAL", 4)
     rng = np.random.default_rng(0)
     ds = random_dataset(rng, 30, 2)
-    p = Partition.from_labels(ds, random_labels(rng, 30, 3), refresh_interval=4)
+    p = Partition.from_labels(ds, random_labels(rng, 30, 3))
     for _ in range(40):
         donor = int(rng.integers(0, 3))
         if p.counts[donor] < 2:

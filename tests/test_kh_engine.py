@@ -11,7 +11,7 @@ from helpers import labeled_energy, random_dataset, random_labels
 from khcluster import kh_engine
 from khcluster.baselines import (KMeansConfig, is_lloyd_fixed_point,
                                  kmeans_sequence, lloyd)
-from khcluster.core import Dataset, Partition, PreconditionError, apply_move
+from khcluster.core import Dataset, Partition, PreconditionError
 from khcluster.kh_engine import (BOTH, IDENTICAL, SINGLETONS, SubsetPolicy,
                                  build_sequence, correct_pairs, correct_tuples,
                                  merge_step, split_step, verify_stability)
@@ -31,7 +31,6 @@ def test_correct_pairs_leaves_stable_partition_alone():
     assert res.partition.labels.tolist() == [0, 0, 1]
     rep = verify_stability(p)
     assert rep.stable and not rep.violations
-    assert rep.checked_pairs == 2
 
 
 def test_verify_stability_is_pure():
@@ -273,6 +272,24 @@ def test_build_sequence_frozen_curve():
         assert seq.info[m]["direction"] in ("bottom_up", "top_down")
 
 
+def test_farthest_pair_two_hop_path(monkeypatch):
+    """Above the exact limit the seeds come from the two-hop search: an
+    ordered pair of distinct points, the same on every call; sequences
+    built on it still verify stable."""
+    monkeypatch.setattr(kh_engine, "FARTHEST_PAIR_EXACT_LIMIT", 2)
+    rng = np.random.default_rng(12)
+    pts = np.round(rng.normal(0.0, 2.0, (20, 2)), 2)
+    for sub in (pts, pts[::-1], pts[:3]):
+        i, j = kh_engine._farthest_pair(sub)
+        assert 0 <= i <= j < sub.shape[0]
+        assert not np.array_equal(sub[i], sub[j])
+        assert kh_engine._farthest_pair(sub) == (i, j)
+    seq = build_sequence(Dataset(pts), 4)
+    assert seq.cluster_counts() == [1, 2, 3, 4]
+    for m in seq.cluster_counts():
+        assert verify_stability(seq.by_cluster_count[m]).stable
+
+
 def test_build_sequence_validation():
     ds = Dataset([0.0, 0.0, 1.0])  # two distinct values only
     with pytest.raises(PreconditionError):
@@ -338,7 +355,8 @@ def test_proposal_deltas_match_applied_change():
                 elif policy is IDENTICAL or sub.size > 1:
                     assert np.array_equal(sub, twins)  # a whole group moves
                 group_moves += sub.size > 1
-                q = apply_move(p, sub, prop.donor, prop.acceptor)
+                q = p.copy()
+                q.move(sub, prop.donor, prop.acceptor)
                 actual = q.total_e - p.total_e
                 assert abs(actual - prop.predicted_delta) <= 1e-9 * (1.0 + p.total_e)
     assert group_moves > 0

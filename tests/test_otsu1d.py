@@ -70,8 +70,8 @@ def test_thresholds_validation():
 def test_assign_classes_inclusive_upper_edges():
     h = build_histogram(np.array([0.0, 1.0, 9.0, 10.0]))
     x = np.array([0.0, 1.0, 9.0, 10.0])
-    assert assign_classes(h, x, np.array([1.0])).tolist() == [0, 0, 1, 1]
-    assert assign_classes(h, x, np.array([0.0, 1.0])).tolist() == [0, 1, 2, 2]
+    assert assign_classes(x, np.array([1.0])).tolist() == [0, 0, 1, 1]
+    assert assign_classes(x, np.array([0.0, 1.0])).tolist() == [0, 1, 2, 2]
 
 
 def test_assignment_reproduces_dp_energy():
@@ -81,7 +81,7 @@ def test_assignment_reproduces_dp_energy():
         h = build_histogram(x)
         m = int(rng.integers(1, h.v + 1))
         th, e = optimal_thresholds(h, m)
-        lab = assign_classes(h, x, th)
+        lab = assign_classes(x, th)
         assert partition_energy(Dataset(x), lab) == pytest.approx(e, rel=1e-9, abs=1e-9)
         assert labeled_energy(x, lab) == pytest.approx(e, rel=1e-9, abs=1e-9)
 

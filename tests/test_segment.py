@@ -27,15 +27,20 @@ def test_gray_image_validation():
 
 
 def test_pgm_roundtrip_binary_and_ascii(tmp_path):
+    """write_pgm writes P5; read_pgm reads it back, and reads the same
+    raster written by hand as ASCII P2."""
     rng = np.random.default_rng(0)
     arr = rng.integers(0, 256, size=(5, 7)).astype(np.float64)
-    img = GrayImage.from_array(arr)
-    for binary in (True, False):
-        path = tmp_path / f"img_{binary}.pgm"
-        write_pgm(img, path, binary=binary)
+    binary = tmp_path / "img.pgm"
+    write_pgm(GrayImage.from_array(arr), binary)
+    ascii_ = tmp_path / "img_ascii.pgm"
+    rows = "\n".join(" ".join(str(int(v)) for v in r) for r in arr)
+    ascii_.write_text(f"P2\n7 5\n255\n{rows}\n", encoding="ascii")
+    assert binary.read_bytes().startswith(b"P5\n7 5\n255\n")
+    for path in (binary, ascii_):
         back = read_pgm(path)
         assert back.width == 7 and back.height == 5
-        assert np.array_equal(back.as_array(), arr)
+        assert np.array_equal(back.intensities.reshape(5, 7), arr)
 
 
 def test_pgm_write_rounds_half_up(tmp_path):
