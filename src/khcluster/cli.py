@@ -4,8 +4,8 @@ Three subcommands: cluster writes a JSON report of stable partitions for
 one or more methods, compare writes a per-count error table as CSV, and
 segment runs the image pipeline and writes the error curve plus PGM
 approximations. Reports are byte-identical across runs with the same
-inputs and options. Exit codes: 0 success, 2 usage or precondition, 3
-unreadable input, 4 size guard.
+inputs and options. Exit codes: 0 success, 2 usage, precondition or an
+output that cannot be written, 3 unreadable input, 4 size guard.
 """
 
 from __future__ import annotations
@@ -155,18 +155,13 @@ def _run_methods(ds, args) -> dict:
     return {name: run(name) for name in methods}
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-
-
-def _write_comparison(by_method: dict, m_max: int, out: Path) -> None:
+def _comparison(by_method: dict, m_max: int) -> str:
     names = [n for n in METHOD_ORDER if n in by_method]
     lines = ["m," + ",".join(f"E_{n}" for n in names)]
     for m in range(1, m_max + 1):
         cells = [by_method[n].get(str(m)) for n in names]
         lines.append(",".join([str(m)] + [repr(c["E"]) if c else "" for c in cells]))
-    (out / "comparison.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
 def _out_dir(args) -> Path:
@@ -177,6 +172,18 @@ def _out_dir(args) -> Path:
     except OSError as e:
         raise PreconditionError(f"cannot create output directory: {e}") from None
     return out
+
+
+def _write(path: Path, content) -> None:
+    """Write one output file: text as UTF-8, or a GrayImage as PGM. A failed
+    write is a usage error (exit 2), like an --out that cannot be created."""
+    try:
+        if isinstance(content, segment.GrayImage):
+            segment.write_pgm(content, path)
+        else:
+            path.write_text(content, encoding="utf-8")
+    except OSError as e:
+        raise PreconditionError(f"cannot write output: {e}") from None
 
 
 def cmd_cluster(args) -> int:
@@ -194,8 +201,8 @@ def cmd_cluster(args) -> int:
         "methods": by_method,
     }
     out = _out_dir(args)
-    _write_json(out / "report.json", report)
-    _write_comparison(by_method, args.m_max, out)
+    _write(out / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write(out / "comparison.csv", _comparison(by_method, args.m_max))
     print(f"wrote {out / 'report.json'} and {out / 'comparison.csv'}")
     return EXIT_OK
 
@@ -204,7 +211,7 @@ def cmd_compare(args) -> int:
     ds = _load_dataset(args)
     by_method = _run_methods(ds, args)
     out = _out_dir(args)
-    _write_comparison(by_method, args.m_max, out)
+    _write(out / "comparison.csv", _comparison(by_method, args.m_max))
     print(f"wrote {out / 'comparison.csv'}")
     return EXIT_OK
 
@@ -218,12 +225,12 @@ def cmd_segment(args) -> int:
                           ("corrected", result.corrected)):
         for row in rows:
             lines.append(f"{row.count},{row.error!r},{row.sigma:.6g},{variant}")
-    (out / "segment_curve.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(out / "segment_curve.csv", "\n".join(lines) + "\n")
     count = result.final_corrected.segment_count
-    segment.write_pgm(result.final_merge_only.approximation(),
-                      out / f"approx_merge_only_{count}.pgm")
-    segment.write_pgm(result.final_corrected.approximation(),
-                      out / f"approx_corrected_{count}.pgm")
+    _write(out / f"approx_merge_only_{count}.pgm",
+           result.final_merge_only.approximation())
+    _write(out / f"approx_corrected_{count}.pgm",
+           result.final_corrected.approximation())
     print(f"wrote {out / 'segment_curve.csv'} and two PGM approximations")
     return EXIT_OK
 

@@ -146,18 +146,6 @@ def _best_admissible(part: Partition, policy: SubsetPolicy,
     return MoveProposal(int(scan.donor[r]), int(a), scan.subset(r), float(low))
 
 
-def _movable_tuples(part: Partition, policy: SubsetPolicy,
-                    tuples: np.ndarray) -> np.ndarray:
-    """Indices of the tuples (rows of cluster ids) that hold a (donor,
-    acceptor) pair with an improving move, from one full scan."""
-    tau = reclass.move_tolerance(part.total_e)
-    scan = _scan_moves(part, policy)
-    rows, acceptors = np.nonzero(scan.delta < -tau)
-    hot = np.zeros((part.m, part.m), dtype=bool)
-    hot[scan.donor[rows], acceptors] = True
-    return np.flatnonzero(hot[tuples[:, :, None], tuples[:, None, :]].any(axis=(1, 2)))
-
-
 def verify_stability(p: Partition, policy: SubsetPolicy = BOTH) -> StabilityReport:
     """Exhaustively test every admissible move; pure, the partition is untouched.
 
@@ -195,39 +183,25 @@ def correct_pairs(p: Partition, policy: SubsetPolicy = BOTH) -> CorrectionResult
 def correct_tuples(p: Partition, l: int, policy: SubsetPolicy = BOTH) -> CorrectionResult:
     """Locally minimize E inside every l-tuple of clusters.
 
-    Each tuple is optimized by repeated best single-subset moves between its
-    own clusters; sweeps over the tuples repeat until one full pass makes no
-    move. For l = 2 the admissible move set coincides with correct_pairs.
-
-    A tuple's moves are a subset of the full move set, with the same deltas
-    and tolerance, so a tuple holding no (donor, acceptor) pair with an
-    improving move cannot move and is skipped; one that holds such a pair
-    always moves. The pairs come from one full scan, repeated after every
-    tuple that moved: a pair-stable input costs one scan.
+    Tuples are taken in lexicographic order, and each is corrected in turn
+    by repeated best single-subset moves between its own clusters; passes
+    over all tuples repeat until one makes no move. For l = 2 the admissible
+    move set coincides with correct_pairs.
     """
     if l < 2:
         raise PreconditionError("tuples need at least two clusters")
-    if l > p.m:
-        return CorrectionResult(p.copy(), 0)
     q = p.copy()
-    tuples = np.array(list(itertools.combinations(range(q.m), l)), dtype=np.int64)
+    tuples = [np.asarray(t) for t in itertools.combinations(range(q.m), l)]
     total_moves = 0
-    start = 0
     while True:
-        movable = _movable_tuples(q, policy, tuples)
-        if movable.size == 0:
-            break
-        # the sweep goes on after the last tuple that moved, then wraps around
-        later = movable[movable >= start]
-        t = later[0] if later.size else movable[0]
-        while True:
-            prop = _best_admissible(q, policy, clusters=tuples[t])
-            if prop is None:
-                break
-            q.move(np.asarray(prop.subset), prop.donor, prop.acceptor)
-            total_moves += 1
-        start = t + 1
-    return CorrectionResult(q, total_moves)
+        moves = 0
+        for sel in tuples:
+            while (prop := _best_admissible(q, policy, clusters=sel)) is not None:
+                q.move(np.asarray(prop.subset), prop.donor, prop.acceptor)
+                moves += 1
+        total_moves += moves
+        if moves == 0:
+            return CorrectionResult(q, total_moves)
 
 
 def _merged_partition(p: Partition, a: int, b: int) -> Partition:
@@ -321,7 +295,8 @@ def build_sequence(ds: Dataset, m_max: int,
     info[m] holds the winning route under "direction" (the benchmark's
     tracer counts route wins from that key), its "E" and its "moves".
     """
-    v = ds.unique_rows().shape[0]
+    groups = ds.identical_group_labels()
+    v = int(groups.max()) + 1
     if not 1 <= m_max <= v:
         raise PreconditionError("m_max must lie between 1 and the distinct point count")
 
@@ -338,7 +313,7 @@ def build_sequence(ds: Dataset, m_max: int,
         part = split_step(part, policy)
         record(part.m, part, "bottom_up", 0)
 
-    part = Partition.from_labels(ds, ds.identical_group_labels(), v)
+    part = Partition.from_labels(ds, groups, v)
     if v <= m_max:
         record(v, part, "top_down", 0)
     for _ in range(v - 1, 0, -1):

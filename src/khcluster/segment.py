@@ -8,16 +8,19 @@ segment borders whenever that lowers the total squared error, subject to a
 connectivity lock: a move that would tear the donor apart is refused even
 when its error delta is favorable. The lock is exact, with no window
 heuristics: searches from the donor pixels next to the moved ones run in
-turn and stop at the smaller side of a cut. Once the map is
-boundary-stable, only the borders of segments changed since then are
-listed as candidates. Contact counts (the number of adjacent pixel pairs
-straddling each segment border) are maintained exactly so the adjacency
-graph never drifts from the labelling.
+turn and stop at the smaller side of a cut. Every segment carries a
+version, bumped whenever its pixels change; it keys the heap entries and
+the lock cache, and once the map is boundary-stable only the borders of
+segments whose version moved on since then are listed as candidates.
+Contact counts (the number of adjacent pixel pairs straddling each segment
+border) are maintained exactly so the adjacency graph never drifts from
+the labelling.
 """
 
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,58 +67,40 @@ class GrayImage:
 
 # ---------------------------------------------------------------- PGM I/O
 
-def _tokenize_header(buf: bytes, need: int):
-    """First tokens of a PGM header with (line, column) positions.
-
-    '#' starts a comment running to the end of the line. Returns the tokens
-    and the offset of the byte right after the single whitespace character
-    that terminates the last requested token.
-    """
-    tokens = []
-    i, line, col = 0, 1, 1
-    while len(tokens) < need:
-        while i < len(buf):
-            ch = buf[i:i + 1]
-            if ch == b"#":
-                while i < len(buf) and buf[i:i + 1] != b"\n":
-                    i += 1
-            elif ch in b" \t\r\n":
-                if ch == b"\n":
-                    line, col = line + 1, 1
-                else:
-                    col += 1
-                i += 1
-            else:
-                break
-        if i >= len(buf):
-            raise InputFormatError("truncated header", line=line, column=col)
-        start, sline, scol = i, line, col
-        while i < len(buf) and buf[i:i + 1] not in b" \t\r\n#":
-            i += 1
-            col += 1
-        tokens.append((buf[start:i].decode("ascii", "replace"), sline, scol))
-        if len(tokens) == need:
-            # exactly one whitespace byte separates the header from raw data
-            if i < len(buf) and buf[i:i + 1] in b" \t\r\n":
-                i += 1
-    return tokens, i
+# Whitespace is space, TAB, LF, VT, FF and CR (\s of a bytes pattern); a
+# comment runs from '#' up to the next of LF, VT, FF or CR. Tokens are the
+# runs between them; finditer skips the whitespace between matches.
+_PGM_TOKEN = re.compile(rb"#[^\n\v\f\r]*|([^\s#]+)")
 
 
-def _header_int(tok, lo: int, hi: int, what: str) -> int:
-    text, line, col = tok
+def _position(buf: bytes, at: int) -> dict[str, int]:
+    """1-based line and column of byte offset at; lines end at LF."""
+    return {"line": buf.count(b"\n", 0, at) + 1,
+            "column": at - buf.rfind(b"\n", 0, at)}
+
+
+def _int_token(buf: bytes, tok: re.Match, lo: int, hi: int, what: str) -> int:
+    """The integer a header field or P2 sample holds, checked to lie in [lo, hi]."""
+    text = tok.group().decode("ascii", "replace")
     try:
         val = int(text)
     except ValueError:
         raise InputFormatError(f"{what} is not an integer: {text!r}",
-                               line=line, column=col) from None
+                               **_position(buf, tok.start())) from None
     if not lo <= val <= hi:
         raise InputFormatError(f"{what} {val} outside [{lo}, {hi}]",
-                               line=line, column=col)
+                               **_position(buf, tok.start()))
     return val
 
 
 def read_pgm(path) -> GrayImage:
-    """Read a P2 or P5 PGM file. Sample depth above 8 bits is rejected."""
+    """Read a P2 or P5 PGM file. Sample depth above 8 bits is rejected.
+
+    Header fields, and P2 samples, are separated by whitespace (space, TAB,
+    LF, VT, FF, CR) and comments, which run from '#' to the next LF, VT, FF
+    or CR. A P5 raster starts right after the one whitespace byte that ends
+    maxval. Malformed fields are reported with their line and column.
+    """
     with open(path, "rb") as f:
         buf = f.read()
     if len(buf) < 2:
@@ -124,13 +109,18 @@ def read_pgm(path) -> GrayImage:
     if magic not in ("P2", "P5"):
         raise InputFormatError(f"unsupported magic {magic!r}, expected P2 or P5",
                                line=1, column=1)
-    tokens, data_at = _tokenize_header(buf, 4)
-    width = _header_int(tokens[1], 1, 1 << 20, "width")
-    height = _header_int(tokens[2], 1, 1 << 20, "height")
-    maxval = _header_int(tokens[3], 1, 255, "maxval")
+    tokens = (t for t in _PGM_TOKEN.finditer(buf) if t.group(1))
+    header = [next(tokens, None) for _ in range(4)]  # magic, width, height, maxval
+    if header[3] is None:
+        raise InputFormatError("truncated header", **_position(buf, len(buf)))
+    width = _int_token(buf, header[1], 1, 1 << 20, "width")
+    height = _int_token(buf, header[2], 1, 1 << 20, "height")
+    maxval = _int_token(buf, header[3], 1, 255, "maxval")
     n = width * height
 
     if magic == "P5":
+        data_at = header[3].end()
+        data_at += buf[data_at:data_at + 1].isspace()
         raw = buf[data_at:data_at + n]
         if len(raw) < n:
             raise InputFormatError(
@@ -140,28 +130,7 @@ def read_pgm(path) -> GrayImage:
             raise InputFormatError(f"sample exceeds declared maxval {maxval}")
         return GrayImage(width, height, px)
 
-    # P2: every remaining token is one ASCII sample
-    text = buf[data_at:].decode("ascii", "replace")
-    vals = []
-    line_no = buf[:data_at].count(b"\n") + 1
-    col_base = data_at - (buf.rfind(b"\n", 0, data_at) + 1)
-    for ln in text.splitlines() or [""]:
-        body = ln.split("#", 1)[0]
-        col = 1
-        for piece in body.split():
-            at = body.index(piece, col - 1) + 1 + col_base
-            try:
-                v = int(piece)
-            except ValueError:
-                raise InputFormatError(f"sample is not an integer: {piece!r}",
-                                       line=line_no, column=at) from None
-            if not 0 <= v <= maxval:
-                raise InputFormatError(f"sample {v} outside [0, {maxval}]",
-                                       line=line_no, column=at)
-            vals.append(v)
-            col = at - col_base + len(piece)
-        line_no += 1
-        col_base = 0
+    vals = [_int_token(buf, t, 0, maxval, "sample") for t in tokens]
     if len(vals) != n:
         raise InputFormatError(f"raster holds {len(vals)} samples, expected {n}")
     return GrayImage(width, height, np.asarray(vals, dtype=np.float64))
@@ -242,9 +211,9 @@ class SegmentMap:
         self.heap: list = []
         self._ops = 0
         self._lock_cache: dict[tuple[int, tuple[int, ...]], tuple[int, bool]] = {}
-        # segments whose stats changed since the map was last boundary-stable;
-        # None = stability unknown, scan everything
-        self._dirty: set[int] | None = None
+        # versions when the map was last boundary-stable; a segment whose
+        # version moved on since is dirty, and _rebuild's bump dirties all
+        self._stable_at = self.version.copy()
         self._rebuild()
 
     # -- construction
@@ -274,7 +243,6 @@ class SegmentMap:
         self.version += 1
         self.heap = []
         self._lock_cache = {}
-        self._dirty = None
         a, b = self._pairs
         la, lb = lab[a], lab[b]
         cut = la != lb
@@ -360,8 +328,6 @@ class SegmentMap:
                 self.adj[a][t] = self.adj[t][a] = self.adj[a].get(t, 0) + c
         self.version[a] += 1
         self.version[b] += 1
-        if self._dirty is not None:
-            self._dirty.add(a)
         for t in sorted(self.adj[a]):
             self._push_edge(a, t)
         self._tick()
@@ -372,18 +338,16 @@ class SegmentMap:
     def _boundary_candidates(self):
         """(pixel, acceptor) pairs where a pixel borders a foreign segment.
 
-        Sorted by (pixel, acceptor). When the map was boundary-stable before
-        (_dirty is known), only the borders of dirty segments are listed:
-        stats elsewhere are unchanged since then, so a new improving move
-        must take from or give to a dirty segment.
+        Sorted by (pixel, acceptor). Only the borders of dirty segments,
+        whose version moved on since the map was last boundary-stable, are
+        listed: stats elsewhere are unchanged since then, so a new improving
+        move must take from or give to a dirty segment. Before the first
+        stable point, and after every rebuild, all segments are dirty.
         """
         a, b = self._pairs
         la, lb = self.labels[a], self.labels[b]
-        cut = la != lb
-        if self._dirty is not None:
-            mark = np.zeros(self.counts.shape[0], dtype=bool)
-            mark[list(self._dirty)] = True
-            cut &= mark[la] | mark[lb]
+        dirty = self.version != self._stable_at
+        cut = (la != lb) & (dirty[la] | dirty[lb])
         a, b, la, lb = a[cut], b[cut], la[cut], lb[cut]
         p = np.concatenate((a, b))
         acc = np.concatenate((lb, la))
@@ -396,9 +360,9 @@ class SegmentMap:
         Candidates are single border pixels and groups (k >= 2) of
         bit-identical intensity that share donor and acceptor. Yields
         (delta, donor, acceptor, subset) in (delta, donor, acceptor, subset)
-        order. Only segments marked dirty are considered when the map was
-        boundary-stable before (see _boundary_candidates); a group shares
-        its donor and acceptor, so it is kept or dropped whole.
+        order. Only borders of dirty segments are considered (see
+        _boundary_candidates); a group shares its donor and acceptor, so it
+        is kept or dropped whole.
         """
         p, acc = self._boundary_candidates()
         don = self.labels[p]
@@ -524,8 +488,6 @@ class SegmentMap:
         self.total_e += self._seg_energy(don) + self._seg_energy(acc) - e_before
         self.version[don] += 1
         self.version[acc] += 1
-        if self._dirty is not None:
-            self._dirty.update((don, acc))
         for s2 in (don, acc):
             for t in sorted(self.adj[s2]):
                 self._push_edge(s2, t)
@@ -557,7 +519,7 @@ class SegmentMap:
                     n_moves += 1
                     break
             else:
-                self._dirty = set()
+                self._stable_at = self.version.copy()
                 break
         return n_moves
 

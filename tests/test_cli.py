@@ -229,16 +229,23 @@ def test_exit_codes(tmp_path, capsys):
     notext.write_bytes(b"\xff\xfe\x00rubbish")
     assert main(["cluster", "--input", str(notext), "--out", str(tmp_path)]) == EXIT_INPUT
 
-    # an input path that cannot be opened is unreadable input, and an --out
-    # that cannot be created is a usage error; both print a one-line error
+    # an input path that cannot be opened is unreadable input; an --out that
+    # cannot be created, or an output file that cannot be written in it, is
+    # a usage error; each prints a one-line error
     img = tmp_path / "tiny.pgm"
     write_pgm(GrayImage.from_array(np.array([[0.0, 10.0]])), img)
+    blocked = tmp_path / "blocked"
+    for name in ("report.json", "comparison.csv", "approx_corrected_1.pgm"):
+        (blocked / name).mkdir(parents=True)
     capsys.readouterr()
     for argv, code in (
             (["cluster", "--input", str(data / "x.csv")], EXIT_INPUT),
             (["cluster", "--input", str(data), "--out", str(data)], EXIT_USAGE),
             (["compare", "--input", str(data), "--out", str(data / "sub")], EXIT_USAGE),
-            (["segment", "--input", str(img), "--out", str(img)], EXIT_USAGE)):
+            (["segment", "--input", str(img), "--out", str(img)], EXIT_USAGE),
+            (["cluster", "--input", str(data), "--out", str(blocked)], EXIT_USAGE),
+            (["compare", "--input", str(data), "--out", str(blocked)], EXIT_USAGE),
+            (["segment", "--input", str(img), "--out", str(blocked)], EXIT_USAGE)):
         assert main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -285,23 +292,30 @@ def test_identical_runs_are_byte_identical(tmp_path):
 
 def test_outputs_match_golden_fixtures(tmp_path):
     """Committed inputs and outputs (tests/data/README.md) pin the exact bytes
-    of a segment run and a cluster run; exact speed-ups must keep them."""
+    of segment and cluster runs, on CSV, binary PGM and ASCII PGM input;
+    exact speed-ups must keep them. The report's input field holds the path,
+    so only its methods object is compared, as methods.json."""
     data = Path(__file__).parent / "data"
-    seg = data / "segment_quadrant12"
-    out = tmp_path / "seg"
-    assert main(["segment", "--input", str(seg / "input.pgm"), "--m-max", "4",
-                 "--out", str(out)]) == EXIT_OK
-    for name in ("segment_curve.csv", "approx_merge_only_4.pgm",
-                 "approx_corrected_4.pgm"):
-        assert (out / name).read_bytes() == (seg / name).read_bytes(), name
-
-    clu = data / "cluster_dup40"
-    out = tmp_path / "clu"
-    assert main(["cluster", "--input", str(clu / "input.csv"),
-                 "--methods", "kmeans,kh,otsu", "--m-max", "4",
-                 "--out", str(out)]) == EXIT_OK
-    assert (out / "comparison.csv").read_bytes() == (clu / "comparison.csv").read_bytes()
-    # the report's input path differs between runs; its methods object does not
-    methods = json.loads((out / "report.json").read_text())["methods"]
-    assert json.dumps(methods, indent=2, sort_keys=True) + "\n" == \
-        (clu / "methods.json").read_text()
+    runs = (
+        ("segment_quadrant12/input.pgm", ["segment", "--m-max", "4"],
+         ("segment_curve.csv", "approx_merge_only_4.pgm", "approx_corrected_4.pgm")),
+        ("cluster_dup40/input.csv",
+         ["cluster", "--methods", "kmeans,kh,otsu", "--m-max", "4"],
+         ("comparison.csv", "methods.json")),
+        ("cluster_pgm/input.pgm",
+         ["cluster", "--format", "pgm", "--methods", "kmeans,kh,otsu", "--m-max", "3"],
+         ("comparison.csv", "methods.json")),
+        ("cluster_pgm/input.pgm", ["segment", "--m-max", "2"],
+         ("segment_curve.csv", "approx_merge_only_2.pgm", "approx_corrected_2.pgm")),
+    )
+    for i, (source, argv, names) in enumerate(runs):
+        fixture = data / source
+        out = tmp_path / str(i)
+        assert main([*argv, "--input", str(fixture), "--out", str(out)]) == EXIT_OK
+        for name in names:
+            if name == "methods.json":
+                methods = json.loads((out / "report.json").read_text())["methods"]
+                got = (json.dumps(methods, indent=2, sort_keys=True) + "\n").encode()
+            else:
+                got = (out / name).read_bytes()
+            assert got == (fixture.parent / name).read_bytes(), (source, name)

@@ -1,7 +1,5 @@
 """Reclassification engine: stability, correction loops, merge/split sequences."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,74 +111,6 @@ def test_correct_tuples_validation_and_l2_agreement():
             assert tuples.n_moves == pairs.n_moves
             moved += pairs.n_moves > 0
     assert moved > 0
-
-
-def _unscreened_correct_tuples(p, l, policy):
-    """Reference sweep: every tuple is scanned until it makes no move."""
-    q = p.copy()
-    total_moves = 0
-    while True:
-        swept_moves = 0
-        for tup in itertools.combinations(range(q.m), l):
-            sel = np.asarray(tup, dtype=np.int64)
-            while (prop := kh_engine._best_admissible(q, policy, clusters=sel)) is not None:
-                q.move(np.asarray(prop.subset), prop.donor, prop.acceptor)
-                swept_moves += 1
-        total_moves += swept_moves
-        if swept_moves == 0:
-            return q, total_moves
-
-
-def test_screened_tuple_correction_matches_unscreened_sweep():
-    """Skipping tuples without an improving pair changes no move and no float.
-
-    Half the datasets resample their rows with replacement, so group moves
-    occur; starts are random labels and k-means fixed points.
-    """
-    rng = np.random.default_rng(77)
-    moved = 0
-    for trial in range(36):
-        n = int(rng.integers(8, 36))
-        ds = random_dataset(rng, n, int(rng.integers(1, 4)))
-        if trial % 2:
-            ds = Dataset(ds.points[rng.integers(0, n, n)])
-        m = int(rng.integers(4, 7))
-        lab = random_labels(rng, n, m)
-        if trial % 4 >= 2:
-            lab = lloyd(ds, KMeansConfig(m=m, init_labels=lab)).partition.labels
-        p = Partition.from_labels(ds, lab, m)
-        for policy in (SINGLETONS, IDENTICAL, BOTH):
-            for l in (2, 3, 4):
-                ref, ref_moves = _unscreened_correct_tuples(p, l, policy)
-                res = correct_tuples(p, l, policy)
-                assert np.array_equal(res.partition.labels, ref.labels)
-                assert res.n_moves == ref_moves
-                assert res.partition.total_e == ref.total_e
-                moved += ref_moves > 0
-    assert moved > 0
-
-
-def test_pair_stable_tuple_correction_costs_one_scan(monkeypatch):
-    scans = []
-    real_scan = kh_engine._scan_moves
-
-    def counting_scan(*args, **kwargs):
-        scans.append(args)
-        return real_scan(*args, **kwargs)
-
-    monkeypatch.setattr(kh_engine, "_scan_moves", counting_scan)
-    rng = np.random.default_rng(9)
-    for policy in (SINGLETONS, IDENTICAL, BOTH):
-        ds = random_dataset(rng, 40, 2)
-        ds = Dataset(ds.points[rng.integers(0, 40, 40)])
-        start = Partition.from_labels(ds, random_labels(rng, 40, 6))
-        p = correct_pairs(start, policy).partition
-        scans.clear()
-        res = correct_tuples(p, 3, policy)
-        assert len(scans) == 1
-        assert res.n_moves == 0
-        assert np.array_equal(res.partition.labels, p.labels)
-
 
 
 def test_build_sequence_polishes_only_kmeans_partitions():

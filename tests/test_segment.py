@@ -86,6 +86,34 @@ def test_pgm_error_positions(tmp_path):
         read_pgm(p)
 
 
+def test_pgm_tokens_and_positions(tmp_path):
+    """One tokenizer reads header and P2 raster: whitespace is space, TAB,
+    LF, VT, FF and CR, comments run to the end of the line, and positions
+    count bytes from the last LF."""
+    p = tmp_path / "t.pgm"
+    p.write_bytes(b"P2\x0b2\x0c1 # VT and FF separate header fields\r\n255\r\n"
+                  b"7\t9\x0b\r\n")
+    assert read_pgm(p).intensities.tolist() == [7.0, 9.0]
+
+    # the position of a truncated header counts a trailing comment's bytes
+    p.write_bytes(b"P2\n2 1 # no maxval")
+    with pytest.raises(InputFormatError, match="truncated") as exc:
+        read_pgm(p)
+    assert (exc.value.line, exc.value.column) == (2, 16)
+
+    # control characters other than those six do not separate samples
+    for raster, column in ((b"7\x1c9", 1), (b"7 \x1f 9", 3), (b"7\x1d\x1e9", 1)):
+        p.write_bytes(b"P2\n3 1\n255\n" + raster + b"\n")
+        with pytest.raises(InputFormatError, match="not an integer") as exc:
+            read_pgm(p)
+        assert (exc.value.line, exc.value.column) == (4, column)
+
+    p.write_bytes(b"P2\r\n2 1\r\n255\r\n12\tx\r\n")
+    with pytest.raises(InputFormatError, match="'x'") as exc:
+        read_pgm(p)
+    assert (exc.value.line, exc.value.column) == (4, 4)
+
+
 def test_from_image_inits():
     img = GrayImage.from_array(np.array([[0.0, 0.0], [0.0, 5.0]]))
     assert SegmentMap.from_image(img, "pixels").segment_count == 4
@@ -380,7 +408,8 @@ def test_lock_refusal_costs_the_short_side(monkeypatch):
 
 def test_dirty_borders_equal_a_filtered_full_rebuild(monkeypatch):
     """Every border listing along corrected curves equals a full rebuild,
-    filtered to pairs that touch a dirty segment when those are known."""
+    filtered to pairs that touch a dirty segment: one whose version moved on
+    since the map was last boundary-stable."""
     real = SegmentMap._boundary_candidates
     seen = {True: 0, False: 0}
 
@@ -394,12 +423,11 @@ def test_dirty_borders_equal_a_filtered_full_rebuild(monkeypatch):
                     if 0 <= rr < self.h and 0 <= cc < self.w \
                             and lab[rr, cc] != lab[r, c]:
                         pairs.add((r * self.w + c, int(lab[rr, cc])))
-        if self._dirty is not None:
-            pairs = {(q, a) for q, a in pairs
-                     if self.labels[q] in self._dirty or a in self._dirty}
+        dirty = {s for s in self.pixels if self.version[s] != self._stable_at[s]}
+        pairs = {(q, a) for q, a in pairs if self.labels[q] in dirty or a in dirty}
         want = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
         assert np.array_equal(p, want[:, 0]) and np.array_equal(acc, want[:, 1])
-        seen[self._dirty is None] += 1
+        seen[len(dirty) == len(self.pixels)] += 1
         return p, acc
 
     monkeypatch.setattr(SegmentMap, "_boundary_candidates", checked)
