@@ -4,7 +4,9 @@ The total squared error E of a partition is the sum over clusters of
 ``sum(|x|^2) - |sum(x)|^2 / n``, which equals the sum of squared distances
 of the points to their cluster centroid. Everything here maintains the
 per-cluster sufficient statistics (count, coordinate sum, sum of squared
-norms) so that moving a k-point subset costs O(k*d) instead of a rescan.
+norms) so that moving a k-point subset needs no rescan of the points.
+PartitionStack holds many partitions of one dataset as stacked arrays and
+moves subsets in all of them at once; Partition.move is a stack of one.
 """
 
 from __future__ import annotations
@@ -170,6 +172,12 @@ def coordinate_sums(points: np.ndarray, labels: np.ndarray, m: int) -> np.ndarra
     return sums
 
 
+def sq_norms(v: np.ndarray) -> np.ndarray:
+    """|v|^2 of every row of a stack of vectors, bit for bit as v @ v sums
+    one row (einsum and (v * v).sum(-1) can round differently)."""
+    return np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
+
+
 def _stats_arrays(points: np.ndarray, labels: np.ndarray, m: int):
     counts = np.bincount(labels, minlength=m)
     sums = coordinate_sums(points, labels, m)
@@ -177,20 +185,44 @@ def _stats_arrays(points: np.ndarray, labels: np.ndarray, m: int):
     return counts, sums, sumsqs
 
 
-def _total_energy(counts: np.ndarray, sums: np.ndarray, sumsqs: np.ndarray) -> float:
-    """Sum of the clamped cluster energies, in cluster order."""
-    total = 0.0
-    for c in range(counts.shape[0]):
-        total += clamped_cluster_energy(
-            float(sumsqs[c]), float(sums[c] @ sums[c]), int(counts[c])
-        )
-    return total
+def _stacked_stats(points: np.ndarray, labels: np.ndarray, m: int):
+    """Counts (B, m), sums (B, m, d) and sums of |x|^2 (B, m) of B labelings.
+
+    The statistics of B copies of the points under the labels offset by
+    member, so every cluster adds its points in index order, as a single
+    labeling does.
+    """
+    b = labels.shape[0]
+    counts, sums, sumsqs = _stats_arrays(np.tile(points, (b, 1)),
+                                         (labels + m * np.arange(b)[:, None]).reshape(-1),
+                                         b * m)
+    return counts.reshape(b, m), sums.reshape(b, m, -1), sumsqs.reshape(b, m)
+
+
+def _cluster_energies(counts: np.ndarray, sums: np.ndarray,
+                      sumsqs: np.ndarray) -> np.ndarray:
+    """clamped_cluster_energy, elementwise over any stack of clusters."""
+    e = sumsqs - sq_norms(sums) / counts
+    if e.min() < 0.0:
+        beyond = e < -(ENERGY_CLAMP_REL * (1.0 + np.abs(sumsqs)))
+        if beyond.any():
+            raise InternalConsistencyError(
+                f"cluster energy {float(e[beyond][0])!r} is negative "
+                "beyond the numerical floor")
+        e = np.where(e < 0.0, 0.0, e)
+    return e
+
+
+def _total_energy(counts: np.ndarray, sums: np.ndarray, sumsqs: np.ndarray):
+    """Sum of the clamped cluster energies in cluster order (the last axis),
+    per member of a stack."""
+    return np.cumsum(_cluster_energies(counts, sums, sumsqs), axis=-1)[..., -1]
 
 
 def partition_energy(ds: Dataset, labels, m: int | None = None) -> float:
     """Total squared error of a labeling, computed fresh from the points."""
     lab, m = _validated_labels(ds, labels, m)
-    return _total_energy(*_stats_arrays(ds.points, lab, m))
+    return float(_total_energy(*_stats_arrays(ds.points, lab, m)))
 
 
 class Partition:
@@ -216,7 +248,8 @@ class Partition:
     def from_labels(cls, ds: Dataset, labels, m: int | None = None) -> "Partition":
         lab, m = _validated_labels(ds, labels, m)
         counts, sums, sumsqs = _stats_arrays(ds.points, lab, m)
-        return cls(ds, lab, counts, sums, sumsqs, _total_energy(counts, sums, sumsqs))
+        return cls(ds, lab, counts, sums, sumsqs,
+                   float(_total_energy(counts, sums, sumsqs)))
 
     @property
     def m(self) -> int:
@@ -239,11 +272,15 @@ class Partition:
     def centroids(self) -> np.ndarray:
         return self.sums / self.counts[:, None]
 
+    def _update_from(self, st: "PartitionStack") -> None:
+        self.total_e = float(st.total_e[0])
+        self._moves_since_refresh = int(st.since_refresh[0])
+
     def move(self, idx, donor: int, acceptor: int) -> None:
         """Reassign the subset idx from donor to acceptor, in place.
 
         The total error is updated by the exactly recomputed donor and
-        acceptor energies, not by a predicted delta.
+        acceptor energies, not by a predicted delta (PartitionStack.move).
         """
         ii = np.asarray(idx, dtype=np.int64).reshape(-1)
         if ii.size == 0:
@@ -252,41 +289,21 @@ class Partition:
             raise PreconditionError("subset indices must be distinct")
         if not (0 <= donor < self.m and 0 <= acceptor < self.m):
             raise PreconditionError("cluster id out of range")
-        if donor == acceptor:
-            raise PreconditionError("donor and acceptor must differ")
         if ii.min() < 0 or ii.max() >= self.n:
             raise PreconditionError("subset index out of range")
-        if not (self.labels[ii] == donor).all():
-            raise PreconditionError("subset must lie wholly inside the donor cluster")
-        k = int(ii.size)
-        if k == int(self.counts[donor]):
-            raise PreconditionError("subset equals the donor cluster; use a merge instead")
-
+        moved = np.zeros((1, self.n), dtype=bool)
+        moved[0, ii] = True
         pts = self.ds.points[ii]
-        sub_sum = pts.sum(axis=0)
-        sub_sq = float((pts * pts).sum())
-
-        e_old = self.cluster_energy(donor) + self.cluster_energy(acceptor)
-        self.counts[donor] -= k
-        self.counts[acceptor] += k
-        self.sums[donor] -= sub_sum
-        self.sums[acceptor] += sub_sum
-        self.sumsqs[donor] -= sub_sq
-        self.sumsqs[acceptor] += sub_sq
-        e_new = self.cluster_energy(donor) + self.cluster_energy(acceptor)
-        self.total_e += e_new - e_old
-        self.labels[ii] = acceptor
-
-        self._moves_since_refresh += 1
-        if self._moves_since_refresh >= REFRESH_INTERVAL:
-            self.recompute()
+        st = PartitionStack.of(self)
+        st.move(np.zeros(1, dtype=np.int64), np.array([donor]), np.array([acceptor]),
+                moved, pts.sum(axis=0)[None], np.array([(pts * pts).sum()]))
+        self._update_from(st)
 
     def recompute(self) -> None:
         """Rebuild statistics and total error from the labels."""
-        counts, sums, sumsqs = _stats_arrays(self.ds.points, self.labels, self.m)
-        self.counts, self.sums, self.sumsqs = counts, sums, sumsqs
-        self.total_e = _total_energy(counts, sums, sumsqs)
-        self._moves_since_refresh = 0
+        st = PartitionStack.of(self)
+        st.refresh(np.zeros(1, dtype=np.int64))
+        self._update_from(st)
 
     def copy(self) -> "Partition":
         return Partition(self.ds, self.labels.copy(), self.counts.copy(),
@@ -299,6 +316,94 @@ class Partition:
             raise InternalConsistencyError(
                 f"tracked E {self.total_e!r} drifted from recomputed E {fresh!r}"
             )
+
+
+class PartitionStack:
+    """B partitions of one dataset into the same m clusters, as stacked arrays.
+
+    Member i has labels[i] (N,), counts[i] (m,), sums[i] (m, d), sumsqs[i]
+    (m,), total_e[i], and since_refresh[i], its moves since statistics were
+    last rebuilt. Partition.move runs on a stack of one, so a partition and
+    a member of a stack are updated the same way, bit for bit.
+    """
+
+    __slots__ = ("ds", "labels", "counts", "sums", "sumsqs", "total_e",
+                 "since_refresh")
+
+    def __init__(self, ds, labels, counts, sums, sumsqs, total_e, since_refresh):
+        self.ds = ds
+        self.labels = labels
+        self.counts = counts
+        self.sums = sums
+        self.sumsqs = sumsqs
+        self.total_e = total_e
+        self.since_refresh = since_refresh
+
+    @classmethod
+    def from_labels(cls, ds: Dataset, labels: np.ndarray, m: int) -> "PartitionStack":
+        """Stack of the (B, N) labelings, each onto m nonempty clusters."""
+        counts, sums, sumsqs = _stacked_stats(ds.points, labels, m)
+        if (counts == 0).any():
+            empty = int(np.flatnonzero((counts == 0).any(axis=0))[0])
+            raise PreconditionError(f"cluster {empty} is empty")
+        return cls(ds, labels, counts, sums, sumsqs, _total_energy(counts, sums, sumsqs),
+                   np.zeros(labels.shape[0], dtype=np.int64))
+
+    @classmethod
+    def of(cls, p: Partition) -> "PartitionStack":
+        """A stack of one whose arrays are views of p's; its total_e and
+        moves since refresh are copies."""
+        return cls(p.ds, p.labels[None], p.counts[None], p.sums[None], p.sumsqs[None],
+                   np.array([p.total_e]), np.array([p._moves_since_refresh]))
+
+    def partition(self, i: int) -> Partition:
+        """A copy of member i."""
+        p = Partition(self.ds, self.labels[i].copy(), self.counts[i].copy(),
+                      self.sums[i].copy(), self.sumsqs[i].copy(), float(self.total_e[i]))
+        p._moves_since_refresh = int(self.since_refresh[i])
+        return p
+
+    def move(self, b, donor, acceptor, moved, sub_sum, sub_sq) -> None:
+        """In each member b[i], move the points flagged in moved[i] from
+        cluster donor[i] to acceptor[i], in place; sub_sum[i] and sub_sq[i]
+        are their coordinate sum and sum of |x|^2. The members are distinct.
+
+        The total error changes by the recomputed donor and acceptor
+        energies, e_new - e_old. A member rebuilds its statistics from its
+        labels after every REFRESH_INTERVAL moves, which bounds drift.
+        """
+        k = moved.sum(axis=1)
+        if (donor == acceptor).any():
+            raise PreconditionError("donor and acceptor must differ")
+        if (moved & (self.labels[b] != donor[:, None])).any():
+            raise PreconditionError("subset must lie wholly inside the donor cluster")
+        if (k >= self.counts[b, donor]).any():
+            raise PreconditionError("subset equals the donor cluster; use a merge instead")
+
+        pair = (b[:, None], np.stack((donor, acceptor), axis=1))
+        e_old = _cluster_energies(self.counts[pair], self.sums[pair], self.sumsqs[pair])
+        self.counts[b, donor] -= k
+        self.counts[b, acceptor] += k
+        self.sums[b, donor] -= sub_sum
+        self.sums[b, acceptor] += sub_sum
+        self.sumsqs[b, donor] -= sub_sq
+        self.sumsqs[b, acceptor] += sub_sq
+        e_new = _cluster_energies(self.counts[pair], self.sums[pair], self.sumsqs[pair])
+        self.total_e[b] += (e_new[:, 0] + e_new[:, 1]) - (e_old[:, 0] + e_old[:, 1])
+        self.labels[b] = np.where(moved, acceptor[:, None], self.labels[b])
+
+        self.since_refresh[b] += 1
+        due = b[self.since_refresh[b] >= REFRESH_INTERVAL]
+        if due.size:
+            self.refresh(due)
+
+    def refresh(self, b) -> None:
+        """Rebuild the statistics and total error of members b from their labels."""
+        counts, sums, sumsqs = _stacked_stats(self.ds.points, self.labels[b],
+                                              self.counts.shape[1])
+        self.counts[b], self.sums[b], self.sumsqs[b] = counts, sums, sumsqs
+        self.total_e[b] = _total_energy(counts, sums, sumsqs)
+        self.since_refresh[b] = 0
 
 
 def sigma(e: float, n_points: int) -> float:
@@ -330,9 +435,10 @@ class PartitionSequence:
 
 
 def squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, (N, m), clipped at zero."""
+    """Pairwise squared Euclidean distances of x (N, d) to centers (m, d),
+    or to each of a stack of them (B, m, d): (N, m) or (B, N, m), clipped at zero."""
     d2 = ((x * x).sum(axis=1)[:, None]
-          - 2.0 * (x @ centers.T)
-          + (centers * centers).sum(axis=1)[None, :])
+          - 2.0 * (x @ centers.swapaxes(-1, -2))
+          + (centers * centers).sum(axis=-1)[..., None, :])
     np.maximum(d2, 0.0, out=d2)
     return d2

@@ -2,11 +2,21 @@
 
 A partition is stable when no admissible subset move lowers the total
 squared error beyond the shared move tolerance. Every move has one donor
-and one acceptor, so stability is pair stability, and correct_pairs, which
-repeatedly applies the single best move, is the one correction loop:
-merge_step, split_step and every route of build_sequence end in it.
-correct_tuples localizes the same search inside small groups of clusters;
-it ends pair-stable too, and nothing in the package calls it.
+and one acceptor, so stability is pair stability. The one correction loop
+repeatedly applies the single best move, and merge_step, split_step and
+every route of build_sequence end in it.
+
+Each pass of that loop is one kernel, _best_moves, which finds the best
+move of every member of a stack of partitions (core.PartitionStack) at
+once, so each member ends bit for bit as if corrected alone. merge_step
+stacks its merged candidates and split_step its bisected ones, at most
+STACK_BUDGET members x rows x clusters at a time; correct_pairs is a
+stack of one, and correct_tuples a stack of one with a mask of the
+clusters of each tuple (it ends pair-stable too, and nothing in the
+package calls it). Each pass recomputes d2 to every centroid with one
+stacked matmul, since numpy computes a one-column product as a
+matrix-vector product that rounds differently from the same column of a
+wider one.
 """
 
 from __future__ import annotations
@@ -18,12 +28,16 @@ import numpy as np
 
 from . import reclass
 from .baselines import KMeansConfig, kmeans_sequence, lloyd
-from .core import (Dataset, Partition, PartitionSequence, PreconditionError,
-                   squared_distances)
+from .core import (Dataset, Partition, PartitionSequence, PartitionStack,
+                   PreconditionError, squared_distances)
 
 # Exact farthest-pair search is quadratic; larger clusters fall back to the
 # deterministic two-hop approximation.
 FARTHEST_PAIR_EXACT_LIMIT = 2048
+
+# Members x rows x clusters that _best_moves scores in one chunk; it
+# bounds the kernel's temporary arrays, and so the peak memory.
+STACK_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -94,9 +108,8 @@ class _MoveScan:
         return rr[order], cc[order]
 
 
-def _scan_moves(part: Partition, policy: SubsetPolicy,
-                clusters: np.ndarray | None = None) -> _MoveScan:
-    """Evaluate the admissible moves between the given clusters (all when None).
+def _scan_moves(part: Partition, policy: SubsetPolicy) -> _MoveScan:
+    """Evaluate every admissible move of a partition.
 
     Candidates are single points and, unless the policy is singletons, the
     maximal groups of bit-identical points of each cluster with k >= 2;
@@ -104,7 +117,7 @@ def _scan_moves(part: Partition, policy: SubsetPolicy,
     its cluster. A move into its own cluster, or one that would empty the
     donor, is not admissible.
     """
-    n, m, labels, counts = part.n, part.m, part.labels, part.counts
+    n, labels, counts = part.n, part.labels, part.counts
     lead = np.arange(n)
     k = np.ones(n, dtype=np.int64)
     key = None
@@ -125,25 +138,7 @@ def _scan_moves(part: Partition, policy: SubsetPolicy,
     delta = reclass.transfer_deltas(d2[rows, donor][:, None],
                                     d2, k[:, None], counts[donor][:, None], counts)
     delta[rows, donor] = np.inf
-    if clusters is not None:
-        out = np.ones(m, dtype=bool)
-        out[clusters] = False
-        delta[out[donor]] = np.inf
-        delta[:, out] = np.inf
     return _MoveScan(lead, k, key, donor, delta)
-
-
-def _best_admissible(part: Partition, policy: SubsetPolicy,
-                     clusters: np.ndarray | None = None) -> MoveProposal | None:
-    """The lexicographically first most-negative move, if it beats the tolerance."""
-    tau = reclass.move_tolerance(part.total_e)
-    scan = _scan_moves(part, policy, clusters)
-    low = scan.delta.min()
-    if not low < -tau:
-        return None
-    rr, cc = scan.ranked(*np.nonzero(scan.delta == low))
-    r, a = rr[0], cc[0]
-    return MoveProposal(int(scan.donor[r]), int(a), scan.subset(r), float(low))
 
 
 def verify_stability(p: Partition, policy: SubsetPolicy = BOTH) -> StabilityReport:
@@ -160,6 +155,108 @@ def verify_stability(p: Partition, policy: SubsetPolicy = BOTH) -> StabilityRepo
                            int(np.isfinite(scan.delta).sum()))
 
 
+def _group_rows(ds: Dataset):
+    """Bit group ids, one point per group (at least two rows: a one-row
+    product is a vector-matrix product, which rounds differently), and
+    those points' squared norms."""
+    gid = ds.bit_group_ids()
+    _, first = np.unique(gid, return_index=True)
+    rep = ds.points[first] if first.size > 1 else ds.points[[0, 0]]
+    return gid, rep, (rep * rep).sum(axis=1)
+
+
+def _best_moves(st: PartitionStack, active: np.ndarray, policy: SubsetPolicy,
+                groups, allowed: np.ndarray | None = None):
+    """The best admissible move of every member in active that beats
+    -move_tolerance(E), scored all at once.
+
+    Returns (members, donor, acceptor, moved, sub_sum, sub_sq) for
+    PartitionStack.move, or None when no member has such a move. Moves are
+    ranked on (delta, donor, acceptor, first index, subset size). A row per
+    occupied (cluster, bit group) pair, led by its first point, carries the
+    single-point move and, when the pair holds two or more points, the
+    whole-group move: bit-identical twins in one cluster have bit-identical
+    deltas, so the pair's first point stands for all of them. groups is
+    _group_rows(st.ds); allowed, a mask over clusters, confines donors and
+    acceptors.
+    """
+    gid, rep, rep_sq = groups
+    n_groups, n, m = rep.shape[0], st.labels.shape[1], st.counts.shape[1]
+    if m < 2:
+        return None
+    key = (np.arange(active.size)[:, None] * m + st.labels[active]) * n_groups + gid
+    pair, at, size = np.unique(key, return_index=True, return_counts=True)
+    mem, donor, g = pair // (m * n_groups), pair // n_groups % m, pair % n_groups
+    lead = at % n
+    rows = np.arange(pair.size)
+
+    counts = st.counts[active]
+    d2 = squared_distances(rep, st.sums[active] / counts[:, :, None])[mem, g]
+    n2 = counts[mem]
+    n1 = n2[rows, donor]
+    if policy.mode == "singletons" or size.max() == 1:
+        k = np.ones((pair.size, 1), dtype=np.int64)
+    elif policy.mode == "identical":
+        k = size[:, None]
+    else:
+        k = np.stack((np.ones_like(size), size), axis=1)
+    delta = reclass.transfer_deltas(d2[rows, donor][:, None, None], d2[:, None, :],
+                                    k[:, :, None], n1[:, None, None], n2[:, None, :])
+    delta[rows, :, donor] = np.inf
+    if k.shape[1] == 2:
+        delta[size == 1, 1] = np.inf
+    if allowed is not None:
+        delta[~allowed[donor]] = np.inf
+        delta[:, :, ~allowed] = np.inf
+
+    starts = np.searchsorted(mem, np.arange(active.size))
+    low = np.minimum.reduceat(delta.reshape(pair.size, -1).min(axis=1), starts)
+    go = low < -reclass.move_tolerance(st.total_e[active])
+    if not go.any():
+        return None
+    r, s, c = np.nonzero((delta == low[mem][:, None, None]) & go[mem][:, None, None])
+    order = np.lexsort((k[r, s], lead[r], c, donor[r], mem[r]))
+    owner = mem[r[order]]
+    best = order[np.r_[True, owner[1:] != owner[:-1]]]  # first per member
+    r, kk, acceptor = r[best], k[r[best], s[best]], c[best]
+    members = active[mem[r]]
+
+    moved = ((st.labels[members] == donor[r][:, None]) & (gid == g[r][:, None])
+             & ((kk > 1)[:, None] | (np.arange(n) == lead[r][:, None])))
+    sub_sum, sub_sq = rep[g[r]], rep_sq[g[r]]
+    for i in np.flatnonzero(kk > 1):
+        pts = st.ds.points[moved[i]]  # summed as Partition.move sums a subset
+        sub_sum[i], sub_sq[i] = pts.sum(axis=0), (pts * pts).sum()
+    return members, donor[r], acceptor, moved, sub_sum, sub_sq
+
+
+def _correct_stack(st: PartitionStack, policy: SubsetPolicy) -> None:
+    """Correct every member of st in place, each bit for bit as alone; a
+    member drops out of the passes when it has no improving move."""
+    groups = _group_rows(st.ds)
+    active = np.arange(st.labels.shape[0])
+    while (best := _best_moves(st, active, policy, groups)) is not None:
+        st.move(*best)
+        active = best[0]
+
+
+def _correct_partition(q: Partition, policy: SubsetPolicy,
+                       allowed: np.ndarray | None = None) -> int:
+    """Correct q in place as a stack of one; returns the moves. Each move is
+    one Partition.move, so the moves correct_pairs and correct_tuples report
+    are the Partition.move calls the benchmark's tracer counts."""
+    groups = _group_rows(q.ds)
+    moves = 0
+    while True:
+        best = _best_moves(PartitionStack.of(q), np.zeros(1, dtype=np.int64),
+                           policy, groups, allowed)
+        if best is None:
+            return moves
+        _, donor, acceptor, moved, _, _ = best
+        q.move(np.flatnonzero(moved[0]), int(donor[0]), int(acceptor[0]))
+        moves += 1
+
+
 def correct_pairs(p: Partition, policy: SubsetPolicy = BOTH) -> CorrectionResult:
     """Apply the globally best improving move until none remains.
 
@@ -167,17 +264,8 @@ def correct_pairs(p: Partition, policy: SubsetPolicy = BOTH) -> CorrectionResult
     loop terminates; the result verifies stable under the same policy.
     Ties break on the lowest (donor, acceptor, first index, subset).
     """
-    if p.m < 2:
-        return CorrectionResult(p.copy(), 0)
     q = p.copy()
-    moves = 0
-    while True:
-        prop = _best_admissible(q, policy)
-        if prop is None:
-            break
-        q.move(np.asarray(prop.subset), prop.donor, prop.acceptor)
-        moves += 1
-    return CorrectionResult(q, moves)
+    return CorrectionResult(q, _correct_partition(q, policy))
 
 
 def correct_tuples(p: Partition, l: int, policy: SubsetPolicy = BOTH) -> CorrectionResult:
@@ -191,24 +279,28 @@ def correct_tuples(p: Partition, l: int, policy: SubsetPolicy = BOTH) -> Correct
     if l < 2:
         raise PreconditionError("tuples need at least two clusters")
     q = p.copy()
-    tuples = [np.asarray(t) for t in itertools.combinations(range(q.m), l)]
+    masks = []
+    for t in itertools.combinations(range(q.m), l):
+        allowed = np.zeros(q.m, dtype=bool)
+        allowed[list(t)] = True
+        masks.append(allowed)
     total_moves = 0
     while True:
-        moves = 0
-        for sel in tuples:
-            while (prop := _best_admissible(q, policy, clusters=sel)) is not None:
-                q.move(np.asarray(prop.subset), prop.donor, prop.acceptor)
-                moves += 1
+        moves = sum(_correct_partition(q, policy, allowed) for allowed in masks)
         total_moves += moves
         if moves == 0:
             return CorrectionResult(q, total_moves)
 
 
-def _merged_partition(p: Partition, a: int, b: int) -> Partition:
-    lbl = p.labels.copy()
-    lbl[lbl == b] = a
-    lbl[lbl > b] -= 1
-    return Partition.from_labels(p.ds, lbl, p.m - 1)
+def _chunks(count: int, per_member: int):
+    """Slices of at most STACK_BUDGET // per_member members (at least one)."""
+    size = max(1, STACK_BUDGET // per_member)
+    return (slice(lo, lo + size) for lo in range(0, count, size))
+
+
+def _occupied_pairs(p: Partition) -> int:
+    """Rows the kernel scores for p: its occupied (cluster, bit group) pairs."""
+    return int(np.unique(p.labels * p.n + p.ds.bit_group_ids()).size)
 
 
 def merge_step(p: Partition, policy: SubsetPolicy = BOTH) -> Partition:
@@ -217,19 +309,24 @@ def merge_step(p: Partition, policy: SubsetPolicy = BOTH) -> Partition:
     Every pair is tentatively merged and corrected to pair
     stability; the candidate with minimal corrected E wins. Exact ties fall
     back to the smaller raw merge cost, then the lower pair of ids.
+    Candidates are built and corrected a chunk at a time, as one stack.
     """
     if p.m < 2:
         raise PreconditionError("merging needs at least two clusters")
-    best_key = None
-    best_part = None
-    for a in range(p.m - 1):
-        for b in range(a + 1, p.m):
-            raw = reclass.delta_e_merge(p.cluster_stats(a), p.cluster_stats(b))
-            res = correct_pairs(_merged_partition(p, a, b), policy)
-            key = (res.partition.total_e, raw, a, b)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_part = res.partition
+    a, b = np.triu_indices(p.m, 1)
+    cent = p.centroids()
+    raw = reclass.merge_deltas(cent[a], cent[b], p.counts[a], p.counts[b])
+    # cluster c of the pair (a, b) becomes c, a, or c - 1 below, at, above b
+    relabel = np.arange(p.m) - (np.arange(p.m) > b[:, None])
+    relabel[np.arange(a.size), b] = a
+    best_key = best_part = None
+    for sel in _chunks(a.size, _occupied_pairs(p) * (p.m - 1)):
+        st = PartitionStack.from_labels(p.ds, relabel[sel][:, p.labels], p.m - 1)
+        _correct_stack(st, policy)
+        i = np.lexsort((raw[sel], st.total_e))[0]
+        key = (st.total_e[i], raw[sel][i])
+        if best_key is None or key < best_key:
+            best_key, best_part = key, st.partition(i)
     return best_part
 
 
@@ -258,9 +355,9 @@ def split_step(p: Partition, policy: SubsetPolicy = BOTH) -> Partition:
 
     Clusters of identical points have zero internal error and are never
     candidates. The new cluster takes id m; ties keep the lowest donor id.
+    The bisected candidates are corrected together, as one stack.
     """
-    best_key = None
-    best_part = None
+    labels = []
     for c in range(p.m):
         idx = np.flatnonzero(p.labels == c)
         sub = p.ds.points[idx]
@@ -269,13 +366,16 @@ def split_step(p: Partition, policy: SubsetPolicy = BOTH) -> Partition:
         half = _bisect_labels(sub)
         lbl = p.labels.copy()
         lbl[idx[half == 1]] = p.m
-        res = correct_pairs(Partition.from_labels(p.ds, lbl, p.m + 1), policy)
-        key = (res.partition.total_e, c)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_part = res.partition
-    if best_part is None:
+        labels.append(lbl)
+    if not labels:
         raise PreconditionError("no cluster with two distinct points to split")
+    best_key = best_part = None
+    for sel in _chunks(len(labels), _occupied_pairs(p) * (p.m + 1)):
+        st = PartitionStack.from_labels(p.ds, np.stack(labels[sel]), p.m + 1)
+        _correct_stack(st, policy)
+        i = int(np.argmin(st.total_e))  # first minimum = lowest donor id
+        if best_key is None or st.total_e[i] < best_key:
+            best_key, best_part = st.total_e[i], st.partition(i)
     return best_part
 
 
@@ -290,8 +390,9 @@ def build_sequence(ds: Dataset, m_max: int,
     routes in that order on exact ties. The k-means route is what
     guarantees the sequence never ends above the k-means baseline; the
     greedy split/merge constructions alone can lose to incremental seeding
-    on rare instances. split_step and merge_step already end in
-    correct_pairs, so their partitions are recorded with 0 moves.
+    on rare instances. split_step and merge_step already correct their
+    candidates as correct_pairs would, so their partitions are recorded
+    with 0 moves.
     info[m] holds the winning route under "direction" (the benchmark's
     tracer counts route wins from that key), its "E" and its "moves".
     """

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import ClusterStats, PreconditionError, squared_distances
+from .core import ClusterStats, PreconditionError, sq_norms, squared_distances
 
 # A move is accepted only when its predicted delta lies below
 # -move_tolerance(total error of the partition); kh_engine and segment both
@@ -54,8 +54,12 @@ def delta_e_merge(a: ClusterStats, b: ClusterStats) -> float:
     """
     _require_cluster(a, "first")
     _require_cluster(b, "second")
-    diff = a.centroid - b.centroid
-    return float((diff @ diff) * (a.n * b.n / (a.n + b.n)))
+    return float(merge_deltas(a.centroid, b.centroid, a.n, b.n))
+
+
+def merge_deltas(ca, cb, na, nb):
+    """delta_e_merge from centroids and sizes; broadcasts over stacked clusters."""
+    return sq_norms(ca - cb) * (na * nb / (na + nb))
 
 
 def delta_e_correct(sub: ClusterStats, donor: ClusterStats, acceptor: ClusterStats) -> float:

@@ -80,13 +80,16 @@ def _position(buf: bytes, at: int) -> dict[str, int]:
 
 
 def _int_token(buf: bytes, tok: re.Match, lo: int, hi: int, what: str) -> int:
-    """The integer a header field or P2 sample holds, checked to lie in [lo, hi]."""
-    text = tok.group().decode("ascii", "replace")
-    try:
-        val = int(text)
-    except ValueError:
-        raise InputFormatError(f"{what} is not an integer: {text!r}",
-                               **_position(buf, tok.start())) from None
+    """The integer a header field or P2 sample holds, checked to lie in [lo, hi].
+
+    The token must be a run of ASCII digits: no sign, underscore or padding.
+    """
+    text = tok.group()
+    if not text.isdigit():
+        raise InputFormatError(
+            f"{what} is not an integer: {text.decode('ascii', 'replace')!r}",
+            **_position(buf, tok.start()))
+    val = int(text)
     if not lo <= val <= hi:
         raise InputFormatError(f"{what} {val} outside [{lo}, {hi}]",
                                **_position(buf, tok.start()))
@@ -98,19 +101,22 @@ def read_pgm(path) -> GrayImage:
 
     Header fields, and P2 samples, are separated by whitespace (space, TAB,
     LF, VT, FF, CR) and comments, which run from '#' to the next LF, VT, FF
-    or CR. A P5 raster starts right after the one whitespace byte that ends
-    maxval. Malformed fields are reported with their line and column.
+    or CR. The file starts with the magic token, exactly P2 or P5; header
+    fields and P2 samples are runs of ASCII digits. A P5 raster starts right
+    after the one whitespace byte that ends maxval. Malformed fields are
+    reported with their line and column.
     """
     with open(path, "rb") as f:
         buf = f.read()
     if len(buf) < 2:
         raise InputFormatError("file too short for a PGM header", line=1, column=1)
-    magic = buf[:2].decode("ascii", "replace")
-    if magic not in ("P2", "P5"):
-        raise InputFormatError(f"unsupported magic {magic!r}, expected P2 or P5",
-                               line=1, column=1)
     tokens = (t for t in _PGM_TOKEN.finditer(buf) if t.group(1))
     header = [next(tokens, None) for _ in range(4)]  # magic, width, height, maxval
+    magic = buf[:header[0].end()] if header[0] is not None else buf
+    if magic not in (b"P2", b"P5"):
+        raise InputFormatError(
+            f"unsupported magic {magic[:16].decode('ascii', 'replace')!r}, "
+            "expected P2 or P5", line=1, column=1)
     if header[3] is None:
         raise InputFormatError("truncated header", **_position(buf, len(buf)))
     width = _int_token(buf, header[1], 1, 1 << 20, "width")
@@ -118,7 +124,7 @@ def read_pgm(path) -> GrayImage:
     maxval = _int_token(buf, header[3], 1, 255, "maxval")
     n = width * height
 
-    if magic == "P5":
+    if magic == b"P5":
         data_at = header[3].end()
         data_at += buf[data_at:data_at + 1].isspace()
         raw = buf[data_at:data_at + n]

@@ -292,15 +292,17 @@ def test_identical_runs_are_byte_identical(tmp_path):
 
 def test_outputs_match_golden_fixtures(tmp_path):
     """Committed inputs and outputs (tests/data/README.md) pin the exact bytes
-    of segment and cluster runs, on CSV, binary PGM and ASCII PGM input;
-    exact speed-ups must keep them. The report's input field holds the path,
-    so only its methods object is compared, as methods.json."""
+    of segment and cluster runs, on 1-D and 2-D CSV, binary PGM and ASCII
+    PGM input; exact speed-ups must keep them. The report's input field
+    holds the path, so only its methods object is compared, as methods.json."""
     data = Path(__file__).parent / "data"
     runs = (
         ("segment_quadrant12/input.pgm", ["segment", "--m-max", "4"],
          ("segment_curve.csv", "approx_merge_only_4.pgm", "approx_corrected_4.pgm")),
         ("cluster_dup40/input.csv",
          ["cluster", "--methods", "kmeans,kh,otsu", "--m-max", "4"],
+         ("comparison.csv", "methods.json")),
+        ("cluster_blobs16/input.csv", ["cluster", "--methods", "kmeans,kh", "--m-max", "4"],
          ("comparison.csv", "methods.json")),
         ("cluster_pgm/input.pgm",
          ["cluster", "--format", "pgm", "--methods", "kmeans,kh,otsu", "--m-max", "3"],

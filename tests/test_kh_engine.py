@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import labeled_energy, random_dataset, random_labels
-from khcluster import kh_engine
+from khcluster import core, kh_engine
 from khcluster.baselines import (KMeansConfig, is_lloyd_fixed_point,
                                  kmeans_sequence, lloyd)
 from khcluster.core import Dataset, Partition, PreconditionError
@@ -14,6 +14,7 @@ from khcluster.kh_engine import (BOTH, IDENTICAL, SINGLETONS, SubsetPolicy,
                                  build_sequence, correct_pairs, correct_tuples,
                                  merge_step, split_step, verify_stability)
 from khcluster.oracle import global_min
+from khcluster.reclass import delta_e_merge
 
 
 def test_policy_validation():
@@ -355,3 +356,114 @@ def test_sequence_never_beats_exhaustive_search():
             total += 1
             hits += e_kh <= e_oracle + tol
     print(f"sequence attains the exhaustive minimum on {hits}/{total} curve points")
+
+
+def _one_move_at_a_time(p, policy):
+    """correct_pairs as its definition reads: apply the first violation that
+    verify_stability ranks, through Partition.move, until there is none.
+    Returns the partition, the moves and the moves of two or more points."""
+    q, moves, group_moves = p.copy(), 0, 0
+    while violations := verify_stability(q, policy).violations:
+        v = violations[0]
+        q.move(np.asarray(v.subset), v.donor, v.acceptor)
+        moves += 1
+        group_moves += len(v.subset) > 1
+    return q, moves, group_moves
+
+
+def _merge_one_pair_at_a_time(p, policy):
+    best = None
+    for a in range(p.m - 1):
+        for b in range(a + 1, p.m):
+            lbl = p.labels.copy()
+            lbl[lbl == b] = a
+            lbl[lbl > b] -= 1
+            q = correct_pairs(Partition.from_labels(p.ds, lbl, p.m - 1), policy).partition
+            key = (q.total_e, delta_e_merge(p.cluster_stats(a), p.cluster_stats(b)))
+            if best is None or key < best[0]:
+                best = (key, q)
+    return best[1]
+
+
+def _split_one_cluster_at_a_time(p, policy):
+    best = None
+    for c in range(p.m):
+        idx = np.flatnonzero(p.labels == c)
+        sub = p.ds.points[idx]
+        if np.unique(sub, axis=0).shape[0] < 2:
+            continue
+        lbl = p.labels.copy()
+        lbl[idx[kh_engine._bisect_labels(sub) == 1]] = p.m
+        q = correct_pairs(Partition.from_labels(p.ds, lbl, p.m + 1), policy).partition
+        if best is None or q.total_e < best.total_e:
+            best = q
+    return best
+
+
+def _reference_sets(rng, d):
+    """(dataset, labels) pairs in d dimensions, with signed zeros: distinct
+    points, duplicate-heavy points, small integers, and a partition that a
+    reflection of the last coordinate maps onto itself with clusters 1 and 2
+    swapped, so that moves tie exactly across points and acceptors."""
+    n = 24
+    for kind in ("distinct", "duplicates", "grid"):
+        pts = np.round(rng.normal(0.0, 3.0, (n, d)), 3)
+        if kind == "duplicates":
+            pts = np.round(pts, 0)[rng.integers(0, 7, n)]
+        elif kind == "grid":
+            pts = rng.integers(-2, 3, (n, d)).astype(np.float64)
+        pts[rng.random((n, d)) < 0.1] = 0.0
+        pts[rng.random((n, d)) < 0.1] = -0.0
+        yield Dataset(pts), random_labels(rng, n, 4)
+    upper = rng.integers(-3, 4, (8, d)).astype(np.float64)
+    upper[:, -1] = rng.integers(1, 4, 8)
+    lower = upper * np.r_[np.ones(d - 1), -1.0]
+    axis = rng.integers(-3, 4, (6, d)).astype(np.float64)
+    axis[:, -1] = 0.0
+    lab_up = np.r_[1, 0, 3, rng.integers(0, 4, 5)]
+    lab = np.r_[lab_up, np.array([0, 2, 1, 3])[lab_up], rng.integers(0, 2, 6) * 3]
+    yield Dataset(np.concatenate((upper, lower, axis))), lab
+
+
+def _assert_same_bits(got, want):
+    assert np.array_equal(got.labels, want.labels)
+    assert got.total_e == want.total_e
+    assert np.array_equal(got.counts, want.counts)
+    assert np.array_equal(got.sums, want.sums)
+    assert np.array_equal(got.sumsqs, want.sumsqs)
+
+
+@pytest.mark.parametrize("refresh, budget", [(None, None), (None, 150), (2, None)])
+def test_stacked_correction_matches_one_candidate_at_a_time(monkeypatch, refresh, budget):
+    """The stacked kernel reproduces, bit for bit, correct_pairs as one move
+    at a time, and merge_step and split_step as one candidate at a time, on
+    every _reference_sets case under every policy; also with candidates
+    spread over several chunks (budget), and with statistics rebuilt from
+    the labels every second move (refresh)."""
+    if refresh is not None:
+        monkeypatch.setattr(core, "REFRESH_INTERVAL", refresh)
+    if budget is not None:
+        monkeypatch.setattr(kh_engine, "STACK_BUDGET", budget)
+    rng = np.random.default_rng(808)
+    moved = group_moves = refreshed = 0
+    for d in (1, 2, 3):
+        for ds, lab in _reference_sets(rng, d):
+            for policy in (SINGLETONS, IDENTICAL, BOTH):
+                p = Partition.from_labels(ds, lab)
+                want, moves, groups = _one_move_at_a_time(p, policy)
+                got = correct_pairs(p, policy)
+                _assert_same_bits(got.partition, want)
+                assert got.n_moves == moves
+                moved += moves > 0
+                group_moves += groups
+                if refresh is not None and moves and moves % refresh == 0:
+                    _assert_same_bits(got.partition,
+                                      Partition.from_labels(ds, got.partition.labels))
+                    refreshed += 1
+                q = got.partition
+                _assert_same_bits(merge_step(q, policy),
+                                  _merge_one_pair_at_a_time(q, policy))
+                _assert_same_bits(split_step(q, policy),
+                                  _split_one_cluster_at_a_time(q, policy))
+    assert moved > 10 and group_moves > 0
+    assert refreshed > 0 or refresh is None

@@ -114,6 +114,40 @@ def test_pgm_tokens_and_positions(tmp_path):
     assert (exc.value.line, exc.value.column) == (4, 4)
 
 
+def test_pgm_magic_is_one_exact_token(tmp_path):
+    """The first header token is exactly P2 or P5, starting the file;
+    anything else is reported at line 1, column 1."""
+    p = tmp_path / "m.pgm"
+    for data in (b"P2x\n2 1\n255\n1 2\n", b"P5abc 1 1 255\n\x07",
+                 b" P2\n2 1\n255\n1 2\n", b"p2\n2 1\n255\n1 2\n", b"P\n"):
+        p.write_bytes(data)
+        with pytest.raises(InputFormatError, match="magic") as exc:
+            read_pgm(p)
+        assert (exc.value.line, exc.value.column) == (1, 1), data
+    p.write_bytes(b"P5#c\n1 1 255\n\x07")
+    assert read_pgm(p).intensities.tolist() == [7.0]
+
+
+def test_pgm_numbers_are_ascii_digit_runs(tmp_path):
+    """Header fields and P2 samples are runs of ASCII digits: a sign, an
+    underscore or FS-US padding is malformed input at the token."""
+    p = tmp_path / "n.pgm"
+    cases = ((b"P2\n1_0 1\n255\n" + b"1 " * 10 + b"\n", 2, 1),
+             (b"P2\n2 1\n+255\n1 2\n", 3, 1),
+             (b"P2\n2 1\n255\n1 +2\n", 4, 3),
+             (b"P2\n2 1\n255\n1 -0\n", 4, 3),
+             (b"P2\n2 \x1c1\n255\n1 2\n", 2, 3),
+             (b"P2\n2 1\n255\n1\x1f 2\n", 4, 1),
+             (b"P5\n\x1e2 1\n255\n\x01\x02", 2, 1))
+    for data, line, column in cases:
+        p.write_bytes(data)
+        with pytest.raises(InputFormatError, match="not an integer") as exc:
+            read_pgm(p)
+        assert (exc.value.line, exc.value.column) == (line, column), data
+    p.write_bytes(b"P2\n2 1\n255\n007 12\n")
+    assert read_pgm(p).intensities.tolist() == [7.0, 12.0]
+
+
 def test_from_image_inits():
     img = GrayImage.from_array(np.array([[0.0, 0.0], [0.0, 5.0]]))
     assert SegmentMap.from_image(img, "pixels").segment_count == 4

@@ -1,11 +1,12 @@
 """Write every benchmark job's outputs, for a byte-for-byte comparison of two trees.
 
-Usage: python3 tools/exact_outputs.py SRC OUT
+Usage: python3 tools/exact_outputs.py SRC OUT [FIRST LAST]
 
-For seeds 101-110 of every workload in perfbench/workloads.py, writes the
-seeded inputs under OUT/in/<workload>/<seed>/ and runs each job through
-khcluster.cli.main, imported from the package directory SRC (a tree's
-src/), with its outputs in OUT/out/<workload>/<seed>/<input number>/.
+For seeds FIRST to LAST (default 101 to 110) of every workload in
+perfbench/workloads.py, writes the seeded inputs under
+OUT/in/<workload>/<seed>/ and runs each job through khcluster.cli.main,
+imported from the package directory SRC (a tree's src/), with its
+outputs in OUT/out/<workload>/<seed>/<input number>/.
 Paths are given relative to OUT, so reports that echo the input path
 agree between trees. Run it once per tree, then `diff -r OUT1 OUT2`: an
 exact change leaves the diff empty.
@@ -19,14 +20,15 @@ import os
 import sys
 from pathlib import Path
 
-SEEDS = range(101, 111)
+DEFAULT_SEEDS = (101, 110)
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
+    if len(argv) not in (2, 4) or not all(a.isdigit() for a in argv[2:]):
         print(__doc__, file=sys.stderr)
         return 2
     src, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    first, last = map(int, argv[2:]) if len(argv) == 4 else DEFAULT_SEEDS
     sys.path.insert(0, str(src))
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     from khcluster import cli
@@ -36,7 +38,7 @@ def main(argv: list[str]) -> int:
     os.chdir(out)
     written = 0
     for name, w in WORKLOADS.items():
-        for seed in SEEDS:
+        for seed in range(first, last + 1):
             folder = Path("in", name, str(seed))
             folder.mkdir(parents=True, exist_ok=True)
             paths, _, _ = w.write_inputs(seed, folder)
