@@ -165,25 +165,28 @@ def kmeans_sequence(ds: Dataset, m_max: int, rng_seed: int = 0) -> PartitionSequ
     Each count grows the previous solution by one center, trying every
     distinct point as the new center and keeping the first Lloyd run that
     attains the lowest error. Above SUBSAMPLE_ABOVE distinct points the
-    candidates are a subsample of SUBSAMPLE_SIZE rows seeded by rng_seed.
+    candidates are a subsample of SUBSAMPLE_SIZE rows seeded by rng_seed,
+    which must be nonnegative.
     """
     if not 1 <= m_max <= ds.n:
         raise PreconditionError("need 1 <= m_max <= N")
+    if rng_seed < 0:
+        raise PreconditionError("the seed must be nonnegative")
     seq = PartitionSequence(method="kmeans")
     part = Partition.from_labels(ds, np.zeros(ds.n, dtype=np.int64), 1)
     seq.by_cluster_count[1] = part
-    seq.info[1] = {"iterations": 0, "E": part.total_e}
+    seq.info[1] = {"iterations": 0}
     for m in range(2, m_max + 1):
         part, iters = _grow_one(ds, part, rng_seed)
         seq.by_cluster_count[m] = part
-        seq.info[m] = {"iterations": iters, "E": part.total_e}
+        seq.info[m] = {"iterations": iters}
     return seq
 
 
-def is_lloyd_fixed_point(p: Partition, rel_tol: float = ASSIGN_TIE_REL) -> bool:
+def is_lloyd_fixed_point(p: Partition) -> bool:
     """True iff no point is strictly closer to another cluster's centroid."""
     d2 = squared_distances(p.ds.points, p.centroids())
     rows = np.arange(p.n)
     own = d2[rows, p.labels]
     dmin = d2.min(axis=1)
-    return not bool(np.any(own - dmin > rel_tol * (1.0 + dmin)))
+    return not bool(np.any(own - dmin > ASSIGN_TIE_REL * (1.0 + dmin)))

@@ -141,6 +141,8 @@ def _run_methods(ds, args) -> dict:
             raise PreconditionError(f"unknown method {name!r}")
     if len(set(methods)) != len(methods):
         raise PreconditionError("duplicate method requested")
+    if args.seed < 0:
+        raise PreconditionError("--seed must be nonnegative")
     policy = kh_engine.SubsetPolicy(args.policy)
 
     def run(name):

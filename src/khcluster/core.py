@@ -6,7 +6,7 @@ of the points to their cluster centroid. Everything here maintains the
 per-cluster sufficient statistics (count, coordinate sum, sum of squared
 norms) so that moving a k-point subset needs no rescan of the points.
 PartitionStack holds many partitions of one dataset as stacked arrays and
-moves subsets in all of them at once; Partition.move is a stack of one.
+moves subsets in all of them at once; a Partition is a stack of one.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ def clamped_cluster_energy(sumsq: float, sq_norm_of_sum: float, n: int) -> float
 
 
 class Dataset:
-    """Immutable N x d matrix of finite real feature vectors.
+    """Immutable N x d matrix of finite real feature vectors, small enough
+    that 4 d (N max|x|)^2 is finite.
 
     Duplicate rows are allowed and meaningful: identical points can be moved
     between clusters as one subset.
@@ -78,6 +79,10 @@ class Dataset:
             raise PreconditionError("dataset must be a nonempty 2-D array of points")
         if not np.all(np.isfinite(pts)):
             raise PreconditionError("dataset coordinates must be finite")
+        # bounds every squared coordinate sum, squared distance and move delta
+        scale = pts.shape[0] * float(np.abs(pts).max())
+        if not math.isfinite(4.0 * pts.shape[1] * scale * scale):
+            raise PreconditionError("dataset coordinates are too large: squared sums overflow")
         pts.setflags(write=False)
         self.points = pts
         self._bit_ids = None
@@ -228,41 +233,40 @@ def partition_energy(ds: Dataset, labels, m: int | None = None) -> float:
 class Partition:
     """A point-to-cluster assignment with exact incremental statistics.
 
-    The instance owns its labels array. Callers mutate it only through
-    move(); engines that need a scratch copy take copy() first.
+    A partition is a PartitionStack of one, so a partition and a member of
+    a stack are updated the same way, bit for bit. The instance owns its
+    stack. Callers mutate it only through move(); engines that need a
+    scratch copy take copy() first.
     """
 
-    __slots__ = ("ds", "labels", "counts", "sums", "sumsqs", "total_e",
-                 "_moves_since_refresh")
+    __slots__ = ("_stack",)
 
-    def __init__(self, ds, labels, counts, sums, sumsqs, total_e):
-        self.ds = ds
-        self.labels = labels
-        self.counts = counts
-        self.sums = sums
-        self.sumsqs = sumsqs
-        self.total_e = total_e
-        self._moves_since_refresh = 0
+    def __init__(self, stack: "PartitionStack"):
+        self._stack = stack
 
     @classmethod
     def from_labels(cls, ds: Dataset, labels, m: int | None = None) -> "Partition":
         lab, m = _validated_labels(ds, labels, m)
-        counts, sums, sumsqs = _stats_arrays(ds.points, lab, m)
-        return cls(ds, lab, counts, sums, sumsqs,
-                   float(_total_energy(counts, sums, sumsqs)))
+        counts, sums, sumsqs = (a[None] for a in _stats_arrays(ds.points, lab, m))
+        return cls(PartitionStack(ds, lab[None], counts, sums, sumsqs,
+                                  _total_energy(counts, sums, sumsqs),
+                                  np.zeros(1, dtype=np.int64)))
+
+    # views of the stack's member 0
+    ds = property(lambda self: self._stack.ds)
+    labels = property(lambda self: self._stack.labels[0])
+    counts = property(lambda self: self._stack.counts[0])
+    sums = property(lambda self: self._stack.sums[0])
+    sumsqs = property(lambda self: self._stack.sumsqs[0])
+    total_e = property(lambda self: float(self._stack.total_e[0]))
 
     @property
     def m(self) -> int:
-        return int(self.counts.shape[0])
+        return int(self._stack.counts.shape[1])
 
     @property
     def n(self) -> int:
         return self.ds.n
-
-    def cluster_energy(self, c: int) -> float:
-        return clamped_cluster_energy(
-            float(self.sumsqs[c]), float(self.sums[c] @ self.sums[c]), int(self.counts[c])
-        )
 
     def cluster_stats(self, c: int) -> ClusterStats:
         if not 0 <= c < self.m:
@@ -271,10 +275,6 @@ class Partition:
 
     def centroids(self) -> np.ndarray:
         return self.sums / self.counts[:, None]
-
-    def _update_from(self, st: "PartitionStack") -> None:
-        self.total_e = float(st.total_e[0])
-        self._moves_since_refresh = int(st.since_refresh[0])
 
     def move(self, idx, donor: int, acceptor: int) -> None:
         """Reassign the subset idx from donor to acceptor, in place.
@@ -294,25 +294,19 @@ class Partition:
         moved = np.zeros((1, self.n), dtype=bool)
         moved[0, ii] = True
         pts = self.ds.points[ii]
-        st = PartitionStack.of(self)
-        st.move(np.zeros(1, dtype=np.int64), np.array([donor]), np.array([acceptor]),
-                moved, pts.sum(axis=0)[None], np.array([(pts * pts).sum()]))
-        self._update_from(st)
-
-    def recompute(self) -> None:
-        """Rebuild statistics and total error from the labels."""
-        st = PartitionStack.of(self)
-        st.refresh(np.zeros(1, dtype=np.int64))
-        self._update_from(st)
+        self._stack.move(np.zeros(1, dtype=np.int64), np.array([donor]), np.array([acceptor]),
+                         moved, pts.sum(axis=0)[None], np.array([(pts * pts).sum()]))
 
     def copy(self) -> "Partition":
-        return Partition(self.ds, self.labels.copy(), self.counts.copy(),
-                         self.sums.copy(), self.sumsqs.copy(), self.total_e)
+        """An independent copy; its count of moves since refresh restarts at 0."""
+        p = self._stack.partition(0)
+        p._stack.since_refresh[0] = 0
+        return p
 
-    def check_consistency(self, rel_tol: float = 1e-9) -> None:
+    def check_consistency(self) -> None:
         """Raise if the tracked total error drifted from a fresh computation."""
         fresh = partition_energy(self.ds, self.labels, self.m)
-        if abs(fresh - self.total_e) > rel_tol * (1.0 + fresh):
+        if abs(fresh - self.total_e) > 1e-9 * (1.0 + fresh):
             raise InternalConsistencyError(
                 f"tracked E {self.total_e!r} drifted from recomputed E {fresh!r}"
             )
@@ -323,8 +317,7 @@ class PartitionStack:
 
     Member i has labels[i] (N,), counts[i] (m,), sums[i] (m, d), sumsqs[i]
     (m,), total_e[i], and since_refresh[i], its moves since statistics were
-    last rebuilt. Partition.move runs on a stack of one, so a partition and
-    a member of a stack are updated the same way, bit for bit.
+    last rebuilt.
     """
 
     __slots__ = ("ds", "labels", "counts", "sums", "sumsqs", "total_e",
@@ -349,19 +342,12 @@ class PartitionStack:
         return cls(ds, labels, counts, sums, sumsqs, _total_energy(counts, sums, sumsqs),
                    np.zeros(labels.shape[0], dtype=np.int64))
 
-    @classmethod
-    def of(cls, p: Partition) -> "PartitionStack":
-        """A stack of one whose arrays are views of p's; its total_e and
-        moves since refresh are copies."""
-        return cls(p.ds, p.labels[None], p.counts[None], p.sums[None], p.sumsqs[None],
-                   np.array([p.total_e]), np.array([p._moves_since_refresh]))
-
     def partition(self, i: int) -> Partition:
-        """A copy of member i."""
-        p = Partition(self.ds, self.labels[i].copy(), self.counts[i].copy(),
-                      self.sums[i].copy(), self.sumsqs[i].copy(), float(self.total_e[i]))
-        p._moves_since_refresh = int(self.since_refresh[i])
-        return p
+        """A copy of member i, with its count of moves since refresh."""
+        b = slice(i, i + 1)
+        return Partition(PartitionStack(self.ds, self.labels[b].copy(), self.counts[b].copy(),
+                                        self.sums[b].copy(), self.sumsqs[b].copy(),
+                                        self.total_e[b].copy(), self.since_refresh[b].copy()))
 
     def move(self, b, donor, acceptor, moved, sub_sum, sub_sq) -> None:
         """In each member b[i], move the points flagged in moved[i] from

@@ -80,50 +80,25 @@ class CorrectionResult:
     n_moves: int
 
 
-@dataclass
-class _MoveScan:
-    """Every admissible move of one partition version.
-
-    One row per movable subset: lead is its first point, k its size, donor
-    its cluster; key is the (cluster, bit group) key of every point, or None
-    when no groups were formed. delta holds the rows x m error changes,
-    +inf where the move is not admissible.
-    """
-
-    lead: np.ndarray
-    k: np.ndarray
-    key: np.ndarray | None
-    donor: np.ndarray
-    delta: np.ndarray
-
-    def subset(self, r) -> tuple[int, ...]:
-        if self.k[r] == 1:
-            return (int(self.lead[r]),)
-        return tuple(np.flatnonzero(self.key == self.key[self.lead[r]]).tolist())
-
-    def ranked(self, rr, cc):
-        """Rows and acceptors sorted on (delta, donor, acceptor, first index, subset)."""
-        order = np.lexsort((self.k[rr], self.lead[rr], cc, self.donor[rr],
-                            self.delta[rr, cc]))
-        return rr[order], cc[order]
-
-
-def _scan_moves(part: Partition, policy: SubsetPolicy) -> _MoveScan:
-    """Evaluate every admissible move of a partition.
+def verify_stability(p: Partition, policy: SubsetPolicy = BOTH) -> StabilityReport:
+    """Exhaustively test every admissible move; pure, the partition is untouched.
 
     Candidates are single points and, unless the policy is singletons, the
     maximal groups of bit-identical points of each cluster with k >= 2;
     under the identical policy a point moves alone only when no twin shares
     its cluster. A move into its own cluster, or one that would empty the
-    donor, is not admissible.
+    donor, is not admissible. Violations are ranked on (delta, donor,
+    acceptor, first index, subset size), and checked_subsets counts the
+    (subset, acceptor) evaluations performed. This per-point scan shares
+    only the delta formula with the correction kernel, _best_moves, and is
+    the reference the kernel is tested against.
     """
-    n, labels, counts = part.n, part.labels, part.counts
+    n, labels, counts = p.n, p.labels, p.counts
     lead = np.arange(n)
     k = np.ones(n, dtype=np.int64)
-    key = None
-    gid = part.ds.bit_group_ids()
+    gid = p.ds.bit_group_ids()
+    key = labels * n + gid
     if policy.mode != "singletons" and gid.max() < n - 1:
-        key = labels * n + gid
         _, first, inv, size = np.unique(key, return_index=True,
                                         return_inverse=True, return_counts=True)
         if policy.mode == "identical":
@@ -134,25 +109,20 @@ def _scan_moves(part: Partition, policy: SubsetPolicy) -> _MoveScan:
 
     donor = labels[lead]
     rows = np.arange(lead.shape[0])
-    d2 = squared_distances(part.ds.points, part.centroids())[lead]
+    d2 = squared_distances(p.ds.points, p.centroids())[lead]
     delta = reclass.transfer_deltas(d2[rows, donor][:, None],
                                     d2, k[:, None], counts[donor][:, None], counts)
     delta[rows, donor] = np.inf
-    return _MoveScan(lead, k, key, donor, delta)
 
-
-def verify_stability(p: Partition, policy: SubsetPolicy = BOTH) -> StabilityReport:
-    """Exhaustively test every admissible move; pure, the partition is untouched.
-
-    checked_subsets counts the (subset, acceptor) evaluations performed.
-    """
-    tau = reclass.move_tolerance(p.total_e)
-    scan = _scan_moves(p, policy)
-    violations = [MoveProposal(int(scan.donor[r]), int(a), scan.subset(r),
-                               float(scan.delta[r, a]))
-                  for r, a in zip(*scan.ranked(*np.nonzero(scan.delta < -tau)))]
-    return StabilityReport(not violations, violations,
-                           int(np.isfinite(scan.delta).sum()))
+    rr, cc = np.nonzero(delta < -reclass.move_tolerance(p.total_e))
+    order = np.lexsort((k[rr], lead[rr], cc, donor[rr], delta[rr, cc]))
+    violations = [
+        MoveProposal(int(donor[r]), int(a),
+                     tuple(np.flatnonzero(key == key[lead[r]]).tolist()) if k[r] > 1
+                     else (int(lead[r]),),
+                     float(delta[r, a]))
+        for r, a in zip(rr[order], cc[order])]
+    return StabilityReport(not violations, violations, int(np.isfinite(delta).sum()))
 
 
 def _group_rows(ds: Dataset):
@@ -242,19 +212,18 @@ def _correct_stack(st: PartitionStack, policy: SubsetPolicy) -> None:
 
 def _correct_partition(q: Partition, policy: SubsetPolicy,
                        allowed: np.ndarray | None = None) -> int:
-    """Correct q in place as a stack of one; returns the moves. Each move is
-    one Partition.move, so the moves correct_pairs and correct_tuples report
-    are the Partition.move calls the benchmark's tracer counts."""
+    """Correct q in place, scored on its own stack of one; returns the
+    moves. Each move is one Partition.move, so the moves correct_pairs and
+    correct_tuples report are the Partition.move calls the benchmark's
+    tracer counts."""
     groups = _group_rows(q.ds)
+    only = np.zeros(1, dtype=np.int64)
     moves = 0
-    while True:
-        best = _best_moves(PartitionStack.of(q), np.zeros(1, dtype=np.int64),
-                           policy, groups, allowed)
-        if best is None:
-            return moves
+    while (best := _best_moves(q._stack, only, policy, groups, allowed)) is not None:
         _, donor, acceptor, moved, _, _ = best
         q.move(np.flatnonzero(moved[0]), int(donor[0]), int(acceptor[0]))
         moves += 1
+    return moves
 
 
 def correct_pairs(p: Partition, policy: SubsetPolicy = BOTH) -> CorrectionResult:
@@ -394,7 +363,7 @@ def build_sequence(ds: Dataset, m_max: int,
     candidates as correct_pairs would, so their partitions are recorded
     with 0 moves.
     info[m] holds the winning route under "direction" (the benchmark's
-    tracer counts route wins from that key), its "E" and its "moves".
+    tracer counts route wins from that key) and its "moves".
     """
     groups = ds.identical_group_labels()
     v = int(groups.max()) + 1
@@ -429,5 +398,5 @@ def build_sequence(ds: Dataset, m_max: int,
     seq = PartitionSequence(method="kh")
     for m, (part, tag, moves) in sorted(found.items()):
         seq.by_cluster_count[m] = part
-        seq.info[m] = {"direction": tag, "E": part.total_e, "moves": moves}
+        seq.info[m] = {"direction": tag, "moves": moves}
     return seq

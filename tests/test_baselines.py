@@ -87,6 +87,19 @@ def test_candidate_subsample_above_the_limit(monkeypatch):
         assert a.energy(m) == b.energy(m)
 
 
+def test_kmeans_sequence_rejects_a_negative_seed(monkeypatch):
+    """A negative seed is refused whether or not the candidates are
+    subsampled, that is, whether or not the seed would be used."""
+    ds = Dataset([0.0, 1.0, 9.0, 10.0])
+    with pytest.raises(PreconditionError):
+        kmeans_sequence(ds, 2, rng_seed=-1)
+    monkeypatch.setattr(baselines, "SUBSAMPLE_ABOVE", 2)
+    monkeypatch.setattr(baselines, "SUBSAMPLE_SIZE", 2)
+    with pytest.raises(PreconditionError):
+        kmeans_sequence(ds, 2, rng_seed=-1)
+    assert kmeans_sequence(ds, 2, rng_seed=0).cluster_counts() == [1, 2]
+
+
 def test_config_seeding_priority():
     c = KMeansConfig(m=2, init_centers=np.zeros((2, 1)), init_labels=[0, 1])
     assert c.seeding == "provided_centers"

@@ -250,6 +250,42 @@ def test_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # a negative seed is a usage error for every method, on few distinct
+    # rows (where the seed is unused) and on more than 2,000 (where it is)
+    many = tmp_path / "many.csv"
+    write_csv(many, [[float(i)] for i in range(2001)])
+    for path in (data, many):
+        for methods in ("kmeans", "kh", "otsu", "oracle", "kmeans,kh,otsu"):
+            for command in ("cluster", "compare"):
+                assert main([command, "--input", str(path), "--methods", methods,
+                             "--m-max", "2", "--seed", "-1",
+                             "--out", str(tmp_path / "neg")]) == EXIT_USAGE
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "neg").exists()
+
+
+def test_coordinates_whose_squares_overflow(tmp_path, capsys):
+    """4 d (N max|x|)^2 must be finite: 1e200 is refused by every method,
+    1e100 runs under every method and reports finite energies."""
+    huge, large = tmp_path / "huge.csv", tmp_path / "large.csv"
+    write_csv(huge, [[1e200], [-1e200], [0.0], [5.0]])
+    write_csv(large, [[1e100], [-1e100], [0.0], [5.0]])
+
+    def refuse(name):
+        raise AssertionError(f"{name} in report.json")
+
+    for method in ("kmeans", "kh", "otsu", "oracle"):
+        out = tmp_path / method
+        assert main(["cluster", "--input", str(huge), "--methods", method,
+                     "--m-max", "2", "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert main(["cluster", "--input", str(large), "--methods", method,
+                     "--m-max", "2", "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+        assert all(np.isfinite(rec["E"]) for rec in report["methods"][method].values())
+
 
 def _option_strings(command):
     sub = build_parser()._subparsers._group_actions[0].choices[command]

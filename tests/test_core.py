@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import energy_by_means, labeled_energy, random_dataset, random_labels
 from khcluster import core
 from khcluster.core import (ClusterStats, Dataset, InternalConsistencyError,
-                            Partition, PreconditionError,
+                            Partition, PartitionStack, PreconditionError,
                             clamped_cluster_energy, partition_energy, sigma)
 
 
@@ -25,6 +25,9 @@ def test_dataset_rejects_bad_input():
         Dataset([[0.0, np.nan]])
     with pytest.raises(PreconditionError):
         Dataset([[np.inf], [1.0]])
+    with pytest.raises(PreconditionError):
+        Dataset([1e200, -1e200, 0.0, 5.0])  # squared sums overflow
+    Dataset([1e100, -1e100, 0.0, 5.0])
 
 
 def test_dataset_points_are_frozen():
@@ -111,15 +114,64 @@ def test_move_rejects_bad_subsets():
         p.move([4], 1, 0)  # out of range
 
 
+def _state(p: Partition):
+    """Copies of everything a partition tracks, to compare bit for bit."""
+    return (p.labels.copy(), p.counts.copy(), p.sums.copy(), p.sumsqs.copy(),
+            p.total_e)
+
+
+def _assert_same_state(a, b):
+    for x, y in zip(a[:4], b[:4]):
+        assert np.array_equal(x, y) and x.dtype == y.dtype
+    assert a[4] == b[4]
+
+
 def test_move_on_a_copy_leaves_source_untouched():
+    """A partition views its stack's arrays, so a copy must own new ones:
+    moving either side leaves the other bit for bit as it was."""
     ds = Dataset([0.0, 1.0, 9.0, 10.0])
     p = Partition.from_labels(ds, [0, 0, 0, 1])
     q = p.copy()
+    before = _state(p)
     q.move([2], 0, 1)
+    _assert_same_state(_state(p), before)
     assert p.labels.tolist() == [0, 0, 0, 1]
     assert p.total_e == pytest.approx(146.0 / 3.0)  # {0, 1, 9} about 10/3
     assert q.labels.tolist() == [0, 0, 1, 1]
     assert q.total_e == pytest.approx(1.0)
+    before = _state(q)
+    p.move([1], 0, 1)
+    _assert_same_state(_state(q), before)
+
+
+def test_member_taken_from_a_stack_is_independent():
+    ds = Dataset([0.0, 1.0, 3.0, 9.0, 10.0])
+    st = PartitionStack.from_labels(ds, np.array([[0, 0, 0, 1, 1]]), 2)
+    p = st.partition(0)
+    before = _state(p)
+    st.move(np.array([0]), np.array([0]), np.array([1]),
+            np.array([[False, False, True, False, False]]), ds.points[[2]], np.array([9.0]))
+    _assert_same_state(_state(p), before)
+    member = _state(st.partition(0))
+    assert member[0].tolist() == [0, 0, 1, 1, 1]
+    p.move([1], 0, 1)
+    _assert_same_state(_state(st.partition(0)), member)
+
+
+def test_copy_restarts_and_partition_carries_the_refresh_count(monkeypatch):
+    """Bit-identity of a corrected candidate depends on when it refreshes:
+    copy() starts counting moves afresh, PartitionStack.partition(i) does not."""
+    monkeypatch.setattr(core, "REFRESH_INTERVAL", 2)
+    ds = Dataset([0.0, 1.0, 3.0, 9.0, 10.0, 11.0])
+    p = Partition.from_labels(ds, [0, 0, 0, 1, 1, 1])
+    p.move([2], 0, 1)
+    parts = (p, p.copy(), p._stack.partition(0))
+    assert [int(x._stack.since_refresh[0]) for x in parts] == [1, 0, 1]
+    for x in parts:
+        x.move([3], 1, 0)
+    assert [int(x._stack.since_refresh[0]) for x in parts] == [0, 1, 0]
+    for x in parts:
+        x.check_consistency()
 
 
 def test_periodic_refresh_keeps_statistics_exact(monkeypatch):
