@@ -1,4 +1,11 @@
-"""Lloyd iteration and incremental K-means sequences, the baseline to surpass."""
+"""Lloyd iteration and incremental K-means sequences, the baseline to surpass.
+
+There is one Lloyd loop, a kernel that runs a whole stack of center sets
+together, each member bit for bit as if run alone. A growth step of
+kmeans_sequence runs all its candidate placements as one stack, at most
+core.STACK_BUDGET members x rows x clusters at a time; lloyd is a stack
+of one.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Dataset, InternalConsistencyError, Partition,
-                   PartitionSequence, PreconditionError, coordinate_sums,
-                   squared_distances)
+                   PartitionSequence, PartitionStack, PreconditionError,
+                   _chunks, coordinate_sums, squared_distances)
 
 # Relative tolerance for assignment ties; a point keeps its current cluster
 # when the best alternative is not closer than this.
@@ -54,22 +61,32 @@ class LloydResult:
     converged: bool
 
 
-def _means(points: np.ndarray, labels: np.ndarray, m: int) -> np.ndarray:
-    counts = np.bincount(labels, minlength=m).astype(np.float64)
-    out = coordinate_sums(points, labels, m)
-    # empty clusters keep their zero sum; callers repair them before use
+def _means(points: np.ndarray, labels: np.ndarray, m: int):
+    """Counts (B, m) and means (B, m, d) of B labelings (B, N) of the points.
+
+    One offset bincount over B copies of the points, as in
+    core._stacked_stats, so every cluster adds its points in index order,
+    as a single labeling does. Empty clusters keep a zero mean; callers
+    repair them before use.
+    """
+    b = labels.shape[0]
+    flat = (labels + m * np.arange(b)[:, None]).reshape(-1)
+    counts = np.bincount(flat, minlength=b * m)
+    out = coordinate_sums(np.tile(points, (b, 1)), flat, b * m)
     np.divide(out, counts[:, None], out=out, where=counts[:, None] > 0)
-    return out
+    return counts.reshape(b, m), out.reshape(b, m, -1)
 
 
 def _assign(d2: np.ndarray, current: np.ndarray | None) -> np.ndarray:
+    """Nearest-center labels (B, N) from the stacked d2 (B, N, m)."""
     # argmin takes the lowest cluster index on exact ties
-    best = d2.argmin(axis=1)
+    best = d2.argmin(axis=-1)
     if current is None:
         return best
-    rows = np.arange(d2.shape[0])
-    dmin = d2[rows, best]
-    dcur = d2[rows, current]
+    flat = d2.reshape(-1)
+    at = np.arange(0, flat.size, d2.shape[-1]).reshape(best.shape)
+    dmin = flat[at + best]
+    dcur = flat[at + current]
     keep = dcur - dmin <= ASSIGN_TIE_REL * (1.0 + dmin)
     return np.where(keep, current, best).astype(np.int64)
 
@@ -80,9 +97,8 @@ def _repair_empty(points: np.ndarray, labels: np.ndarray, m: int) -> np.ndarray:
     counts = np.bincount(labels, minlength=m)
     while (counts == 0).any():
         empty = int(np.flatnonzero(counts == 0)[0])
-        centers = _means(points, labels, m)
+        centers = _means(points, labels[None], m)[1][0]
         centers[counts == 0] = 0.0  # placeholder rows, never the argmax target
-        rows = np.arange(points.shape[0])
         own = ((points - centers[labels]) ** 2).sum(axis=1)
         own[counts[labels] < 2] = -np.inf  # donors must keep at least one point
         pick = int(np.argmax(own))  # lowest index wins ties
@@ -94,11 +110,53 @@ def _repair_empty(points: np.ndarray, labels: np.ndarray, m: int) -> np.ndarray:
     return labels
 
 
+def _lloyd_stack(points: np.ndarray, centers: np.ndarray, labels: np.ndarray | None):
+    """Lloyd runs from a stack of B center sets (B, m, d), each member bit
+    for bit as if run alone.
+
+    labels (B, N) are the members' current labels, or None before the first
+    assignment. A member stops when its labels repeat, or after MAX_ITERS
+    iterations; until then its total error must not increase. Returns the
+    final labels (B, N), and each member's iteration count and whether it
+    converged.
+    """
+    b, m, _ = centers.shape
+    final = np.empty((b, points.shape[0]), dtype=np.int64)
+    iterations = np.full(b, MAX_ITERS)
+    converged = np.zeros(b, dtype=bool)
+    live = np.arange(b)
+    prev_e = np.full(b, np.inf)
+    for it in range(1, MAX_ITERS + 1):
+        new = _assign(squared_distances(points, centers), labels)
+        if labels is not None:
+            done = (new == labels).all(axis=1)
+            if done.any():
+                final[live[done]] = labels[done]
+                iterations[live[done]] = it
+                converged[live[done]] = True
+                live, new, prev_e = live[~done], new[~done], prev_e[~done]
+                if live.size == 0:
+                    return final, iterations, converged
+        labels = new
+        counts, centers = _means(points, labels, m)
+        for i in np.flatnonzero((counts == 0).any(axis=1)):
+            labels[i] = _repair_empty(points, labels[i], m)
+            centers[i] = _means(points, labels[i][None], m)[1][0]
+        own = centers.reshape(live.size * m, -1)[labels + m * np.arange(live.size)[:, None]]
+        e = ((points - own) ** 2).reshape(live.size, -1).sum(axis=1)
+        if (e > prev_e + 1e-9 * (1.0 + prev_e)).any():
+            raise InternalConsistencyError("total error increased during iteration")
+        prev_e = e
+    final[live] = labels
+    return final, iterations, converged
+
+
 def lloyd(ds: Dataset, cfg: KMeansConfig) -> LloydResult:
     """Alternate nearest-centroid assignment and mean updates to a fixed point.
 
     Ties keep the current assignment, empty clusters seize the farthest
-    point, so the total error never increases between iterations.
+    point, so the total error never increases between iterations. The run
+    is the stacked kernel of kmeans_sequence on a stack of one.
     """
     if cfg.m > ds.n:
         raise PreconditionError("more clusters than points")
@@ -107,32 +165,17 @@ def lloyd(ds: Dataset, cfg: KMeansConfig) -> LloydResult:
         centers = np.atleast_2d(np.asarray(cfg.init_centers, dtype=np.float64))
         if centers.shape != (cfg.m, ds.d):
             raise PreconditionError("init_centers must have shape (m, d)")
-        labels = None
+        centers, labels = centers[None], None
     else:
         labels = np.asarray(cfg.init_labels, dtype=np.int64).reshape(-1)
         if labels.shape[0] != ds.n or labels.min() < 0 or labels.max() >= cfg.m:
             raise PreconditionError("init_labels must map every point to 0..m-1")
-        labels = _repair_empty(points, labels, cfg.m)
-        centers = _means(points, labels, cfg.m)
+        labels = _repair_empty(points, labels, cfg.m)[None]
+        centers = _means(points, labels, cfg.m)[1]
 
-    converged = False
-    prev_e = np.inf
-    it = 0
-    for it in range(1, MAX_ITERS + 1):
-        d2 = squared_distances(points, centers)
-        new_labels = _assign(d2, labels)
-        if labels is not None and np.array_equal(new_labels, labels):
-            converged = True
-            break
-        labels = _repair_empty(points, new_labels, cfg.m)
-        centers = _means(points, labels, cfg.m)
-        e = float(((points - centers[labels]) ** 2).sum())
-        if e > prev_e + 1e-9 * (1.0 + prev_e):
-            raise InternalConsistencyError("total error increased during iteration")
-        prev_e = e
-
-    part = Partition.from_labels(ds, labels, cfg.m)
-    return LloydResult(part, it, converged)
+    labels, iterations, converged = _lloyd_stack(points, centers, labels)
+    part = Partition.from_labels(ds, labels[0], cfg.m)
+    return LloydResult(part, int(iterations[0]), bool(converged[0]))
 
 
 def _candidate_rows(ds: Dataset, rng_seed: int) -> np.ndarray:
@@ -145,18 +188,25 @@ def _candidate_rows(ds: Dataset, rng_seed: int) -> np.ndarray:
 
 
 def _grow_one(ds: Dataset, prev: Partition, rng_seed: int):
-    """Best Lloyd run over all candidate placements of one extra center."""
-    base = prev.centroids()
-    best: LloydResult | None = None
+    """Best Lloyd run over all candidate placements of one extra center.
+
+    The runs go as one stack, a chunk at a time; the first run that attains
+    the lowest error wins, and only it becomes a Partition.
+    """
+    cands = _candidate_rows(ds, rng_seed)
+    m = prev.m + 1
+    base = np.broadcast_to(prev.centroids(), (cands.shape[0], prev.m, ds.d))
+    centers = np.concatenate((base, cands[:, None, :]), axis=1)
+    best_e = best = None
     iters = 0
-    for row in _candidate_rows(ds, rng_seed):
-        centers = np.vstack([base, row])
-        res = lloyd(ds, KMeansConfig(m=prev.m + 1, init_centers=centers))
-        iters += res.iterations
-        if best is None or res.partition.total_e < best.partition.total_e:
-            best = res
-    assert best is not None
-    return best.partition, iters
+    for sel in _chunks(cands.shape[0], ds.n * m):
+        labels, iterations, _ = _lloyd_stack(ds.points, centers[sel], None)
+        iters += int(iterations.sum())
+        st = PartitionStack.from_labels(ds, labels, m)
+        i = int(np.argmin(st.total_e))  # first minimum = first candidate
+        if best is None or st.total_e[i] < best_e:
+            best_e, best = st.total_e[i], st.partition(i)
+    return best, iters
 
 
 def kmeans_sequence(ds: Dataset, m_max: int, rng_seed: int = 0) -> PartitionSequence:
@@ -164,9 +214,10 @@ def kmeans_sequence(ds: Dataset, m_max: int, rng_seed: int = 0) -> PartitionSequ
 
     Each count grows the previous solution by one center, trying every
     distinct point as the new center and keeping the first Lloyd run that
-    attains the lowest error. Above SUBSAMPLE_ABOVE distinct points the
-    candidates are a subsample of SUBSAMPLE_SIZE rows seeded by rng_seed,
-    which must be nonnegative.
+    attains the lowest error; the runs of a count go together, as one
+    stack, and info[m]["iterations"] sums their iterations. Above
+    SUBSAMPLE_ABOVE distinct points the candidates are a subsample of
+    SUBSAMPLE_SIZE rows seeded by rng_seed, which must be nonnegative.
     """
     if not 1 <= m_max <= ds.n:
         raise PreconditionError("need 1 <= m_max <= N")

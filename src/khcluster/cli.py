@@ -112,8 +112,6 @@ def _run_kh(ds, m_max, policy):
 
 
 def _run_otsu(ds, m_max, policy):
-    if ds.d != 1:
-        raise PreconditionError("otsu requires one-dimensional data")
     h = otsu1d.build_histogram(ds)
     out = {}
     for point in otsu1d.curve(h, m_max):
@@ -132,9 +130,9 @@ def _run_oracle(ds, m_max, policy):
     return out
 
 
-def _run_methods(ds, args) -> dict:
-    """Run each requested method; every record's stability is audited under
-    the run's subset policy."""
+def _checked_methods(ds, args) -> tuple[list[str], kh_engine.SubsetPolicy]:
+    """The requested methods and the subset policy, checked with the other
+    options the methods use (seed, otsu's one dimension) before any runs."""
     methods = args.methods.split(",")
     for name in methods:
         if name not in METHOD_ORDER:
@@ -144,6 +142,14 @@ def _run_methods(ds, args) -> dict:
     if args.seed < 0:
         raise PreconditionError("--seed must be nonnegative")
     policy = kh_engine.SubsetPolicy(args.policy)
+    if "otsu" in methods and ds.d != 1:
+        raise PreconditionError("otsu requires one-dimensional data")
+    return methods, policy
+
+
+def _run_methods(ds, args, methods: list[str], policy: kh_engine.SubsetPolicy) -> dict:
+    """Run each method; every record's stability is audited under the
+    run's subset policy."""
 
     def run(name):
         if name == "kmeans":
@@ -190,7 +196,9 @@ def _write(path: Path, content) -> None:
 
 def cmd_cluster(args) -> int:
     ds = _load_dataset(args)
-    by_method = _run_methods(ds, args)
+    methods, policy = _checked_methods(ds, args)
+    out = _out_dir(args)
+    by_method = _run_methods(ds, args, methods, policy)
     report = {
         "schemaVersion": 1,
         "command": "cluster",
@@ -202,7 +210,6 @@ def cmd_cluster(args) -> int:
         "policy": args.policy,
         "methods": by_method,
     }
-    out = _out_dir(args)
     _write(out / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     _write(out / "comparison.csv", _comparison(by_method, args.m_max))
     print(f"wrote {out / 'report.json'} and {out / 'comparison.csv'}")
@@ -211,8 +218,9 @@ def cmd_cluster(args) -> int:
 
 def cmd_compare(args) -> int:
     ds = _load_dataset(args)
-    by_method = _run_methods(ds, args)
+    methods, policy = _checked_methods(ds, args)
     out = _out_dir(args)
+    by_method = _run_methods(ds, args, methods, policy)
     _write(out / "comparison.csv", _comparison(by_method, args.m_max))
     print(f"wrote {out / 'comparison.csv'}")
     return EXIT_OK
@@ -220,8 +228,8 @@ def cmd_compare(args) -> int:
 
 def cmd_segment(args) -> int:
     img = segment.read_pgm(args.input)
-    result = segment.segment_curve(img, m_min=args.m_max, init=args.init)
     out = _out_dir(args)
+    result = segment.segment_curve(img, m_min=args.m_max, init=args.init)
     lines = ["count,E,sigma,variant"]
     for variant, rows in (("merge_only", result.merge_only),
                           ("corrected", result.corrected)):

@@ -24,6 +24,11 @@ REFRESH_INTERVAL = 1024
 # this relative band; anything more negative is a bookkeeping bug.
 ENERGY_CLAMP_REL = 1e-9
 
+# Members x rows x clusters that a stacked kernel (the correction passes of
+# kh_engine, the Lloyd runs of baselines) works on in one chunk; it bounds
+# the kernels' temporary arrays, and so the peak memory.
+STACK_BUDGET = 8192
+
 
 class PreconditionError(ValueError):
     """An operation was called outside its contract."""
@@ -230,6 +235,12 @@ def partition_energy(ds: Dataset, labels, m: int | None = None) -> float:
     return float(_total_energy(*_stats_arrays(ds.points, lab, m)))
 
 
+def _chunks(count: int, per_member: int):
+    """Slices of at most STACK_BUDGET // per_member members (at least one)."""
+    size = max(1, STACK_BUDGET // per_member)
+    return (slice(lo, lo + size) for lo in range(0, count, size))
+
+
 class Partition:
     """A point-to-cluster assignment with exact incremental statistics.
 
@@ -422,9 +433,15 @@ class PartitionSequence:
 
 def squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances of x (N, d) to centers (m, d),
-    or to each of a stack of them (B, m, d): (N, m) or (B, N, m), clipped at zero."""
-    d2 = ((x * x).sum(axis=1)[:, None]
-          - 2.0 * (x @ centers.swapaxes(-1, -2))
-          + (centers * centers).sum(axis=-1)[..., None, :])
+    or to each of a stack of them (B, m, d): (N, m) or (B, N, m), clipped at zero.
+
+    Built in place in the product's array, with no temporary of the
+    output's size: -2 x.c + |x|^2 + |c|^2 has the bits of
+    |x|^2 - 2 x.c + |c|^2, since doubling and negation are exact and
+    addition commutes."""
+    d2 = x @ centers.swapaxes(-1, -2)
+    d2 *= -2.0
+    d2 += (x * x).sum(axis=1)[:, None]
+    d2 += (centers * centers).sum(axis=-1)[..., None, :]
     np.maximum(d2, 0.0, out=d2)
     return d2

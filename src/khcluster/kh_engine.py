@@ -10,7 +10,7 @@ Each pass of that loop is one kernel, _best_moves, which finds the best
 move of every member of a stack of partitions (core.PartitionStack) at
 once, so each member ends bit for bit as if corrected alone. merge_step
 stacks its merged candidates and split_step its bisected ones, at most
-STACK_BUDGET members x rows x clusters at a time; correct_pairs is a
+core.STACK_BUDGET members x rows x clusters at a time; correct_pairs is a
 stack of one, and correct_tuples a stack of one with a mask of the
 clusters of each tuple (it ends pair-stable too, and nothing in the
 package calls it). Each pass recomputes d2 to every centroid with one
@@ -29,15 +29,11 @@ import numpy as np
 from . import reclass
 from .baselines import KMeansConfig, kmeans_sequence, lloyd
 from .core import (Dataset, Partition, PartitionSequence, PartitionStack,
-                   PreconditionError, squared_distances)
+                   PreconditionError, _chunks, squared_distances)
 
 # Exact farthest-pair search is quadratic; larger clusters fall back to the
 # deterministic two-hop approximation.
 FARTHEST_PAIR_EXACT_LIMIT = 2048
-
-# Members x rows x clusters that _best_moves scores in one chunk; it
-# bounds the kernel's temporary arrays, and so the peak memory.
-STACK_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -259,12 +255,6 @@ def correct_tuples(p: Partition, l: int, policy: SubsetPolicy = BOTH) -> Correct
         total_moves += moves
         if moves == 0:
             return CorrectionResult(q, total_moves)
-
-
-def _chunks(count: int, per_member: int):
-    """Slices of at most STACK_BUDGET // per_member members (at least one)."""
-    size = max(1, STACK_BUDGET // per_member)
-    return (slice(lo, lo + size) for lo in range(0, count, size))
 
 
 def _occupied_pairs(p: Partition) -> int:

@@ -63,3 +63,12 @@ def random_move_instance(rng: np.random.Generator):
     k = int(rng.integers(1, n1))
     idx = rng.choice(n1, k, replace=False)
     return donor, acceptor, idx
+
+
+def assert_same_bits(got, want) -> None:
+    """Two partitions agree bit for bit: labels, statistics and total E."""
+    assert np.array_equal(got.labels, want.labels)
+    assert got.total_e.hex() == want.total_e.hex()
+    assert np.array_equal(got.counts, want.counts)
+    assert np.array_equal(got.sums, want.sums)
+    assert np.array_equal(got.sumsqs, want.sumsqs)

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import labeled_energy, random_dataset, random_labels
-from khcluster import baselines
+from helpers import assert_same_bits, labeled_energy, random_dataset, random_labels
+from khcluster import baselines, core
 from khcluster.baselines import (KMeansConfig, is_lloyd_fixed_point,
                                  kmeans_sequence, lloyd)
-from khcluster.core import Dataset, PreconditionError
+from khcluster.core import (Dataset, InternalConsistencyError, Partition,
+                            PreconditionError, coordinate_sums, squared_distances)
 
 
 def two_vals_dataset():
@@ -156,3 +157,169 @@ def test_converged_lloyd_is_fixed_point(seed):
     if res.converged:
         assert is_lloyd_fixed_point(res.partition)
     res.partition.check_consistency()
+
+
+# The Lloyd loop as it ran before the candidates of a growth step were
+# stacked: one run per candidate, each ending in its own Partition. The
+# stacked kernel must reproduce it bit for bit.
+
+def _ref_means(points, labels, m):
+    counts = np.bincount(labels, minlength=m).astype(np.float64)
+    out = coordinate_sums(points, labels, m)
+    np.divide(out, counts[:, None], out=out, where=counts[:, None] > 0)
+    return out
+
+
+def _ref_assign(d2, current):
+    best = d2.argmin(axis=1)
+    if current is None:
+        return best
+    rows = np.arange(d2.shape[0])
+    dmin = d2[rows, best]
+    dcur = d2[rows, current]
+    keep = dcur - dmin <= baselines.ASSIGN_TIE_REL * (1.0 + dmin)
+    return np.where(keep, current, best).astype(np.int64)
+
+
+def _ref_repair_empty(points, labels, m):
+    labels = labels.copy()
+    counts = np.bincount(labels, minlength=m)
+    while (counts == 0).any():
+        empty = int(np.flatnonzero(counts == 0)[0])
+        centers = _ref_means(points, labels, m)
+        centers[counts == 0] = 0.0
+        own = ((points - centers[labels]) ** 2).sum(axis=1)
+        own[counts[labels] < 2] = -np.inf
+        pick = int(np.argmax(own))
+        counts[labels[pick]] -= 1
+        labels[pick] = empty
+        counts[empty] += 1
+    return labels
+
+
+def _ref_lloyd(ds, m, centers=None, labels=None):
+    points = ds.points
+    if labels is not None:
+        labels = _ref_repair_empty(points, labels, m)
+        centers = _ref_means(points, labels, m)
+    converged = False
+    prev_e = np.inf
+    it = 0
+    for it in range(1, baselines.MAX_ITERS + 1):
+        new_labels = _ref_assign(squared_distances(points, centers), labels)
+        if labels is not None and np.array_equal(new_labels, labels):
+            converged = True
+            break
+        labels = _ref_repair_empty(points, new_labels, m)
+        centers = _ref_means(points, labels, m)
+        e = float(((points - centers[labels]) ** 2).sum())
+        assert e <= prev_e + 1e-9 * (1.0 + prev_e)
+        prev_e = e
+    return Partition.from_labels(ds, labels, m), it, converged
+
+
+def _ref_kmeans_sequence(ds, m_max, rng_seed=0):
+    parts = {1: Partition.from_labels(ds, np.zeros(ds.n, dtype=np.int64), 1)}
+    iters = {1: 0}
+    for m in range(2, m_max + 1):
+        base = parts[m - 1].centroids()
+        best, total = None, 0
+        for row in baselines._candidate_rows(ds, rng_seed):
+            part, it, _ = _ref_lloyd(ds, m, centers=np.vstack([base, row]))
+            total += it
+            if best is None or part.total_e < best.total_e:
+                best = part
+        parts[m], iters[m] = best, total
+    return parts, iters
+
+
+def _kmeans_reference_sets(rng):
+    """Datasets in d = 1, 2, 3 with duplicates and signed zeros, and one
+    whose centroid is a data point, so that the candidate placed there ties
+    with the centroid, captures no point and must be repaired."""
+    for d in (1, 2, 3):
+        for kind in ("distinct", "duplicates", "grid"):
+            n = int(rng.integers(12, 30))
+            pts = np.round(rng.normal(0.0, 3.0, (n, d)), 3)
+            if kind == "duplicates":
+                pts = np.round(pts, 0)[rng.integers(0, 7, n)]
+            elif kind == "grid":
+                pts = rng.integers(-2, 3, (n, d)).astype(np.float64)
+            pts[rng.random((n, d)) < 0.1] = 0.0
+            pts[rng.random((n, d)) < 0.1] = -0.0
+            yield Dataset(pts)
+    yield Dataset([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 7.0, -7.0])
+
+
+@pytest.mark.parametrize("max_iters, budget, subsample", [
+    (None, None, False), (1, None, False), (2, None, False),
+    (None, 1, False), (None, 700, False), (None, None, True)])
+def test_stacked_lloyd_matches_one_candidate_at_a_time(monkeypatch, max_iters,
+                                                       budget, subsample):
+    """kmeans_sequence and lloyd reproduce the per-candidate Lloyd loop bit
+    for bit: labels, statistics, total_e bits, iteration counts and
+    convergence. Also for runs cut off after one or two iterations (members
+    that never converge), one member per chunk (budget 1), a partial last
+    chunk (budget 700), and subsampled candidates."""
+    if max_iters is not None:
+        monkeypatch.setattr(baselines, "MAX_ITERS", max_iters)
+    if budget is not None:
+        monkeypatch.setattr(core, "STACK_BUDGET", budget)
+    if subsample:
+        monkeypatch.setattr(baselines, "SUBSAMPLE_ABOVE", 8)
+        monkeypatch.setattr(baselines, "SUBSAMPLE_SIZE", 6)
+    repairs = []
+    repair = baselines._repair_empty
+
+    def counted(points, labels, m):
+        repairs.append(m)
+        return repair(points, labels, m)
+
+    monkeypatch.setattr(baselines, "_repair_empty", counted)
+    rng = np.random.default_rng(909)
+    partial = unconverged = 0
+    for ds in _kmeans_reference_sets(rng):
+        m_max = min(5, ds.unique_rows().shape[0])
+        seq = kmeans_sequence(ds, m_max, rng_seed=3)
+        parts, iters = _ref_kmeans_sequence(ds, m_max, rng_seed=3)
+        for m in range(1, m_max + 1):
+            assert_same_bits(seq.by_cluster_count[m], parts[m])
+            assert seq.info[m]["iterations"] == iters[m]
+            cands = baselines._candidate_rows(ds, 3).shape[0]
+            partial += m > 1 and cands % max(1, core.STACK_BUDGET // (ds.n * m)) > 0
+        for m in range(2, m_max + 1):
+            start = random_labels(rng, ds.n, m)
+            centers = ds.points[rng.choice(ds.n, m, replace=False)]
+            for cfg, ref in ((KMeansConfig(m=m, init_labels=start),
+                              _ref_lloyd(ds, m, labels=start)),
+                             (KMeansConfig(m=m, init_centers=centers),
+                              _ref_lloyd(ds, m, centers=centers))):
+                res = lloyd(ds, cfg)
+                assert_same_bits(res.partition, ref[0])
+                assert (res.iterations, res.converged) == ref[1:]
+                unconverged += not res.converged
+    assert repairs
+    assert partial > 0 or budget != 700
+    assert unconverged > 0 or max_iters is None
+
+
+def test_a_member_whose_error_rises_raises(monkeypatch):
+    """The monotone-error check is kept per member: scrambling the second
+    assignment of one member of a stack of candidates raises, though every
+    other member iterates normally."""
+    assign = baselines._assign
+    calls = []
+
+    def perturbed(d2, current):
+        out = assign(d2, current)
+        calls.append(out.shape[0])
+        if len(calls) == 2:
+            out[1] = np.arange(out.shape[1]) % d2.shape[-1]
+        return out
+
+    ds = Dataset(np.repeat([0.0, 10.0, 20.0], 5) + np.tile(np.arange(5) * 0.1, 3))
+    kmeans_sequence(ds, 3)
+    monkeypatch.setattr(baselines, "_assign", perturbed)
+    with pytest.raises(InternalConsistencyError):
+        kmeans_sequence(ds, 3)
+    assert calls == [15, 15]

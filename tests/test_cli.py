@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import labeled_energy
+from khcluster import baselines, segment
 from khcluster.cli import (EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_USAGE,
                            build_parser, load_csv, main)
 from khcluster.core import Dataset, InputFormatError, Partition
@@ -188,7 +189,7 @@ def test_segment_command_outputs(tmp_path):
     assert (out / "approx_merge_only_2.pgm").exists()
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     data = tmp_path / "pts.csv"
     write_csv(data, [[0.0], [1.0], [9.0], [10.0]])
 
@@ -264,6 +265,28 @@ def test_exit_codes(tmp_path, capsys):
                 assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "neg").exists()
 
+    # --out is created after the input is loaded and the options are
+    # checked, and before any method runs: an --out that cannot be created
+    # fails before the work, and unreadable input leaves no --out behind
+    def refuse(*args, **kwargs):
+        raise AssertionError("a method ran before --out was created")
+
+    monkeypatch.setattr(baselines, "kmeans_sequence", refuse)
+    monkeypatch.setattr(segment, "segment_curve", refuse)
+    for argv in (["cluster", "--input", str(data), "--methods", "kmeans", "--out", str(data)],
+                 ["compare", "--input", str(data), "--methods", "kmeans",
+                  "--out", str(data / "sub")],
+                 ["segment", "--input", str(img), "--out", str(img / "sub")]):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory")
+    never = tmp_path / "never"
+    for argv in (["cluster", "--input", str(tmp_path / "absent.csv")],
+                 ["compare", "--input", str(bad), "--methods", "kmeans"],
+                 ["segment", "--input", str(data)]):
+        assert main([*argv, "--out", str(never)]) == EXIT_INPUT
+    assert not never.exists()
+
 
 def test_coordinates_whose_squares_overflow(tmp_path, capsys):
     """4 d (N max|x|)^2 must be finite: 1e200 is refused by every method,
@@ -329,8 +352,9 @@ def test_identical_runs_are_byte_identical(tmp_path):
 def test_outputs_match_golden_fixtures(tmp_path):
     """Committed inputs and outputs (tests/data/README.md) pin the exact bytes
     of segment and cluster runs, on 1-D and 2-D CSV, binary PGM and ASCII
-    PGM input; exact speed-ups must keep them. The report's input field
-    holds the path, so only its methods object is compared, as methods.json."""
+    PGM input, and of the k-means growth on 60 mostly distinct values;
+    exact speed-ups must keep them. The report's input field holds the
+    path, so only its methods object is compared, as methods.json."""
     data = Path(__file__).parent / "data"
     runs = (
         ("segment_quadrant12/input.pgm", ["segment", "--m-max", "4"],
@@ -339,6 +363,8 @@ def test_outputs_match_golden_fixtures(tmp_path):
          ["cluster", "--methods", "kmeans,kh,otsu", "--m-max", "4"],
          ("comparison.csv", "methods.json")),
         ("cluster_blobs16/input.csv", ["cluster", "--methods", "kmeans,kh", "--m-max", "4"],
+         ("comparison.csv", "methods.json")),
+        ("cluster_wide60/input.csv", ["cluster", "--methods", "kmeans,otsu", "--m-max", "6"],
          ("comparison.csv", "methods.json")),
         ("cluster_pgm/input.pgm",
          ["cluster", "--format", "pgm", "--methods", "kmeans,kh,otsu", "--m-max", "3"],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import labeled_energy, random_dataset, random_labels
+from helpers import assert_same_bits, labeled_energy, random_dataset, random_labels
 from khcluster import core, kh_engine
 from khcluster.baselines import (KMeansConfig, is_lloyd_fixed_point,
                                  kmeans_sequence, lloyd)
@@ -425,14 +425,6 @@ def _reference_sets(rng, d):
     yield Dataset(np.concatenate((upper, lower, axis))), lab
 
 
-def _assert_same_bits(got, want):
-    assert np.array_equal(got.labels, want.labels)
-    assert got.total_e == want.total_e
-    assert np.array_equal(got.counts, want.counts)
-    assert np.array_equal(got.sums, want.sums)
-    assert np.array_equal(got.sumsqs, want.sumsqs)
-
-
 @pytest.mark.parametrize("refresh, budget", [(None, None), (None, 150), (2, None)])
 def test_stacked_correction_matches_one_candidate_at_a_time(monkeypatch, refresh, budget):
     """The stacked kernel reproduces, bit for bit, correct_pairs as one move
@@ -443,7 +435,7 @@ def test_stacked_correction_matches_one_candidate_at_a_time(monkeypatch, refresh
     if refresh is not None:
         monkeypatch.setattr(core, "REFRESH_INTERVAL", refresh)
     if budget is not None:
-        monkeypatch.setattr(kh_engine, "STACK_BUDGET", budget)
+        monkeypatch.setattr(core, "STACK_BUDGET", budget)
     rng = np.random.default_rng(808)
     moved = group_moves = refreshed = 0
     for d in (1, 2, 3):
@@ -452,18 +444,18 @@ def test_stacked_correction_matches_one_candidate_at_a_time(monkeypatch, refresh
                 p = Partition.from_labels(ds, lab)
                 want, moves, groups = _one_move_at_a_time(p, policy)
                 got = correct_pairs(p, policy)
-                _assert_same_bits(got.partition, want)
+                assert_same_bits(got.partition, want)
                 assert got.n_moves == moves
                 moved += moves > 0
                 group_moves += groups
                 if refresh is not None and moves and moves % refresh == 0:
-                    _assert_same_bits(got.partition,
+                    assert_same_bits(got.partition,
                                       Partition.from_labels(ds, got.partition.labels))
                     refreshed += 1
                 q = got.partition
-                _assert_same_bits(merge_step(q, policy),
+                assert_same_bits(merge_step(q, policy),
                                   _merge_one_pair_at_a_time(q, policy))
-                _assert_same_bits(split_step(q, policy),
+                assert_same_bits(split_step(q, policy),
                                   _split_one_cluster_at_a_time(q, policy))
     assert moved > 10 and group_moves > 0
     assert refreshed > 0 or refresh is None
