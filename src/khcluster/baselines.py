@@ -4,7 +4,8 @@ There is one Lloyd loop, a kernel that runs a whole stack of center sets
 together, each member bit for bit as if run alone. A growth step of
 kmeans_sequence runs all its candidate placements as one stack, at most
 core.STACK_BUDGET members x rows x clusters at a time; lloyd is a stack
-of one.
+of one. The means of every member come from core.stacked_sums, the
+builder of the partitions' statistics; the loop needs no sums of squares.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .core import (Dataset, InternalConsistencyError, Partition,
                    PartitionSequence, PartitionStack, PreconditionError,
-                   _chunks, coordinate_sums, squared_distances)
+                   _chunks, squared_distances, stacked_sums)
 
 # Relative tolerance for assignment ties; a point keeps its current cluster
 # when the best alternative is not closer than this.
@@ -47,12 +48,6 @@ class KMeansConfig:
         if self.init_centers is None and self.init_labels is None:
             raise PreconditionError("give init_centers or init_labels")
 
-    @property
-    def seeding(self) -> str:
-        if self.init_centers is not None:
-            return "provided_centers"
-        return "provided_labels"
-
 
 @dataclass
 class LloydResult:
@@ -62,19 +57,13 @@ class LloydResult:
 
 
 def _means(points: np.ndarray, labels: np.ndarray, m: int):
-    """Counts (B, m) and means (B, m, d) of B labelings (B, N) of the points.
-
-    One offset bincount over B copies of the points, as in
-    core._stacked_stats, so every cluster adds its points in index order,
-    as a single labeling does. Empty clusters keep a zero mean; callers
-    repair them before use.
+    """Counts (B, m) and means (B, m, d) of B labelings (B, N) of the points,
+    from core.stacked_sums. Empty clusters keep a zero mean; callers repair
+    them before use.
     """
-    b = labels.shape[0]
-    flat = (labels + m * np.arange(b)[:, None]).reshape(-1)
-    counts = np.bincount(flat, minlength=b * m)
-    out = coordinate_sums(np.tile(points, (b, 1)), flat, b * m)
-    np.divide(out, counts[:, None], out=out, where=counts[:, None] > 0)
-    return counts.reshape(b, m), out.reshape(b, m, -1)
+    counts, sums = stacked_sums(points, labels, m)
+    np.divide(sums, counts[..., None], out=sums, where=counts[..., None] > 0)
+    return counts, sums
 
 
 def _assign(d2: np.ndarray, current: np.ndarray | None) -> np.ndarray:
@@ -161,7 +150,7 @@ def lloyd(ds: Dataset, cfg: KMeansConfig) -> LloydResult:
     if cfg.m > ds.n:
         raise PreconditionError("more clusters than points")
     points = ds.points
-    if cfg.seeding == "provided_centers":
+    if cfg.init_centers is not None:
         centers = np.atleast_2d(np.asarray(cfg.init_centers, dtype=np.float64))
         if centers.shape != (cfg.m, ds.d):
             raise PreconditionError("init_centers must have shape (m, d)")
@@ -223,7 +212,7 @@ def kmeans_sequence(ds: Dataset, m_max: int, rng_seed: int = 0) -> PartitionSequ
         raise PreconditionError("need 1 <= m_max <= N")
     if rng_seed < 0:
         raise PreconditionError("the seed must be nonnegative")
-    seq = PartitionSequence(method="kmeans")
+    seq = PartitionSequence()
     part = Partition.from_labels(ds, np.zeros(ds.n, dtype=np.int64), 1)
     seq.by_cluster_count[1] = part
     seq.info[1] = {"iterations": 0}

@@ -5,7 +5,8 @@ one or more methods, compare writes a per-count error table as CSV, and
 segment runs the image pipeline and writes the error curve plus PGM
 approximations. Reports are byte-identical across runs with the same
 inputs and options. Exit codes: 0 success, 2 usage, precondition or an
-output that cannot be written, 3 unreadable input, 4 size guard.
+output that cannot be written, 3 unreadable input, 4 size guard. A run
+that exits with an error leaves none of the --out directories it created.
 """
 
 from __future__ import annotations
@@ -97,37 +98,25 @@ def _partition_record(p: Partition, moves: int,
     }
 
 
-def _run_kmeans(ds, m_max, seed, policy):
-    seq = baselines.kmeans_sequence(ds, m_max, rng_seed=seed)
-    return {str(m): _partition_record(seq.by_cluster_count[m],
-                                      seq.info[m]["iterations"], policy)
-            for m in seq.cluster_counts()}
+def _runs(name: str, ds, args, policy: kh_engine.SubsetPolicy):
+    """(m, partition, moves) of every count the method solves up to --m-max.
 
-
-def _run_kh(ds, m_max, policy):
-    seq = kh_engine.build_sequence(ds, m_max, policy)
-    return {str(m): _partition_record(seq.by_cluster_count[m],
-                                      seq.info[m]["moves"], policy)
-            for m in seq.cluster_counts()}
-
-
-def _run_otsu(ds, m_max, policy):
-    h = otsu1d.build_histogram(ds)
-    out = {}
-    for point in otsu1d.curve(h, m_max):
-        labels = otsu1d.assign_classes(ds.points[:, 0], np.asarray(point.thresholds))
-        p = Partition.from_labels(ds, labels.astype(np.int64), point.m)
-        out[str(point.m)] = _partition_record(p, 0, policy)
-    return out
-
-
-def _run_oracle(ds, m_max, policy):
-    out = {}
-    for res in oracle.minimum_curve(ds, m_max):
-        labels = np.asarray(res.best_labels, dtype=np.int64)
-        p = Partition.from_labels(ds, labels, res.m)
-        out[str(res.m)] = _partition_record(p, 0, policy)
-    return out
+    moves are the Lloyd iterations of kmeans and the correction moves of
+    kh; otsu and oracle give labels, which move nothing.
+    """
+    if name == "kmeans":
+        seq, key = baselines.kmeans_sequence(ds, args.m_max, rng_seed=args.seed), "iterations"
+    elif name == "kh":
+        seq, key = kh_engine.build_sequence(ds, args.m_max, policy), "moves"
+    elif name == "otsu":
+        x = ds.points[:, 0]
+        return [(pt.m, Partition.from_labels(
+                    ds, otsu1d.assign_classes(x, np.asarray(pt.thresholds)), pt.m), 0)
+                for pt in otsu1d.curve(otsu1d.build_histogram(ds), args.m_max)]
+    else:
+        return [(r.m, Partition.from_labels(ds, r.best_labels, r.m), 0)
+                for r in oracle.minimum_curve(ds, args.m_max)]
+    return [(m, seq.by_cluster_count[m], seq.info[m][key]) for m in seq.cluster_counts()]
 
 
 def _checked_methods(ds, args) -> tuple[list[str], kh_engine.SubsetPolicy]:
@@ -150,17 +139,9 @@ def _checked_methods(ds, args) -> tuple[list[str], kh_engine.SubsetPolicy]:
 def _run_methods(ds, args, methods: list[str], policy: kh_engine.SubsetPolicy) -> dict:
     """Run each method; every record's stability is audited under the
     run's subset policy."""
-
-    def run(name):
-        if name == "kmeans":
-            return _run_kmeans(ds, args.m_max, args.seed, policy)
-        if name == "kh":
-            return _run_kh(ds, args.m_max, policy)
-        if name == "otsu":
-            return _run_otsu(ds, args.m_max, policy)
-        return _run_oracle(ds, args.m_max, policy)
-
-    return {name: run(name) for name in methods}
+    return {name: {str(m): _partition_record(p, moves, policy)
+                   for m, p, moves in _runs(name, ds, args, policy)}
+            for name in methods}
 
 
 def _comparison(by_method: dict, m_max: int) -> str:
@@ -173,7 +154,8 @@ def _comparison(by_method: dict, m_max: int) -> str:
 
 
 def _out_dir(args) -> Path:
-    """The --out directory, created with its parents when missing."""
+    """The --out directory, created with its parents when missing; main
+    removes what it created if the run then exits with an error."""
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -281,17 +263,31 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    out = Path(args.out)
+    missing = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     try:
         return args.fn(args)
     except (InputFormatError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        code, error = EXIT_INPUT, e
     except SizeGuardError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_GUARD
+        code, error = EXIT_GUARD, e
     except PreconditionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        code, error = EXIT_USAGE, e
+    print(f"error: {error}", file=sys.stderr)
+    _remove_empty(missing)
+    return code
+
+
+def _remove_empty(dirs: list[Path]) -> None:
+    """Remove the directories of a failed run, deepest first, while each is
+    empty; the list holds only those missing before the run."""
+    for d in dirs:
+        try:
+            d.rmdir()
+        except FileNotFoundError:
+            continue
+        except OSError:
+            return
 
 
 def entry() -> None:

@@ -7,6 +7,8 @@ per-cluster sufficient statistics (count, coordinate sum, sum of squared
 norms) so that moving a k-point subset needs no rescan of the points.
 PartitionStack holds many partitions of one dataset as stacked arrays and
 moves subsets in all of them at once; a Partition is a stack of one.
+Statistics are built from labels in one place, stacked_sums, an offset
+bincount over a stack of labelings that the K-means baseline shares.
 """
 
 from __future__ import annotations
@@ -158,7 +160,8 @@ class ClusterStats:
 
 
 def _validated_labels(ds: Dataset, labels, m: int | None) -> tuple[np.ndarray, int]:
-    lab = np.asarray(labels, dtype=np.int64).reshape(-1)
+    """A checked copy of the labels, never the caller's array, and m."""
+    lab = np.array(labels, dtype=np.int64).reshape(-1)
     if lab.shape[0] != ds.n:
         raise PreconditionError("labels must assign every point")
     if lab.size and lab.min() < 0:
@@ -188,25 +191,26 @@ def sq_norms(v: np.ndarray) -> np.ndarray:
     return np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
 
 
-def _stats_arrays(points: np.ndarray, labels: np.ndarray, m: int):
-    counts = np.bincount(labels, minlength=m)
-    sums = coordinate_sums(points, labels, m)
-    sumsqs = np.bincount(labels, weights=(points * points).sum(axis=1), minlength=m)
-    return counts, sums, sumsqs
+def stacked_sums(points: np.ndarray, labels: np.ndarray, m: int):
+    """Counts (B, m) and coordinate sums (B, m, d) of B labelings (B, N) of
+    the points (N, d); empty clusters count and sum to zero.
+
+    One bincount per column over B copies of the points under the labels
+    offset by member, so every cluster adds its points in index order, as a
+    single labeling does.
+    """
+    b = labels.shape[0]
+    flat = (labels + m * np.arange(b)[:, None]).reshape(-1)
+    return (np.bincount(flat, minlength=b * m).reshape(b, m),
+            coordinate_sums(np.tile(points, (b, 1)), flat, b * m).reshape(b, m, -1))
 
 
 def _stacked_stats(points: np.ndarray, labels: np.ndarray, m: int):
-    """Counts (B, m), sums (B, m, d) and sums of |x|^2 (B, m) of B labelings.
-
-    The statistics of B copies of the points under the labels offset by
-    member, so every cluster adds its points in index order, as a single
-    labeling does.
-    """
-    b = labels.shape[0]
-    counts, sums, sumsqs = _stats_arrays(np.tile(points, (b, 1)),
-                                         (labels + m * np.arange(b)[:, None]).reshape(-1),
-                                         b * m)
-    return counts.reshape(b, m), sums.reshape(b, m, -1), sumsqs.reshape(b, m)
+    """Counts (B, m), sums (B, m, d) and sums of |x|^2 (B, m) of B labelings:
+    stacked_sums of the points with |x|^2 as one more column."""
+    counts, sums = stacked_sums(np.column_stack((points, (points * points).sum(axis=1))),
+                                labels, m)
+    return counts, sums[..., :-1].copy(), sums[..., -1].copy()
 
 
 def _cluster_energies(counts: np.ndarray, sums: np.ndarray,
@@ -232,7 +236,7 @@ def _total_energy(counts: np.ndarray, sums: np.ndarray, sumsqs: np.ndarray):
 def partition_energy(ds: Dataset, labels, m: int | None = None) -> float:
     """Total squared error of a labeling, computed fresh from the points."""
     lab, m = _validated_labels(ds, labels, m)
-    return float(_total_energy(*_stats_arrays(ds.points, lab, m)))
+    return float(_total_energy(*_stacked_stats(ds.points, lab[None], m))[0])
 
 
 def _chunks(count: int, per_member: int):
@@ -258,10 +262,7 @@ class Partition:
     @classmethod
     def from_labels(cls, ds: Dataset, labels, m: int | None = None) -> "Partition":
         lab, m = _validated_labels(ds, labels, m)
-        counts, sums, sumsqs = (a[None] for a in _stats_arrays(ds.points, lab, m))
-        return cls(PartitionStack(ds, lab[None], counts, sums, sumsqs,
-                                  _total_energy(counts, sums, sumsqs),
-                                  np.zeros(1, dtype=np.int64)))
+        return cls(PartitionStack.from_labels(ds, lab[None], m))
 
     # views of the stack's member 0
     ds = property(lambda self: self._stack.ds)
@@ -421,7 +422,6 @@ class PartitionSequence:
     """
 
     by_cluster_count: dict[int, Partition] = field(default_factory=dict)
-    method: str = ""
     info: dict[int, dict] = field(default_factory=dict)
 
     def cluster_counts(self) -> list[int]:

@@ -385,7 +385,7 @@ def build_sequence(ds: Dataset, m_max: int,
         r = correct_pairs(part, policy)
         record(part.m, r.partition, "kmeans", r.n_moves)
 
-    seq = PartitionSequence(method="kh")
+    seq = PartitionSequence()
     for m, (part, tag, moves) in sorted(found.items()):
         seq.by_cluster_count[m] = part
         seq.info[m] = {"direction": tag, "moves": moves}

@@ -14,7 +14,9 @@ the lock cache, and once the map is boundary-stable only the borders of
 segments whose version moved on since then are listed as candidates.
 Contact counts (the number of adjacent pixel pairs straddling each segment
 border) are maintained exactly so the adjacency graph never drifts from
-the labelling.
+the labelling. One labeller of 4-connected regions of equal value finds
+the flat zones (regions of equal intensity) and audits connectivity
+(regions of equal label, one per segment).
 """
 
 from __future__ import annotations
@@ -229,7 +231,8 @@ class SegmentMap:
         if init == "pixels":
             return cls(img, np.arange(img.n_pixels, dtype=np.int64))
         if init == "flat_zones":
-            return cls(img, _flat_zone_labels(img))
+            return cls(img, _regions(_neighbor_table(img.width, img.height),
+                                     img.intensities))
         raise PreconditionError(f"unknown init {init!r}")
 
     def _rebuild(self) -> None:
@@ -553,38 +556,34 @@ class SegmentMap:
         if abs(e - self.total_e) > scale or \
                 np.abs(sums - self.sums).max() > 1e-9 * (1.0 + np.abs(self.sums).max()):
             raise InternalConsistencyError("running statistics drifted")
-        for s in self.pixels:
-            seed = next(iter(self.pixels[s]))
-            seen, stack = {seed}, [seed]
-            while stack:
-                u = stack.pop()
-                for q in self._neighbors(u):
-                    if q in self.pixels[s] and q not in seen:
-                        seen.add(q)
-                        stack.append(q)
-            if len(seen) != len(self.pixels[s]):
-                raise InternalConsistencyError(f"segment {s} is disconnected")
+        # each segment is one region of equal label iff the regions number
+        # as many as the segments
+        pieces = int(_regions(self._nbrs, self.labels).max()) + 1
+        if pieces != self.segment_count:
+            raise InternalConsistencyError(
+                f"{self.segment_count} segments lie in {pieces} connected pieces")
 
 
-def _flat_zone_labels(img: GrayImage) -> np.ndarray:
-    """Connected regions of exactly equal intensity, ids in scan order."""
-    nbrs = _neighbor_table(img.width, img.height)
-    px = img.intensities
-    labels = np.full(img.n_pixels, -1, dtype=np.int64)
+def _regions(nbrs: tuple[tuple[int, ...], ...], values: np.ndarray) -> np.ndarray:
+    """Labels of the 4-connected regions of equal value, ids in scan order.
+
+    nbrs is a _neighbor_table and values an array of one value per pixel.
+    """
+    vals = values.tolist()
+    labels = [-1] * len(vals)
     nxt = 0
-    for start in range(img.n_pixels):
+    for start, v in enumerate(vals):
         if labels[start] >= 0:
             continue
         labels[start] = nxt
         stack = [start]
         while stack:
-            u = stack.pop()
-            for q in nbrs[u]:
-                if labels[q] < 0 and px[q] == px[u]:
+            for q in nbrs[stack.pop()]:
+                if labels[q] < 0 and vals[q] == v:
                     labels[q] = nxt
                     stack.append(q)
         nxt += 1
-    return labels
+    return np.array(labels, dtype=np.int64)
 
 
 @dataclass

@@ -102,9 +102,13 @@ def test_kmeans_sequence_rejects_a_negative_seed(monkeypatch):
 
 
 def test_config_seeding_priority():
-    c = KMeansConfig(m=2, init_centers=np.zeros((2, 1)), init_labels=[0, 1])
-    assert c.seeding == "provided_centers"
-    assert KMeansConfig(m=2, init_labels=[0, 1]).seeding == "provided_labels"
+    """init_centers wins over init_labels: from these labels alone Lloyd
+    keeps the clusters numbered the other way round."""
+    ds = Dataset([0.0, 1.0, 9.0, 10.0])
+    labels = [1, 1, 0, 0]
+    assert lloyd(ds, KMeansConfig(m=2, init_labels=labels)).partition.labels.tolist() == labels
+    both = KMeansConfig(m=2, init_centers=[[0.0], [10.0]], init_labels=labels)
+    assert lloyd(ds, both).partition.labels.tolist() == [0, 0, 1, 1]
     with pytest.raises(PreconditionError):
         KMeansConfig(m=2)  # kmeans_sequence is the incremental grower
 

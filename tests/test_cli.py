@@ -265,6 +265,27 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                 assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "neg").exists()
 
+    # a run that fails after creating --out removes the directories it
+    # created, deepest first, and keeps one that existed before the run
+    square = tmp_path / "square.pgm"
+    write_pgm(GrayImage.from_array(np.array([[0.0, 10.0], [0.0, 10.0]])), square)
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    failing = [(["cluster", "--input", str(data), "--methods", name, "--m-max", "9"], EXIT_USAGE)
+               for name in ("kmeans", "kh", "otsu", "oracle")]
+    failing += [(["compare", "--input", str(data), "--methods", "kh", "--m-max", "9"], EXIT_USAGE),
+                (["cluster", "--input", str(big), "--methods", "oracle", "--m-max", "2"],
+                 EXIT_GUARD),
+                (["segment", "--input", str(square), "--m-max", "0"], EXIT_USAGE),
+                (["segment", "--input", str(square), "--m-max", "5"], EXIT_USAGE)]
+    for argv, code in failing:
+        for out in (tmp_path / "a", tmp_path / "a" / "b" / "c", kept, kept / "x" / "y"):
+            assert main([*argv, "--out", str(out)]) == code
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not (tmp_path / "a").exists()
+            assert kept.is_dir() and not any(kept.iterdir())
+
     # --out is created after the input is loaded and the options are
     # checked, and before any method runs: an --out that cannot be created
     # fails before the work, and unreadable input leaves no --out behind
@@ -352,9 +373,10 @@ def test_identical_runs_are_byte_identical(tmp_path):
 def test_outputs_match_golden_fixtures(tmp_path):
     """Committed inputs and outputs (tests/data/README.md) pin the exact bytes
     of segment and cluster runs, on 1-D and 2-D CSV, binary PGM and ASCII
-    PGM input, and of the k-means growth on 60 mostly distinct values;
-    exact speed-ups must keep them. The report's input field holds the
-    path, so only its methods object is compared, as methods.json."""
+    PGM input, of the k-means growth on 60 mostly distinct values, and of
+    all four methods together; exact speed-ups must keep them. The report's
+    input field holds the path, so only its methods object is compared, as
+    methods.json."""
     data = Path(__file__).parent / "data"
     runs = (
         ("segment_quadrant12/input.pgm", ["segment", "--m-max", "4"],
@@ -365,6 +387,9 @@ def test_outputs_match_golden_fixtures(tmp_path):
         ("cluster_blobs16/input.csv", ["cluster", "--methods", "kmeans,kh", "--m-max", "4"],
          ("comparison.csv", "methods.json")),
         ("cluster_wide60/input.csv", ["cluster", "--methods", "kmeans,otsu", "--m-max", "6"],
+         ("comparison.csv", "methods.json")),
+        ("cluster_oracle12/input.csv",
+         ["cluster", "--methods", "kmeans,kh,otsu,oracle", "--m-max", "4"],
          ("comparison.csv", "methods.json")),
         ("cluster_pgm/input.pgm",
          ["cluster", "--format", "pgm", "--methods", "kmeans,kh,otsu", "--m-max", "3"],

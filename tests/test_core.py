@@ -144,6 +144,16 @@ def test_move_on_a_copy_leaves_source_untouched():
     _assert_same_state(_state(q), before)
 
 
+def test_from_labels_copies_the_callers_labels():
+    """Moving points in a partition leaves the labels it was built from as
+    they were."""
+    lab = np.array([0, 0, 1, 1])
+    p = Partition.from_labels(Dataset([0.0, 1.0, 9.0, 10.0]), lab)
+    p.move([1], 0, 1)
+    assert lab.tolist() == [0, 0, 1, 1]
+    assert p.labels.tolist() == [0, 1, 1, 1]
+
+
 def test_member_taken_from_a_stack_is_independent():
     ds = Dataset([0.0, 1.0, 3.0, 9.0, 10.0])
     st = PartitionStack.from_labels(ds, np.array([[0, 0, 0, 1, 1]]), 2)

@@ -197,7 +197,6 @@ def test_build_sequence_frozen_curve():
     assert seq.energy(2) == pytest.approx(1.0)
     assert seq.energy(3) == pytest.approx(0.5)
     assert seq.energy(4) == pytest.approx(0.0)
-    assert seq.method == "kh"
     for m in seq.cluster_counts():
         assert verify_stability(seq.by_cluster_count[m]).stable
         assert seq.info[m]["direction"] in ("bottom_up", "top_down")

@@ -1,5 +1,6 @@
 """The public names, and the names the benchmark's tracer wraps, resolve;
-and every definition in the package is named somewhere."""
+every definition in the package is named somewhere, and every module
+constant is read somewhere."""
 
 import ast
 import importlib
@@ -72,18 +73,57 @@ def _referenced_names(tree) -> set[str]:
     return names
 
 
+def _sources():
+    """The parsed Python files of src/, tests/, perfbench/ and tools/."""
+    for folder in ("src", "tests", "perfbench", "tools"):
+        for path in (ROOT / folder).rglob("*.py"):
+            yield ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def test_every_definition_is_named_somewhere():
     """A function, method or class of the package that no code names in
     src/, tests/, perfbench/ or tools/ is dead and should be deleted."""
     used = set()
-    for folder in ("src", "tests", "perfbench", "tools"):
-        for path in (ROOT / folder).rglob("*.py"):
-            used |= _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    for tree in _sources():
+        used |= _referenced_names(tree)
     dead = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not (node.name.startswith("__") and node.name.endswith("__"))
-                    and node.name not in used):
+                    and not _is_dunder(node.name) and node.name not in used):
                 dead.append(f"{path.stem}.{node.name}")
     assert not dead
+
+
+def test_every_module_constant_is_read():
+    """A module-level constant of the package that no code in src/, tests/,
+    perfbench/ or tools/ reads, as a name or an attribute, is a setting
+    that changes nothing. Its own assignment, an import and a mention in a
+    string are not reads."""
+    read = set()
+    for tree in _sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    constants, unread = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for t in targets:
+                if isinstance(t, ast.Name) and not _is_dunder(t.id):
+                    constants.append(t.id)
+                    if t.id not in read:
+                        unread.append(f"{path.stem}.{t.id}")
+    assert "STACK_BUDGET" in constants  # the scan finds the constants
+    assert not unread

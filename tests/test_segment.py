@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import labeled_energy
-from khcluster.core import (Dataset, InputFormatError, PreconditionError, sigma)
+from khcluster.core import (Dataset, InputFormatError, InternalConsistencyError,
+                            PreconditionError, sigma)
 from khcluster.kh_engine import build_sequence
 from khcluster.otsu1d import build_histogram, curve as otsu_curve
 from khcluster.segment import (GrayImage, SegmentMap, read_pgm, segment_curve,
@@ -206,6 +207,25 @@ def test_articulation_pixel_is_locked():
     assert sm.correct_boundaries() == 0
     assert sm.total_e == e0
     sm.check_consistency()
+
+
+def test_consistency_audit_raises_on_each_fault():
+    """The audit passes an intact map, and raises on a segment in two
+    pieces, on a perturbed coordinate sum and on a perturbed contact count."""
+    img = GrayImage.from_array(np.array([[0.0, 5.0, 0.0],
+                                         [1.0, 2.0, 3.0]]))
+    intact = np.array([0, 1, 2, 3, 3, 3])
+    SegmentMap(img, intact).check_consistency()
+    with pytest.raises(InternalConsistencyError, match="3 segments lie in 4"):
+        SegmentMap(img, np.array([0, 1, 0, 2, 2, 2])).check_consistency()
+    sm = SegmentMap(img, intact)
+    sm.sums[3] += 0.5
+    with pytest.raises(InternalConsistencyError, match="statistics"):
+        sm.check_consistency()
+    sm = SegmentMap(img, intact)
+    sm.adj[0][1] += 1
+    with pytest.raises(InternalConsistencyError, match="contact"):
+        sm.check_consistency()
 
 
 def test_donor_never_empties():
