@@ -1,11 +1,14 @@
 """Lloyd iteration and incremental K-means sequences, the baseline to surpass.
 
 There is one Lloyd loop, a kernel that runs a whole stack of center sets
-together, each member bit for bit as if run alone. A growth step of
-kmeans_sequence runs all its candidate placements as one stack, at most
-core.STACK_BUDGET members x rows x clusters at a time; lloyd is a stack
-of one. The means of every member come from core.stacked_sums, the
-builder of the partitions' statistics; the loop needs no sums of squares.
+together, each member bit for bit as if run alone. Members whose label
+rows are equal after an assignment have the same future, so each distinct
+trajectory runs once. A growth step of kmeans_sequence runs its candidate
+placements in waves of core.STACK_BUDGET members x rows, with distances
+and assignments at most core.STACK_BUDGET members x rows x clusters at a
+time; lloyd is a stack of one. The means of every member come from
+core.stacked_sums, the builder of the partitions' statistics; the loop
+needs no sums of squares.
 """
 
 from __future__ import annotations
@@ -105,18 +108,30 @@ def _lloyd_stack(points: np.ndarray, centers: np.ndarray, labels: np.ndarray | N
 
     labels (B, N) are the members' current labels, or None before the first
     assignment. A member stops when its labels repeat, or after MAX_ITERS
-    iterations; until then its total error must not increase. Returns the
-    final labels (B, N), and each member's iteration count and whether it
-    converged.
+    iterations; until then its total error must not increase. Distances and
+    assignments go core.STACK_BUDGET members x rows x clusters at a time.
+    Returns the final labels (B, N), and each member's iteration count and
+    whether it converged.
+
+    Once assigned, a member's future (means, repair, next assignment, stop)
+    depends on its labels alone, so live members with equal label rows run
+    once, as the first of them; the others take its final labels, iteration
+    count and convergence. The first takes the group's smallest previous
+    error, and the error bound grows with it, so the check fails for it
+    exactly when it would fail for some member of the group.
     """
+    n = points.shape[0]
     b, m, _ = centers.shape
-    final = np.empty((b, points.shape[0]), dtype=np.int64)
+    final = np.empty((b, n), dtype=np.int64)
     iterations = np.full(b, MAX_ITERS)
     converged = np.zeros(b, dtype=bool)
+    runs_as = np.arange(b)  # the member whose run each member's run repeats
     live = np.arange(b)
     prev_e = np.full(b, np.inf)
     for it in range(1, MAX_ITERS + 1):
-        new = _assign(squared_distances(points, centers), labels)
+        new = np.concatenate([_assign(squared_distances(points, centers[sel]),
+                                      None if labels is None else labels[sel])
+                              for sel in _chunks(live.size, n * m)])
         if labels is not None:
             done = (new == labels).all(axis=1)
             if done.any():
@@ -125,7 +140,16 @@ def _lloyd_stack(points: np.ndarray, centers: np.ndarray, labels: np.ndarray | N
                 converged[live[done]] = True
                 live, new, prev_e = live[~done], new[~done], prev_e[~done]
                 if live.size == 0:
-                    return final, iterations, converged
+                    break
+        if live.size > 1:
+            first: dict[bytes, int] = {}
+            rep = np.array([first.setdefault(row.tobytes(), k) for k, row in enumerate(new)])
+            fold = rep != np.arange(live.size)
+            if fold.any():
+                np.minimum.at(prev_e, rep[fold], prev_e[fold])
+                runs_as[live[fold]] = live[rep[fold]]
+                runs_as = runs_as[runs_as]  # who repeated a folded member repeats its first
+                live, new, prev_e = live[~fold], new[~fold], prev_e[~fold]
         labels = new
         counts, centers = _means(points, labels, m)
         for i in np.flatnonzero((counts == 0).any(axis=1)):
@@ -136,8 +160,9 @@ def _lloyd_stack(points: np.ndarray, centers: np.ndarray, labels: np.ndarray | N
         if (e > prev_e + 1e-9 * (1.0 + prev_e)).any():
             raise InternalConsistencyError("total error increased during iteration")
         prev_e = e
-    final[live] = labels
-    return final, iterations, converged
+    else:
+        final[live] = labels
+    return final[runs_as], iterations[runs_as], converged[runs_as]
 
 
 def lloyd(ds: Dataset, cfg: KMeansConfig) -> LloydResult:
@@ -179,8 +204,9 @@ def _candidate_rows(ds: Dataset, rng_seed: int) -> np.ndarray:
 def _grow_one(ds: Dataset, prev: Partition, rng_seed: int):
     """Best Lloyd run over all candidate placements of one extra center.
 
-    The runs go as one stack, a chunk at a time; the first run that attains
-    the lowest error wins, and only it becomes a Partition.
+    The runs go as one stack, in waves of core.STACK_BUDGET members x rows
+    (runs with equal label rows go once); the first run that attains the
+    lowest error wins, and only it becomes a Partition.
     """
     cands = _candidate_rows(ds, rng_seed)
     m = prev.m + 1
@@ -188,7 +214,7 @@ def _grow_one(ds: Dataset, prev: Partition, rng_seed: int):
     centers = np.concatenate((base, cands[:, None, :]), axis=1)
     best_e = best = None
     iters = 0
-    for sel in _chunks(cands.shape[0], ds.n * m):
+    for sel in _chunks(cands.shape[0], ds.n):
         labels, iterations, _ = _lloyd_stack(ds.points, centers[sel], None)
         iters += int(iterations.sum())
         st = PartitionStack.from_labels(ds, labels, m)
@@ -204,7 +230,9 @@ def kmeans_sequence(ds: Dataset, m_max: int, rng_seed: int = 0) -> PartitionSequ
     Each count grows the previous solution by one center, trying every
     distinct point as the new center and keeping the first Lloyd run that
     attains the lowest error; the runs of a count go together, as one
-    stack, and info[m]["iterations"] sums their iterations. Above
+    stack in waves of core.STACK_BUDGET members x rows, and runs whose
+    labels become equal go on as one. info[m]["iterations"] sums the
+    iterations of every run, as if each ran alone. Above
     SUBSAMPLE_ABOVE distinct points the candidates are a subsample of
     SUBSAMPLE_SIZE rows seeded by rng_seed, which must be nonnegative.
     """

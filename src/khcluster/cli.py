@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, kh_engine, oracle, otsu1d, segment
-from .core import (Dataset, InputFormatError, Partition, PreconditionError,
-                   SizeGuardError, sigma)
+from .core import (Dataset, InputFormatError, Partition, PartitionSequence,
+                   PreconditionError, SizeGuardError, sigma)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -98,16 +98,18 @@ def _partition_record(p: Partition, moves: int,
     }
 
 
-def _runs(name: str, ds, args, policy: kh_engine.SubsetPolicy):
+def _runs(name: str, ds, args, policy: kh_engine.SubsetPolicy,
+          kmeans: PartitionSequence | None):
     """(m, partition, moves) of every count the method solves up to --m-max.
 
     moves are the Lloyd iterations of kmeans and the correction moves of
-    kh; otsu and oracle give labels, which move nothing.
+    kh; otsu and oracle give labels, which move nothing. kmeans is the
+    run's k-means sequence, which kh's kmeans route stabilizes.
     """
     if name == "kmeans":
-        seq, key = baselines.kmeans_sequence(ds, args.m_max, rng_seed=args.seed), "iterations"
+        seq, key = kmeans, "iterations"
     elif name == "kh":
-        seq, key = kh_engine.build_sequence(ds, args.m_max, policy), "moves"
+        seq, key = kh_engine.build_sequence(ds, args.m_max, policy, kmeans), "moves"
     elif name == "otsu":
         x = ds.points[:, 0]
         return [(pt.m, Partition.from_labels(
@@ -138,9 +140,12 @@ def _checked_methods(ds, args) -> tuple[list[str], kh_engine.SubsetPolicy]:
 
 def _run_methods(ds, args, methods: list[str], policy: kh_engine.SubsetPolicy) -> dict:
     """Run each method; every record's stability is audited under the
-    run's subset policy."""
+    run's subset policy. kmeans and kh share one k-means sequence, seeded
+    by --seed."""
+    kmeans = (baselines.kmeans_sequence(ds, args.m_max, rng_seed=args.seed)
+              if {"kmeans", "kh"} & set(methods) else None)
     return {name: {str(m): _partition_record(p, moves, policy)
-                   for m, p, moves in _runs(name, ds, args, policy)}
+                   for m, p, moves in _runs(name, ds, args, policy, kmeans)}
             for name in methods}
 
 

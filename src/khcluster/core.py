@@ -27,8 +27,9 @@ REFRESH_INTERVAL = 1024
 ENERGY_CLAMP_REL = 1e-9
 
 # Members x rows x clusters that a stacked kernel (the correction passes of
-# kh_engine, the Lloyd runs of baselines) works on in one chunk; it bounds
-# the kernels' temporary arrays, and so the peak memory.
+# kh_engine, the Lloyd distances of baselines) works on in one chunk, and
+# members x rows in one wave of Lloyd runs; it bounds the kernels'
+# temporary arrays, and so the peak memory.
 STACK_BUDGET = 8192
 
 

@@ -338,8 +338,8 @@ def split_step(p: Partition, policy: SubsetPolicy = BOTH) -> Partition:
     return best_part
 
 
-def build_sequence(ds: Dataset, m_max: int,
-                   policy: SubsetPolicy = BOTH) -> PartitionSequence:
+def build_sequence(ds: Dataset, m_max: int, policy: SubsetPolicy = BOTH,
+                   kmeans: PartitionSequence | None = None) -> PartitionSequence:
     """Stable partitions for every count 1..m_max.
 
     Three routes run: bottom_up splits from the single cluster, top_down
@@ -354,11 +354,19 @@ def build_sequence(ds: Dataset, m_max: int,
     with 0 moves.
     info[m] holds the winning route under "direction" (the benchmark's
     tracer counts route wins from that key) and its "moves".
+    kmeans is the k-means sequence of ds for counts 1..m_max that the kmeans
+    route stabilizes, kmeans_sequence(ds, m_max) when not given; a caller
+    that already has it passes it in.
     """
     groups = ds.identical_group_labels()
     v = int(groups.max()) + 1
     if not 1 <= m_max <= v:
         raise PreconditionError("m_max must lie between 1 and the distinct point count")
+    if kmeans is None:
+        kmeans = kmeans_sequence(ds, m_max)
+    elif kmeans.cluster_counts() != list(range(1, m_max + 1)) or any(
+            p.ds is not ds for p in kmeans.by_cluster_count.values()):
+        raise PreconditionError("kmeans must be a sequence of ds for counts 1..m_max")
 
     found: dict[int, tuple[Partition, str, int]] = {}
 
@@ -381,7 +389,7 @@ def build_sequence(ds: Dataset, m_max: int,
         if part.m <= m_max:
             record(part.m, part, "top_down", 0)
 
-    for part in kmeans_sequence(ds, m_max).by_cluster_count.values():
+    for part in kmeans.by_cluster_count.values():
         r = correct_pairs(part, policy)
         record(part.m, r.partition, "kmeans", r.n_moves)
 

@@ -263,8 +263,8 @@ def test_stacked_lloyd_matches_one_candidate_at_a_time(monkeypatch, max_iters,
     """kmeans_sequence and lloyd reproduce the per-candidate Lloyd loop bit
     for bit: labels, statistics, total_e bits, iteration counts and
     convergence. Also for runs cut off after one or two iterations (members
-    that never converge), one member per chunk (budget 1), a partial last
-    chunk (budget 700), and subsampled candidates."""
+    that never converge), one member per wave and per chunk (budget 1), a
+    partial last wave (budget 700), and subsampled candidates."""
     if max_iters is not None:
         monkeypatch.setattr(baselines, "MAX_ITERS", max_iters)
     if budget is not None:
@@ -290,7 +290,7 @@ def test_stacked_lloyd_matches_one_candidate_at_a_time(monkeypatch, max_iters,
             assert_same_bits(seq.by_cluster_count[m], parts[m])
             assert seq.info[m]["iterations"] == iters[m]
             cands = baselines._candidate_rows(ds, 3).shape[0]
-            partial += m > 1 and cands % max(1, core.STACK_BUDGET // (ds.n * m)) > 0
+            partial += m > 1 and cands % max(1, core.STACK_BUDGET // ds.n) > 0
         for m in range(2, m_max + 1):
             start = random_labels(rng, ds.n, m)
             centers = ds.points[rng.choice(ds.n, m, replace=False)]
@@ -310,7 +310,8 @@ def test_stacked_lloyd_matches_one_candidate_at_a_time(monkeypatch, max_iters,
 def test_a_member_whose_error_rises_raises(monkeypatch):
     """The monotone-error check is kept per member: scrambling the second
     assignment of one member of a stack of candidates raises, though every
-    other member iterates normally."""
+    other member iterates normally. The second assignment sees one member
+    per distinct first labeling, since equal label rows run once."""
     assign = baselines._assign
     calls = []
 
@@ -322,8 +323,50 @@ def test_a_member_whose_error_rises_raises(monkeypatch):
         return out
 
     ds = Dataset(np.repeat([0.0, 10.0, 20.0], 5) + np.tile(np.arange(5) * 0.1, 3))
+    cands = ds.unique_rows()
+    base = kmeans_sequence(ds, 1).by_cluster_count[1].centroids()
+    centers = np.stack([np.vstack((base, row)) for row in cands])
+    first = squared_distances(ds.points, centers).argmin(axis=-1)
+    distinct = len({row.tobytes() for row in first})
+    assert 1 < distinct < cands.shape[0] == 15
     kmeans_sequence(ds, 3)
     monkeypatch.setattr(baselines, "_assign", perturbed)
     with pytest.raises(InternalConsistencyError):
         kmeans_sequence(ds, 3)
-    assert calls == [15, 15]
+    assert calls == [15, distinct]
+
+
+@pytest.mark.parametrize("max_iters", [None, 1, 2])
+def test_equal_label_rows_run_once(monkeypatch, max_iters):
+    """Members whose label rows agree run once: on mostly distinct 1-D
+    points the kernel assigns fewer members than the runs' summed
+    iterations, yet every member matches its run alone in labels, total_e
+    bits, iteration count and convergence, also when runs are cut off
+    after one or two iterations."""
+    if max_iters is not None:
+        monkeypatch.setattr(baselines, "MAX_ITERS", max_iters)
+    assign = baselines._assign
+    assigned = []
+
+    def counted(d2, current):
+        assigned.append(d2.shape[0])
+        return assign(d2, current)
+
+    monkeypatch.setattr(baselines, "_assign", counted)
+    ds = Dataset(np.round(np.random.default_rng(12).normal(0.0, 5.0, 60), 2))
+    cands = ds.unique_rows()
+    assert 50 < cands.shape[0] < 60
+    seq = kmeans_sequence(ds, 5)
+    parts, iters = _ref_kmeans_sequence(ds, 5)
+    for m in range(1, 6):
+        assert_same_bits(seq.by_cluster_count[m], parts[m])
+        assert seq.info[m]["iterations"] == iters[m]
+    assert sum(assigned) < sum(iters.values()) or max_iters == 1
+    for m in range(2, 6):
+        base = np.broadcast_to(parts[m - 1].centroids(), (cands.shape[0], m - 1, 1))
+        centers = np.concatenate((base, cands[:, None, :]), axis=1)
+        labels, iterations, converged = baselines._lloyd_stack(ds.points, centers, None)
+        for k in range(cands.shape[0]):
+            part, it, conv = _ref_lloyd(ds, m, centers=centers[k])
+            assert np.array_equal(labels[k], part.labels)
+            assert (iterations[k], converged[k]) == (it, conv)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import labeled_energy
-from khcluster import baselines, segment
+from khcluster import baselines, kh_engine, segment
 from khcluster.cli import (EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_USAGE,
                            build_parser, load_csv, main)
 from khcluster.core import Dataset, InputFormatError, Partition
@@ -144,6 +144,29 @@ def test_cluster_reports_the_corrected_optimum(tmp_path):
     assert report["methods"]["kmeans"]["2"]["E"] == pytest.approx(target, rel=1e-9)
     assert report["methods"]["kh"]["2"]["E"] == pytest.approx(target, rel=1e-9)
     assert report["methods"]["kh"]["2"]["stable"] is True
+
+
+def test_one_kmeans_sequence_per_job(tmp_path, monkeypatch):
+    """The kmeans method and kh's kmeans route share one k-means sequence,
+    drawn with the run's --seed; a job that runs neither draws none."""
+    seeds = []
+    draw = baselines.kmeans_sequence
+
+    def counted(ds, m_max, rng_seed=0):
+        seeds.append(rng_seed)
+        return draw(ds, m_max, rng_seed)
+
+    monkeypatch.setattr(baselines, "kmeans_sequence", counted)
+    monkeypatch.setattr(kh_engine, "kmeans_sequence", counted)
+    data = tmp_path / "pts.csv"
+    write_csv(data, [[0.0], [1.0], [1.0], [9.0], [10.0]])
+    for command in ("cluster", "compare"):
+        for methods, want in (("kmeans,kh", [3]), ("kh,otsu,kmeans", [3]),
+                              ("kh", [3]), ("kmeans", [3]), ("otsu,oracle", [])):
+            seeds.clear()
+            assert main([command, "--input", str(data), "--methods", methods, "--m-max", "3",
+                         "--seed", "3", "--out", str(tmp_path / "run")]) == EXIT_OK
+            assert seeds == want
 
 
 def test_json_energies_roundtrip_against_labels(tmp_path):

@@ -226,6 +226,11 @@ def test_build_sequence_validation():
         build_sequence(ds, 3)
     with pytest.raises(PreconditionError):
         build_sequence(ds, 0)
+    # a given k-means sequence must be of ds, for counts 1..m_max
+    with pytest.raises(PreconditionError):
+        build_sequence(ds, 2, kmeans=kmeans_sequence(ds, 1))
+    with pytest.raises(PreconditionError):
+        build_sequence(ds, 2, kmeans=kmeans_sequence(Dataset([0.0, 0.0, 1.0]), 2))
 
 
 def test_stable_partition_need_not_be_optimal():
@@ -330,9 +335,12 @@ def test_engine_is_deterministic():
     assert a.n_moves == b.n_moves
     s1 = build_sequence(ds, 4)
     s2 = build_sequence(ds, 4)
+    s3 = build_sequence(ds, 4, kmeans=kmeans_sequence(ds, 4))  # the sequence it would build
     for m in s1.cluster_counts():
         assert np.array_equal(s1.by_cluster_count[m].labels,
                               s2.by_cluster_count[m].labels)
+        assert_same_bits(s3.by_cluster_count[m], s1.by_cluster_count[m])
+        assert s3.info[m] == s1.info[m]
 
 
 def test_sequence_never_beats_exhaustive_search():
