@@ -110,8 +110,9 @@ def _lloyd_stack(points: np.ndarray, centers: np.ndarray, labels: np.ndarray | N
     assignment. A member stops when its labels repeat, or after MAX_ITERS
     iterations; until then its total error must not increase. Distances and
     assignments go core.STACK_BUDGET members x rows x clusters at a time.
-    Returns the final labels (B, N), and each member's iteration count and
-    whether it converged.
+    Returns the final labels (B, N), each member's iteration count and
+    whether it converged, and runs_as (B,), the member whose run each
+    member's run repeated (itself if it ran; never a later member).
 
     Once assigned, a member's future (means, repair, next assignment, stop)
     depends on its labels alone, so live members with equal label rows run
@@ -162,7 +163,7 @@ def _lloyd_stack(points: np.ndarray, centers: np.ndarray, labels: np.ndarray | N
         prev_e = e
     else:
         final[live] = labels
-    return final[runs_as], iterations[runs_as], converged[runs_as]
+    return final[runs_as], iterations[runs_as], converged[runs_as], runs_as
 
 
 def lloyd(ds: Dataset, cfg: KMeansConfig) -> LloydResult:
@@ -187,7 +188,7 @@ def lloyd(ds: Dataset, cfg: KMeansConfig) -> LloydResult:
         labels = _repair_empty(points, labels, cfg.m)[None]
         centers = _means(points, labels, cfg.m)[1]
 
-    labels, iterations, converged = _lloyd_stack(points, centers, labels)
+    labels, iterations, converged, _ = _lloyd_stack(points, centers, labels)
     part = Partition.from_labels(ds, labels[0], cfg.m)
     return LloydResult(part, int(iterations[0]), bool(converged[0]))
 
@@ -206,7 +207,9 @@ def _grow_one(ds: Dataset, prev: Partition, rng_seed: int):
 
     The runs go as one stack, in waves of core.STACK_BUDGET members x rows
     (runs with equal label rows go once); the first run that attains the
-    lowest error wins, and only it becomes a Partition.
+    lowest error wins, and only it becomes a Partition. Only the runs that
+    ran get statistics: a repeat has the labels, hence the error bits, of
+    an earlier member, so the first minimum is always a run that ran.
     """
     cands = _candidate_rows(ds, rng_seed)
     m = prev.m + 1
@@ -215,9 +218,9 @@ def _grow_one(ds: Dataset, prev: Partition, rng_seed: int):
     best_e = best = None
     iters = 0
     for sel in _chunks(cands.shape[0], ds.n):
-        labels, iterations, _ = _lloyd_stack(ds.points, centers[sel], None)
+        labels, iterations, _, runs_as = _lloyd_stack(ds.points, centers[sel], None)
         iters += int(iterations.sum())
-        st = PartitionStack.from_labels(ds, labels, m)
+        st = PartitionStack.from_labels(ds, labels[np.unique(runs_as)], m)
         i = int(np.argmin(st.total_e))  # first minimum = first candidate
         if best is None or st.total_e[i] < best_e:
             best_e, best = st.total_e[i], st.partition(i)

@@ -28,6 +28,11 @@ def move_tolerance(energy_scale: float) -> float:
     return TOLERANCE_SCALE * (1.0 + energy_scale)
 
 
+def _transfer(home_sq, away_sq, k, n1, n2, rest):
+    # the closed form; rest is n1 - k, or a positive stand-in where k >= n1
+    return away_sq * (k * n2 / (k + n2)) - home_sq * (k * n1 / rest)
+
+
 def transfer_deltas(home_sq, away_sq, k, n1, n2):
     """Error change of moving k identical-mean points from donor to acceptor.
 
@@ -36,9 +41,14 @@ def transfer_deltas(home_sq, away_sq, k, n1, n2):
     over numpy arrays. Moves that would empty the donor (k >= n1) get +inf.
     """
     k, n1, n2 = np.asarray(k), np.asarray(n1), np.asarray(n2)
-    delta = (away_sq * (k * n2 / (k + n2))
-             - home_sq * (k * n1 / np.maximum(n1 - k, 1)))
-    return np.where(k < n1, delta, np.inf)
+    return np.where(k < n1, _transfer(home_sq, away_sq, k, n1, n2,
+                                      np.maximum(n1 - k, 1)), np.inf)
+
+
+def transfer_delta(home_sq: float, away_sq: float, k: int, n1: int, n2: int) -> float:
+    """transfer_deltas of one move, on Python floats and ints, bit for bit:
+    an int quotient rounds once, as numpy's quotient of two exact doubles."""
+    return _transfer(home_sq, away_sq, k, n1, n2, n1 - k) if k < n1 else math.inf
 
 
 def _require_cluster(stats: ClusterStats, name: str) -> None:

@@ -10,11 +10,15 @@ when its error delta is favorable. The lock is exact, with no window
 heuristics: searches from the donor pixels next to the moved ones run in
 turn and stop at the smaller side of a cut. Every segment carries a
 version, bumped whenever its pixels change; it keys the heap entries and
-the lock cache, and once the map is boundary-stable only the borders of
-segments whose version moved on since then are listed as candidates.
-Contact counts (the number of adjacent pixel pairs straddling each segment
-border) are maintained exactly so the adjacency graph never drifts from
-the labelling. One labeller of 4-connected regions of equal value finds
+the lock cache. The segments changed since the map was last
+boundary-stable form a dirty set, and each segment keeps a superset of its
+border pixels, so a correction pass lists the candidates of the dirty
+borders alone, in O(dirty border) rather than O(image). The labelling and
+the per-segment statistics are plain Python lists, squared so that their
+int and float arithmetic gives the bits of the numpy kernels (see
+SegmentMap). Contact counts (the number of adjacent pixel pairs
+straddling each segment border) are maintained exactly so the adjacency
+graph never drifts from the labelling. One labeller of 4-connected regions of equal value finds
 the flat zones (regions of equal intensity) and audits connectivity
 (regions of equal label, one per segment).
 """
@@ -190,6 +194,14 @@ class CurveRow:
 class SegmentMap:
     """Mutable segmentation with exact sufficient statistics per segment.
 
+    The labelling and the per-segment counts, sums, sums of squares and
+    versions are Python lists, so merges, heap entries, moves and the lock
+    cache do plain int and float arithmetic; labels is a read-only numpy
+    copy made on demand. A segment's energy squares its sum with `** 2`
+    (C pow, as on a numpy scalar) and a move's delta squares with `h * h`
+    (as numpy squares an array), which keeps every E bit the same as the
+    numpy kernels give.
+
     Segment ids are dense at construction; merging kills ids but never
     creates them; the live ids are the keys of pixels. The merge heap is
     lazily invalidated: every entry carries the version of both endpoints
@@ -197,7 +209,12 @@ class SegmentMap:
     every entry of a merged-away id. adj[s][t] is the number of 4-neighbour
     pixel pairs straddling the border of s and t, kept in both directions.
     Each pixel move and merge updates it from the labelling before it
-    changes, so adjacency stays exact.
+    changes, so adjacency stays exact. border[s] is a superset of the
+    pixels of s that have a foreign 4-neighbour, and holds only pixels of
+    s: a merge unites the two sets, a move adds the moved pixels and their
+    neighbours, and a border scan drops the pixels it finds interior.
+    _dirty holds the live segments changed since the map was last
+    boundary-stable (all of them after a rebuild).
     """
 
     def __init__(self, img: GrayImage, labels: np.ndarray):
@@ -205,23 +222,14 @@ class SegmentMap:
         self.w, self.h = img.width, img.height
         self._pairs = _neighbor_pairs(self.w, self.h)
         self._nbrs = _neighbor_table(self.w, self.h)
-        self.labels = np.asarray(labels, dtype=np.int64).copy()
-        if self.labels.shape != (img.n_pixels,):
+        lab = np.asarray(labels, dtype=np.int64)
+        if lab.shape != (img.n_pixels,):
             raise PreconditionError("label buffer does not match the image")
-        cap = int(self.labels.max()) + 1
-        self.counts = np.zeros(cap, dtype=np.int64)
-        self.sums = np.zeros(cap, dtype=np.float64)
-        self.sumsqs = np.zeros(cap, dtype=np.float64)
-        self.version = np.zeros(cap, dtype=np.int64)
-        self.pixels: dict[int, set[int]] = {}
-        self.adj: dict[int, dict[int, int]] = {}
-        self.total_e = 0.0
-        self.heap: list = []
+        self._labels: list[int] = lab.tolist()
+        self._px: list[float] = img.intensities.tolist()
+        self._bits: list[int] = img.intensities.view(np.int64).tolist()
+        self.version = [0] * (int(lab.max()) + 1)
         self._ops = 0
-        self._lock_cache: dict[tuple[int, tuple[int, ...]], tuple[int, bool]] = {}
-        # versions when the map was last boundary-stable; a segment whose
-        # version moved on since is dirty, and _rebuild's bump dirties all
-        self._stable_at = self.version.copy()
         self._rebuild()
 
     # -- construction
@@ -236,52 +244,61 @@ class SegmentMap:
         raise PreconditionError(f"unknown init {init!r}")
 
     def _rebuild(self) -> None:
-        """Recompute every derived structure from the labelling."""
+        """Recompute every derived structure from the labelling; every
+        segment becomes dirty and gets a new version."""
         lab = self.labels
         px = self.img.intensities
-        cap = self.counts.shape[0]
-        self.counts = np.bincount(lab, minlength=cap)
-        self.sums = np.bincount(lab, weights=px, minlength=cap)
-        self.sumsqs = np.bincount(lab, weights=px * px, minlength=cap)
-        self.pixels = {}
-        for p, s in enumerate(lab):
-            self.pixels.setdefault(int(s), set()).add(p)
-        self.adj = {s: {} for s in self.pixels}
-        self.total_e = float(sum(self._seg_energy(int(s))
-                                 for s in np.flatnonzero(self.counts)))
-        self.version += 1
-        self.heap = []
-        self._lock_cache = {}
+        cap = len(self.version)
+        self.counts: list[int] = np.bincount(lab, minlength=cap).tolist()
+        self.sums: list[float] = np.bincount(lab, weights=px, minlength=cap).tolist()
+        self.sumsqs: list[float] = np.bincount(lab, weights=px * px,
+                                               minlength=cap).tolist()
+        self.pixels: dict[int, set[int]] = {}
+        for p, s in enumerate(self._labels):
+            self.pixels.setdefault(s, set()).add(p)
+        self.adj: dict[int, dict[int, int]] = {s: {} for s in self.pixels}
+        self.border: dict[int, set[int]] = {s: set() for s in self.pixels}
+        self.total_e = float(sum(self._seg_energy(s) for s in range(cap)
+                                 if self.counts[s]))
+        self.version = [v + 1 for v in self.version]
+        self._dirty = set(self.pixels)
+        self._lock_cache: dict[tuple[int, tuple[int, ...]], tuple[int, bool]] = {}
         a, b = self._pairs
         la, lb = lab[a], lab[b]
         cut = la != lb
-        la, lb = la[cut], lb[cut]
+        a, b, la, lb = a[cut], b[cut], la[cut], lb[cut]
+        ends = np.unique(np.concatenate((a, b)))
+        for p, s in zip(ends.tolist(), lab[ends].tolist()):
+            self.border[s].add(p)
         keys = np.minimum(la, lb) * cap + np.maximum(la, lb)
         uniq, cnt = np.unique(keys, return_counts=True)
+        self.heap: list = []
         for k, c in zip(uniq.tolist(), cnt.tolist()):
             u, v = divmod(k, cap)
             self.adj[u][v] = self.adj[v][u] = c
-            self._push_edge(u, v)
+            self.heap.append(self._edge(u, v))
+        heapq.heapify(self.heap)
 
     # -- bookkeeping primitives
 
+    @property
+    def labels(self) -> np.ndarray:
+        """The segment id of every pixel, as a read-only copy."""
+        lab = np.fromiter(self._labels, np.int64, len(self._labels))
+        lab.setflags(write=False)
+        return lab
+
     def _seg_energy(self, s: int) -> float:
-        return clamped_cluster_energy(
-            self.sumsqs[s], self.sums[s] ** 2, int(self.counts[s]))
+        return clamped_cluster_energy(self.sumsqs[s], self.sums[s] ** 2, self.counts[s])
 
-    def _mean(self, s: int) -> float:
-        return self.sums[s] / self.counts[s]
-
-    def _merge_cost(self, a: int, b: int) -> float:
-        na, nb = int(self.counts[a]), int(self.counts[b])
-        d = self._mean(a) - self._mean(b)
-        return d * d * (na * nb / (na + nb))
+    def _edge(self, a: int, b: int) -> tuple:
+        """The heap entry of the merge of a and b, a < b."""
+        na, nb = self.counts[a], self.counts[b]
+        d = self.sums[a] / na - self.sums[b] / nb
+        return d * d * (na * nb / (na + nb)), a, b, self.version[a], self.version[b]
 
     def _push_edge(self, a: int, b: int) -> None:
-        if a > b:
-            a, b = b, a
-        heapq.heappush(self.heap, (self._merge_cost(a, b), a, b,
-                                   int(self.version[a]), int(self.version[b])))
+        heapq.heappush(self.heap, self._edge(a, b) if a < b else self._edge(b, a))
 
     def _neighbors(self, p: int) -> tuple[int, ...]:
         return self._nbrs[p]
@@ -315,18 +332,20 @@ class SegmentMap:
         raise InternalConsistencyError("adjacency exists but the heap ran dry")
 
     def _merge(self, a: int, b: int) -> tuple[int, int]:
-        if self.counts[b] > self.counts[a] or \
-                (self.counts[b] == self.counts[a] and b < a):
+        counts = self.counts
+        if counts[b] > counts[a] or (counts[b] == counts[a] and b < a):
             a, b = b, a
         # a survives, b dies
         e_before = self._seg_energy(a) + self._seg_energy(b)
+        lab = self._labels
         for p in self.pixels[b]:
-            self.labels[p] = a
+            lab[p] = a
         self.pixels[a] |= self.pixels.pop(b)
-        self.counts[a] += self.counts[b]
+        self.border[a] |= self.border.pop(b)
+        counts[a] += counts[b]
         self.sums[a] += self.sums[b]
         self.sumsqs[a] += self.sumsqs[b]
-        self.counts[b] = 0
+        counts[b] = 0
         self.sums[b] = 0.0
         self.sumsqs[b] = 0.0
         self.total_e += self._seg_energy(a) - e_before
@@ -337,75 +356,79 @@ class SegmentMap:
                 self.adj[a][t] = self.adj[t][a] = self.adj[a].get(t, 0) + c
         self.version[a] += 1
         self.version[b] += 1
-        for t in sorted(self.adj[a]):
+        self._dirty.discard(b)
+        self._dirty.add(a)
+        for t in self.adj[a]:
             self._push_edge(a, t)
         self._tick()
         return a, b
 
     # -- boundary correction
 
-    def _boundary_candidates(self):
+    def _boundary_candidates(self) -> set[tuple[int, int]]:
         """(pixel, acceptor) pairs where a pixel borders a foreign segment.
 
-        Sorted by (pixel, acceptor). Only the borders of dirty segments,
-        whose version moved on since the map was last boundary-stable, are
-        listed: stats elsewhere are unchanged since then, so a new improving
-        move must take from or give to a dirty segment. Before the first
-        stable point, and after every rebuild, all segments are dirty.
+        Only pairs that touch a dirty segment are listed: stats elsewhere
+        are unchanged since the map was last boundary-stable, so a new
+        improving move must take from or give to a dirty segment. They are
+        found from the border sets of the dirty segments alone, in
+        O(dirty border): a border pixel p of s lists (p, t) for every
+        foreign neighbour's segment t, and that neighbour q lists (q, s).
+        Pixels found interior leave the border set.
         """
-        a, b = self._pairs
-        la, lb = self.labels[a], self.labels[b]
-        dirty = self.version != self._stable_at
-        cut = (la != lb) & (dirty[la] | dirty[lb])
-        a, b, la, lb = a[cut], b[cut], la[cut], lb[cut]
-        p = np.concatenate((a, b))
-        acc = np.concatenate((lb, la))
-        _, first = np.unique(p * self.counts.shape[0] + acc, return_index=True)
-        return p[first], acc[first]
+        lab, nbrs = self._labels, self._nbrs
+        pairs = set()
+        for s in self._dirty:
+            inner = []
+            for p in self.border[s]:
+                foreign = False
+                for q in nbrs[p]:
+                    t = lab[q]
+                    if t != s:
+                        foreign = True
+                        pairs.add((p, t))
+                        pairs.add((q, s))
+                if not foreign:
+                    inner.append(p)
+            self.border[s].difference_update(inner)
+        return pairs
 
     def _ranked_moves(self, below: float):
         """Boundary moves predicted to change the error by less than below.
 
         Candidates are single border pixels and groups (k >= 2) of
         bit-identical intensity that share donor and acceptor. Yields
-        (delta, donor, acceptor, subset) in (delta, donor, acceptor, subset)
-        order. Only borders of dirty segments are considered (see
+        (delta, donor, acceptor, subset) in (delta, donor, acceptor, lead
+        pixel, k) order. Only borders of dirty segments are considered (see
         _boundary_candidates); a group shares its donor and acceptor, so it
-        is kept or dropped whole.
+        is kept or dropped whole. The pixels of a group share one single
+        move delta, so it is computed once per group.
         """
-        p, acc = self._boundary_candidates()
-        don = self.labels[p]
-        k = np.ones(p.shape[0], dtype=np.int64)
-        start = np.arange(p.shape[0])
-        pool = p
-        # group moves exist only where some donor can spare two pixels
-        good = self.counts[don] >= 2
-        if (self.counts[don[good]] >= 3).any():
-            gp, gacc, gdon = p[good], acc[good], don[good]
-            bits = np.ascontiguousarray(self.img.intensities[gp]).view(np.int64)
-            order = np.lexsort((gp, bits, gacc, gdon))
-            gp, gacc, gdon, bits = gp[order], gacc[order], gdon[order], bits[order]
-            starts = np.concatenate(
-                ([0], np.flatnonzero((gdon[1:] != gdon[:-1])
-                                     | (gacc[1:] != gacc[:-1])
-                                     | (bits[1:] != bits[:-1])) + 1))
-            sizes = np.diff(np.append(starts, gp.shape[0]))
-            multi = sizes >= 2
-            k = np.concatenate((k, sizes[multi]))
-            start = np.concatenate((start, p.shape[0] + starts[multi]))
-            acc = np.concatenate((acc, gacc[starts[multi]]))
-            don = np.concatenate((don, gdon[starts[multi]]))
-            pool = np.concatenate((p, gp))
-        lead = pool[start]
-        x = self.img.intensities[lead]
-        n1, n2 = self.counts[don], self.counts[acc]
-        delta = reclass.transfer_deltas((x - self.sums[don] / n1) ** 2,
-                                        (x - self.sums[acc] / n2) ** 2, k, n1, n2)
-        sel = np.flatnonzero(delta < below)
-        order = sel[np.lexsort((k[sel], lead[sel], acc[sel], don[sel], delta[sel]))]
-        for i in order:
-            yield (float(delta[i]), int(don[i]), int(acc[i]),
-                   tuple(pool[start[i]:start[i] + k[i]].tolist()))
+        lab, counts, sums, px = self._labels, self.counts, self.sums, self._px
+        groups: dict[tuple[int, int, int], list[int]] = {}
+        for p, acc in self._boundary_candidates():
+            don = lab[p]
+            if counts[don] >= 2:  # a move may not empty its donor
+                groups.setdefault((don, acc, self._bits[p]), []).append(p)
+        ranked = []
+        for (don, acc, _), ps in groups.items():
+            n1, n2 = counts[don], counts[acc]
+            x = px[ps[0]]
+            h = x - sums[don] / n1
+            g = x - sums[acc] / n2
+            hh, gg = h * h, g * g
+            delta = reclass.transfer_delta(hh, gg, 1, n1, n2)
+            if delta < below:
+                ranked += [(delta, don, acc, p, 1, (p,)) for p in ps]
+            k = len(ps)
+            if k >= 2:
+                delta = reclass.transfer_delta(hh, gg, k, n1, n2)
+                if delta < below:
+                    ps.sort()
+                    ranked.append((delta, don, acc, ps[0], k, tuple(ps)))
+        ranked.sort()
+        for delta, don, acc, _, _, subset in ranked:
+            yield delta, don, acc, subset
 
     def _donor_survives(self, subset: tuple[int, ...], don: int) -> bool:
         """True when removing the subset keeps the donor 4-connected.
@@ -425,7 +448,7 @@ class SegmentMap:
         if hit is not None and hit[0] == self.version[don]:
             return hit[1]
         ok = self._donor_survives_uncached(subset, don)
-        self._lock_cache[key] = (int(self.version[don]), ok)
+        self._lock_cache[key] = (self.version[don], ok)
         return ok
 
     def _donor_survives_uncached(self, subset: tuple[int, ...], don: int) -> bool:
@@ -467,13 +490,14 @@ class SegmentMap:
 
     def _apply_move(self, subset: tuple[int, ...], don: int, acc: int) -> None:
         e_before = self._seg_energy(don) + self._seg_energy(acc)
+        lab, nbrs, border = self._labels, self._nbrs, self.border
         moved = set(subset)
         # contact updates read the labelling before it changes
         for p in subset:
-            for q in self._neighbors(p):
+            for q in nbrs[p]:
                 if q in moved:
                     continue
-                t = int(self.labels[q])
+                t = lab[q]
                 if t == don:
                     self._contact_inc(acc, don)
                 elif t == acc:
@@ -482,10 +506,15 @@ class SegmentMap:
                     self._contact_dec(don, t)
                     self._contact_inc(acc, t)
         for p in subset:
-            self.labels[p] = acc
+            lab[p] = acc
             self.pixels[don].discard(p)
             self.pixels[acc].add(p)
-        x = self.img.intensities[np.asarray(subset, dtype=np.int64)]
+            border[don].discard(p)
+        for p in subset:
+            for q in (p, *nbrs[p]):
+                border[lab[q]].add(q)
+        # numpy sums the subset, so the statistics keep numpy's bits
+        x = self.img.intensities[list(subset)]
         k = len(subset)
         self.counts[don] -= k
         self.counts[acc] += k
@@ -497,9 +526,12 @@ class SegmentMap:
         self.total_e += self._seg_energy(don) + self._seg_energy(acc) - e_before
         self.version[don] += 1
         self.version[acc] += 1
-        for s2 in (don, acc):
-            for t in sorted(self.adj[s2]):
-                self._push_edge(s2, t)
+        self._dirty.update((don, acc))
+        for t in self.adj[don]:
+            self._push_edge(don, t)
+        for t in self.adj[acc]:
+            if t != don:
+                self._push_edge(acc, t)
         self._tick()
 
     def _contact_inc(self, a: int, b: int) -> None:
@@ -528,33 +560,41 @@ class SegmentMap:
                     n_moves += 1
                     break
             else:
-                self._stable_at = self.version.copy()
+                self._dirty.clear()
                 break
         return n_moves
 
     # -- outputs
 
     def approximation(self) -> GrayImage:
-        means = np.zeros_like(self.sums)
-        np.divide(self.sums, self.counts, out=means, where=self.counts > 0)
+        sums, counts = np.array(self.sums), np.array(self.counts)
+        means = np.zeros_like(sums)
+        np.divide(sums, counts, out=means, where=counts > 0)
         return GrayImage(self.w, self.h, means[self.labels])
 
     def check_consistency(self) -> None:
         """Recompute all derived state from the labelling and compare."""
-        snapshot = (self.counts.copy(), self.sums.copy(), self.sumsqs.copy(),
+        snapshot = (list(self.counts), np.array(self.sums),
                     {k: dict(v) for k, v in self.adj.items()},
-                    {k: set(v) for k, v in self.pixels.items()}, self.total_e)
+                    {k: set(v) for k, v in self.pixels.items()},
+                    {k: set(v) for k, v in self.border.items()}, self.total_e)
         self._rebuild()
-        counts, sums, sumsqs, adj, pixels, e = snapshot
-        if not np.array_equal(counts, self.counts):
+        counts, sums, adj, pixels, border, e = snapshot
+        if counts != self.counts:
             raise InternalConsistencyError("segment counts drifted")
         if adj != self.adj:
             raise InternalConsistencyError("contact counts drifted")
         if pixels != self.pixels:
             raise InternalConsistencyError("segment membership drifted")
+        # the rebuilt border sets are exact; the kept ones may hold more,
+        # but only pixels of their own segment
+        if border.keys() != self.border.keys() or any(
+                not self.border[s] <= border[s] <= self.pixels[s] for s in border):
+            raise InternalConsistencyError("border sets drifted")
+        fresh = np.array(self.sums)
         scale = 1e-9 * (1.0 + abs(self.total_e))
         if abs(e - self.total_e) > scale or \
-                np.abs(sums - self.sums).max() > 1e-9 * (1.0 + np.abs(self.sums).max()):
+                np.abs(sums - fresh).max() > 1e-9 * (1.0 + np.abs(fresh).max()):
             raise InternalConsistencyError("running statistics drifted")
         # each segment is one region of equal label iff the regions number
         # as many as the segments

@@ -365,8 +365,12 @@ def test_equal_label_rows_run_once(monkeypatch, max_iters):
     for m in range(2, 6):
         base = np.broadcast_to(parts[m - 1].centroids(), (cands.shape[0], m - 1, 1))
         centers = np.concatenate((base, cands[:, None, :]), axis=1)
-        labels, iterations, converged = baselines._lloyd_stack(ds.points, centers, None)
+        labels, iterations, converged, runs_as = baselines._lloyd_stack(
+            ds.points, centers, None)
+        assert (runs_as <= np.arange(cands.shape[0])).all()
+        assert (runs_as[runs_as] == runs_as).all()
         for k in range(cands.shape[0]):
             part, it, conv = _ref_lloyd(ds, m, centers=centers[k])
             assert np.array_equal(labels[k], part.labels)
+            assert np.array_equal(labels[runs_as[k]], part.labels)
             assert (iterations[k], converged[k]) == (it, conv)

@@ -396,7 +396,7 @@ def test_identical_runs_are_byte_identical(tmp_path):
 def test_outputs_match_golden_fixtures(tmp_path):
     """Committed inputs and outputs (tests/data/README.md) pin the exact bytes
     of segment and cluster runs, on 1-D and 2-D CSV, binary PGM and ASCII
-    PGM input, of the k-means growth on 60 mostly distinct values, and of
+    PGM input, from single pixels and from flat zones, of the k-means growth on 60 mostly distinct values, and of
     all four methods together; exact speed-ups must keep them. The report's
     input field holds the path, so only its methods object is compared, as
     methods.json."""
@@ -404,6 +404,8 @@ def test_outputs_match_golden_fixtures(tmp_path):
     runs = (
         ("segment_quadrant12/input.pgm", ["segment", "--m-max", "4"],
          ("segment_curve.csv", "approx_merge_only_4.pgm", "approx_corrected_4.pgm")),
+        ("segment_flat16/input.pgm", ["segment", "--init", "flat_zones", "--m-max", "3"],
+         ("segment_curve.csv", "approx_merge_only_3.pgm", "approx_corrected_3.pgm")),
         ("cluster_dup40/input.csv",
          ["cluster", "--methods", "kmeans,kh,otsu", "--m-max", "4"],
          ("comparison.csv", "methods.json")),

@@ -160,3 +160,16 @@ def test_merge_many_matches_recomputation(seed):
              - sum(energy_by_means(g) for g in groups))
     formula = reclass.merge_many([ClusterStats.from_points(g) for g in groups])
     assert abs(formula - exact) <= 1e-9 * (1.0 + abs(exact))
+
+
+def test_scalar_transfer_delta_matches_the_array_form_bit_for_bit():
+    """transfer_delta on Python numbers gives the bits transfer_deltas gives
+    on numpy arrays, +inf included where the move would empty the donor."""
+    rng = np.random.default_rng(3)
+    home, away = rng.uniform(0.0, 1e4, (2, 2000))
+    k, n1, n2 = rng.integers(1, 60, (3, 2000))
+    want = reclass.transfer_deltas(home, away, k, n1, n2)
+    got = np.array([reclass.transfer_delta(*args) for args in zip(
+        home.tolist(), away.tolist(), k.tolist(), n1.tolist(), n2.tolist())])
+    assert np.isinf(want).any() and np.isfinite(want).any()
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -1,11 +1,13 @@
 """Connected segmentation: PGM I/O, merging, boundary correction, curves."""
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
 from helpers import labeled_energy
+from khcluster import reclass
 from khcluster.core import (Dataset, InputFormatError, InternalConsistencyError,
                             PreconditionError, sigma)
 from khcluster.kh_engine import build_sequence
@@ -211,7 +213,8 @@ def test_articulation_pixel_is_locked():
 
 def test_consistency_audit_raises_on_each_fault():
     """The audit passes an intact map, and raises on a segment in two
-    pieces, on a perturbed coordinate sum and on a perturbed contact count."""
+    pieces, on a perturbed coordinate sum, on a perturbed contact count,
+    on a dropped border pixel and on a border pixel of another segment."""
     img = GrayImage.from_array(np.array([[0.0, 5.0, 0.0],
                                          [1.0, 2.0, 3.0]]))
     intact = np.array([0, 1, 2, 3, 3, 3])
@@ -225,6 +228,14 @@ def test_consistency_audit_raises_on_each_fault():
     sm = SegmentMap(img, intact)
     sm.adj[0][1] += 1
     with pytest.raises(InternalConsistencyError, match="contact"):
+        sm.check_consistency()
+    sm = SegmentMap(img, intact)
+    sm.border[3].discard(4)
+    with pytest.raises(InternalConsistencyError, match="border"):
+        sm.check_consistency()
+    sm = SegmentMap(img, intact)
+    sm.border[0].add(1)
+    with pytest.raises(InternalConsistencyError, match="border"):
         sm.check_consistency()
 
 
@@ -291,6 +302,31 @@ def test_ranked_move_deltas_match_applied_change():
     assert group_moves > 0
 
 
+def test_ranked_deltas_have_the_bits_of_the_array_kernel():
+    """Along merge curves of float images, every ranked delta has the bits
+    reclass.transfer_deltas gives on numpy arrays, whose `** 2` squares as
+    `x * x`; C pow, which a Python float's `** 2` calls, differs in about
+    one square in a thousand."""
+    rng = np.random.default_rng(17)
+    checked = 0
+    for _ in range(4):
+        sm = SegmentMap.from_image(GrayImage.from_array(rng.uniform(0, 255, (8, 8))))
+        while sm.segment_count > 2:
+            sm.merge_best()
+            cands = list(sm._ranked_moves(np.inf))
+            don, acc, k, lead = (np.array(col) for col in zip(
+                *((dn, ac, len(sub), sub[0]) for _, dn, ac, sub in cands)))
+            x = sm.img.intensities[lead]
+            sums, counts = np.array(sm.sums), np.array(sm.counts)
+            n1, n2 = counts[don], counts[acc]
+            want = reclass.transfer_deltas((x - sums[don] / n1) ** 2,
+                                           (x - sums[acc] / n2) ** 2, k, n1, n2)
+            got = np.array([delta for delta, _, _, _ in cands])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            checked += len(cands)
+    assert checked > 10000
+
+
 def test_random_images_stay_consistent():
     rng = np.random.default_rng(77)
     for _ in range(8):
@@ -336,6 +372,31 @@ def test_unconstrained_clustering_bounds_segments():
         by_count = {r.count: r.error for r in rows}
         for c in range(1, 7):
             assert seq.energy(c) <= by_count[c] + 1e-9 * (1 + by_count[c])
+
+
+# sha256 of the reprs of each curve's E values, joined by spaces, as the
+# curves were before segment state became plain Python numbers
+_FLOAT_CURVES = {
+    26: ("e59e72e7a14e0b1df320278f3f121b94041ccfea9bb94fab4a2077d9faea119e",
+         "771269cab6737999719131552b4fa351e5c613ea55ba6ddac188123b9c2498fa"),
+    43: ("d8d93bc39085d22a808ded3704a9dd2e18927b232a5481f4ec385d865a0f970e",
+         "d7cbc79478dc294f48ad2fed04a43b444a1bbb072f48d6f4a645dc21fde89248"),
+}
+
+
+def test_segment_curve_frozen_on_float_intensities():
+    """Every merge-only and corrected E on two images of float intensities
+    keeps its exact repr. A segment's energy squares its sum with `** 2`
+    (C pow, as on a numpy scalar); squaring it as `t * t` changes some of
+    these bits."""
+    for seed, want in _FLOAT_CURVES.items():
+        rng = np.random.default_rng(seed)
+        h, w = rng.integers(4, 12), rng.integers(4, 12)
+        res = segment_curve(GrayImage.from_array(rng.uniform(0, 255, (h, w))))
+        assert len(res.corrected) == h * w
+        got = tuple(hashlib.sha256(" ".join(repr(r.error) for r in rows).encode())
+                    .hexdigest() for rows in (res.merge_only, res.corrected))
+        assert got == want, seed
 
 
 def test_segment_curve_is_deterministic():
@@ -462,13 +523,13 @@ def test_lock_refusal_costs_the_short_side(monkeypatch):
 
 def test_dirty_borders_equal_a_filtered_full_rebuild(monkeypatch):
     """Every border listing along corrected curves equals a full rebuild,
-    filtered to pairs that touch a dirty segment: one whose version moved on
-    since the map was last boundary-stable."""
+    filtered to pairs that touch a dirty segment: one changed since the map
+    was last boundary-stable."""
     real = SegmentMap._boundary_candidates
     seen = {True: 0, False: 0}
 
     def checked(self):
-        p, acc = real(self)
+        got = real(self)
         lab = self.labels.reshape(self.h, self.w)
         pairs = set()
         for r in range(self.h):
@@ -477,12 +538,12 @@ def test_dirty_borders_equal_a_filtered_full_rebuild(monkeypatch):
                     if 0 <= rr < self.h and 0 <= cc < self.w \
                             and lab[rr, cc] != lab[r, c]:
                         pairs.add((r * self.w + c, int(lab[rr, cc])))
-        dirty = {s for s in self.pixels if self.version[s] != self._stable_at[s]}
+        dirty = self._dirty
+        assert dirty <= self.pixels.keys()
         pairs = {(q, a) for q, a in pairs if self.labels[q] in dirty or a in dirty}
-        want = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-        assert np.array_equal(p, want[:, 0]) and np.array_equal(acc, want[:, 1])
+        assert sorted(got) == sorted(pairs)
         seen[len(dirty) == len(self.pixels)] += 1
-        return p, acc
+        return got
 
     monkeypatch.setattr(SegmentMap, "_boundary_candidates", checked)
     rng = np.random.default_rng(41)
