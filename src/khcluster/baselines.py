@@ -255,9 +255,6 @@ def kmeans_sequence(ds: Dataset, m_max: int, rng_seed: int = 0) -> PartitionSequ
 
 
 def is_lloyd_fixed_point(p: Partition) -> bool:
-    """True iff no point is strictly closer to another cluster's centroid."""
+    """True iff one Lloyd assignment, with its tie rule, keeps every label."""
     d2 = squared_distances(p.ds.points, p.centroids())
-    rows = np.arange(p.n)
-    own = d2[rows, p.labels]
-    dmin = d2.min(axis=1)
-    return not bool(np.any(own - dmin > ASSIGN_TIE_REL * (1.0 + dmin)))
+    return bool((_assign(d2[None], p.labels[None]) == p.labels).all())

@@ -6,17 +6,18 @@ and one acceptor, so stability is pair stability. The one correction loop
 repeatedly applies the single best move, and merge_step, split_step and
 every route of build_sequence end in it.
 
-Each pass of that loop is one kernel, _best_moves, which finds the best
-move of every member of a stack of partitions (core.PartitionStack) at
-once, so each member ends bit for bit as if corrected alone. merge_step
-stacks its merged candidates and split_step its bisected ones, at most
-core.STACK_BUDGET members x rows x clusters at a time; correct_pairs is a
-stack of one, and correct_tuples a stack of one with a mask of the
-clusters of each tuple (it ends pair-stable too, and nothing in the
-package calls it). Each pass recomputes d2 to every centroid with one
-stacked matmul, since numpy computes a one-column product as a
-matrix-vector product that rounds differently from the same column of a
-wider one.
+That loop is _correct_stack, and each of its passes is one kernel,
+_best_moves, which finds the best move of every member of a stack of
+partitions (core.PartitionStack) at once, so each member ends bit for bit
+as if corrected alone. merge_step stacks its merged candidates and
+split_step its bisected ones, at most core.STACK_BUDGET members x rows x
+clusters at a time; correct_pairs and correct_tuples are _correct_stack on
+one partition, a stack of one whose moves are Partition.move calls, the
+latter with a mask of the clusters of each tuple (it ends pair-stable
+too, and nothing in the package calls it). Each pass recomputes d2 to
+every centroid with one stacked matmul, since numpy computes a one-column
+product as a matrix-vector product that rounds differently from the same
+column of a wider one.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from . import reclass
 from .baselines import KMeansConfig, kmeans_sequence, lloyd
 from .core import (Dataset, Partition, PartitionSequence, PartitionStack,
-                   PreconditionError, _chunks, squared_distances)
+                   PreconditionError, _chunks, sq_norms, squared_distances)
 
 # Exact farthest-pair search is quadratic; larger clusters fall back to the
 # deterministic two-hop approximation.
@@ -196,29 +197,29 @@ def _best_moves(st: PartitionStack, active: np.ndarray, policy: SubsetPolicy,
     return members, donor[r], acceptor, moved, sub_sum, sub_sq
 
 
-def _correct_stack(st: PartitionStack, policy: SubsetPolicy) -> None:
-    """Correct every member of st in place, each bit for bit as alone; a
-    member drops out of the passes when it has no improving move."""
-    groups = _group_rows(st.ds)
-    active = np.arange(st.labels.shape[0])
-    while (best := _best_moves(st, active, policy, groups)) is not None:
-        st.move(*best)
-        active = best[0]
+def _correct_stack(st: PartitionStack | Partition, policy: SubsetPolicy,
+                   allowed: np.ndarray | None = None) -> np.ndarray:
+    """Correct every member of st in place, each bit for bit as alone, and
+    return each member's moves; a member drops out of the passes when it
+    has no improving move. allowed, a mask over clusters, confines donors
+    and acceptors.
 
-
-def _correct_partition(q: Partition, policy: SubsetPolicy,
-                       allowed: np.ndarray | None = None) -> int:
-    """Correct q in place, scored on its own stack of one; returns the
-    moves. Each move is one Partition.move, so the moves correct_pairs and
-    correct_tuples report are the Partition.move calls the benchmark's
-    tracer counts."""
-    groups = _group_rows(q.ds)
-    only = np.zeros(1, dtype=np.int64)
-    moves = 0
-    while (best := _best_moves(q._stack, only, policy, groups, allowed)) is not None:
-        _, donor, acceptor, moved, _, _ = best
-        q.move(np.flatnonzero(moved[0]), int(donor[0]), int(acceptor[0]))
-        moves += 1
+    A Partition is scored as its stack of one and each of its moves is one
+    Partition.move call, so the moves correct_pairs and correct_tuples
+    report are the Partition.move calls the benchmark's tracer counts.
+    """
+    stack = st._stack if isinstance(st, Partition) else st
+    groups = _group_rows(stack.ds)
+    moves = np.zeros(stack.labels.shape[0], dtype=np.int64)
+    active = np.arange(moves.size)
+    while (best := _best_moves(stack, active, policy, groups, allowed)) is not None:
+        members, donor, acceptor, moved, _, _ = best
+        if stack is st:
+            stack.move(*best)
+        else:
+            st.move(np.flatnonzero(moved[0]), int(donor[0]), int(acceptor[0]))
+        active = members
+        moves[active] += 1
     return moves
 
 
@@ -230,7 +231,7 @@ def correct_pairs(p: Partition, policy: SubsetPolicy = BOTH) -> CorrectionResult
     Ties break on the lowest (donor, acceptor, first index, subset).
     """
     q = p.copy()
-    return CorrectionResult(q, _correct_partition(q, policy))
+    return CorrectionResult(q, int(_correct_stack(q, policy)[0]))
 
 
 def correct_tuples(p: Partition, l: int, policy: SubsetPolicy = BOTH) -> CorrectionResult:
@@ -251,7 +252,7 @@ def correct_tuples(p: Partition, l: int, policy: SubsetPolicy = BOTH) -> Correct
         masks.append(allowed)
     total_moves = 0
     while True:
-        moves = sum(_correct_partition(q, policy, allowed) for allowed in masks)
+        moves = sum(int(_correct_stack(q, policy, allowed)[0]) for allowed in masks)
         total_moves += moves
         if moves == 0:
             return CorrectionResult(q, total_moves)
@@ -274,7 +275,7 @@ def merge_step(p: Partition, policy: SubsetPolicy = BOTH) -> Partition:
         raise PreconditionError("merging needs at least two clusters")
     a, b = np.triu_indices(p.m, 1)
     cent = p.centroids()
-    raw = reclass.merge_deltas(cent[a], cent[b], p.counts[a], p.counts[b])
+    raw = reclass.merge_deltas(sq_norms(cent[a] - cent[b]), p.counts[a], p.counts[b])
     # cluster c of the pair (a, b) becomes c, a, or c - 1 below, at, above b
     relabel = np.arange(p.m) - (np.arange(p.m) > b[:, None])
     relabel[np.arange(a.size), b] = a

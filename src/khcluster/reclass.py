@@ -7,6 +7,11 @@ functions evaluate that change exactly from cluster statistics, without
 touching the points. The move improves the partition precisely when
 |I - I1| > alpha * |I - I2| for the scale factor alpha below, which is the
 strict sharpening of the nearest-centroid rule that plain K-means uses.
+
+Merging two clusters costs Ward's |Ia - Ib|^2 * na*nb / (na + nb).
+merge_deltas is the one place that factor is written; like
+transfer_deltas, it takes the squared centroid distance, so the engine's
+arrays and segment's Python numbers share it.
 """
 
 from __future__ import annotations
@@ -64,12 +69,14 @@ def delta_e_merge(a: ClusterStats, b: ClusterStats) -> float:
     """
     _require_cluster(a, "first")
     _require_cluster(b, "second")
-    return float(merge_deltas(a.centroid, b.centroid, a.n, b.n))
+    return float(merge_deltas(sq_norms(a.centroid - b.centroid), a.n, b.n))
 
 
-def merge_deltas(ca, cb, na, nb):
-    """delta_e_merge from centroids and sizes; broadcasts over stacked clusters."""
-    return sq_norms(ca - cb) * (na * nb / (na + nb))
+def merge_deltas(d_sq, na, nb):
+    """delta_e_merge from the squared centroid distance and the sizes, the
+    one place Ward's factor is written. Broadcasts over numpy arrays; on
+    Python numbers it gives the same bits, as transfer_delta does."""
+    return d_sq * (na * nb / (na + nb))
 
 
 def delta_e_correct(sub: ClusterStats, donor: ClusterStats, acceptor: ClusterStats) -> float:
@@ -139,4 +146,4 @@ def gap_identity(sub: ClusterStats, donor: ClusterStats, acceptor: ClusterStats)
     a = alpha(k, n1, n2)
     i = sub.centroid
     v = a * (i - acceptor.centroid) - (i - donor.centroid) / a
-    return float((v @ v) * (n1 * n2 / (n1 + n2)))
+    return float(merge_deltas(v @ v, n1, n2))

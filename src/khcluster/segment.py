@@ -18,8 +18,11 @@ the per-segment statistics are plain Python lists, squared so that their
 int and float arithmetic gives the bits of the numpy kernels (see
 SegmentMap). Contact counts (the number of adjacent pixel pairs
 straddling each segment border) are maintained exactly so the adjacency
-graph never drifts from the labelling. One labeller of 4-connected regions of equal value finds
-the flat zones (regions of equal intensity) and audits connectivity
+graph never drifts from the labelling. One table of every pixel's
+4-neighbours is the only description of the grid: the rebuild of the
+derived state, the border scans, the connectivity lock and the region
+labeller all read it. One labeller of 4-connected regions of equal value
+finds the flat zones (regions of equal intensity) and audits connectivity
 (regions of equal label, one per segment).
 """
 
@@ -159,17 +162,6 @@ def write_pgm(img: GrayImage, path) -> None:
 
 # ------------------------------------------------------------- segment map
 
-def _neighbor_pairs(w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only arrays (a, b) of every 4-neighbour pixel pair, a < b:
-    horizontal pairs first, then vertical."""
-    idx = np.arange(w * h, dtype=np.int64).reshape(h, w)
-    a = np.concatenate((idx[:, :-1].ravel(), idx[:-1, :].ravel()))
-    b = np.concatenate((idx[:, 1:].ravel(), idx[1:, :].ravel()))
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return a, b
-
-
 def _neighbor_table(w: int, h: int) -> tuple[tuple[int, ...], ...]:
     """The 4-neighbours of every pixel, in the order up, down, left, right."""
     n = w * h
@@ -220,7 +212,6 @@ class SegmentMap:
     def __init__(self, img: GrayImage, labels: np.ndarray):
         self.img = img
         self.w, self.h = img.width, img.height
-        self._pairs = _neighbor_pairs(self.w, self.h)
         self._nbrs = _neighbor_table(self.w, self.h)
         lab = np.asarray(labels, dtype=np.int64)
         if lab.shape != (img.n_pixels,):
@@ -253,30 +244,26 @@ class SegmentMap:
         self.sums: list[float] = np.bincount(lab, weights=px, minlength=cap).tolist()
         self.sumsqs: list[float] = np.bincount(lab, weights=px * px,
                                                minlength=cap).tolist()
-        self.pixels: dict[int, set[int]] = {}
-        for p, s in enumerate(self._labels):
-            self.pixels.setdefault(s, set()).add(p)
-        self.adj: dict[int, dict[int, int]] = {s: {} for s in self.pixels}
-        self.border: dict[int, set[int]] = {s: set() for s in self.pixels}
+        pixels: dict[int, set[int]] = {}
+        adj: dict[int, dict[int, int]] = {}
+        border: dict[int, set[int]] = {}
+        labels, nbrs = self._labels, self._nbrs
+        for p, s in enumerate(labels):
+            if s not in pixels:
+                pixels[s], adj[s], border[s] = set(), {}, set()
+            pixels[s].add(p)
+            for q in nbrs[p]:
+                t = labels[q]
+                if t != s:  # a straddling pair counts in adj[s][t] from the side of s
+                    border[s].add(p)
+                    adj[s][t] = adj[s].get(t, 0) + 1
+        self.pixels, self.adj, self.border = pixels, adj, border
         self.total_e = float(sum(self._seg_energy(s) for s in range(cap)
                                  if self.counts[s]))
         self.version = [v + 1 for v in self.version]
         self._dirty = set(self.pixels)
         self._lock_cache: dict[tuple[int, tuple[int, ...]], tuple[int, bool]] = {}
-        a, b = self._pairs
-        la, lb = lab[a], lab[b]
-        cut = la != lb
-        a, b, la, lb = a[cut], b[cut], la[cut], lb[cut]
-        ends = np.unique(np.concatenate((a, b)))
-        for p, s in zip(ends.tolist(), lab[ends].tolist()):
-            self.border[s].add(p)
-        keys = np.minimum(la, lb) * cap + np.maximum(la, lb)
-        uniq, cnt = np.unique(keys, return_counts=True)
-        self.heap: list = []
-        for k, c in zip(uniq.tolist(), cnt.tolist()):
-            u, v = divmod(k, cap)
-            self.adj[u][v] = self.adj[v][u] = c
-            self.heap.append(self._edge(u, v))
+        self.heap = [self._edge(u, v) for u, row in self.adj.items() for v in row if u < v]
         heapq.heapify(self.heap)
 
     # -- bookkeeping primitives
@@ -295,7 +282,7 @@ class SegmentMap:
         """The heap entry of the merge of a and b, a < b."""
         na, nb = self.counts[a], self.counts[b]
         d = self.sums[a] / na - self.sums[b] / nb
-        return d * d * (na * nb / (na + nb)), a, b, self.version[a], self.version[b]
+        return reclass.merge_deltas(d * d, na, nb), a, b, self.version[a], self.version[b]
 
     def _push_edge(self, a: int, b: int) -> None:
         heapq.heappush(self.heap, self._edge(a, b) if a < b else self._edge(b, a))

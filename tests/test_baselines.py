@@ -163,6 +163,42 @@ def test_converged_lloyd_is_fixed_point(seed):
     res.partition.check_consistency()
 
 
+def test_fixed_point_predicate_is_one_assignment_step_on_ties():
+    """is_lloyd_fixed_point is True exactly when one _ref_assign step keeps
+    every label, on Lloyd results with points planted on the bisector of
+    two centroids: exactly on it, 1e-14 relative to either side (inside
+    ASSIGN_TIE_REL), and 1e-3 past it."""
+    rng = np.random.default_rng(52)
+    seen = {"kept on a tie": 0, "kept inside the tolerance": 0, "moved": 0}
+    for _ in range(300):
+        n, d, m = int(rng.integers(6, 30)), int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        ds = random_dataset(rng, n, d)
+        base = lloyd(ds, KMeansConfig(m=m, init_labels=random_labels(rng, n, m))).partition
+        cent = base.centroids()
+        pts, labels = [ds.points], [base.labels]
+        for _ in range(int(rng.integers(1, 4))):
+            a, b = rng.choice(m, 2, replace=False)
+            axis = cent[b] - cent[a]
+            side = rng.normal(0.0, 1.0, d)
+            side -= axis * (side @ axis) / (axis @ axis)  # along the bisector
+            t = rng.choice([0.0, 1e-14, -1e-14, 1e-3])
+            x = (cent[a] + cent[b]) / 2 + side + t * axis
+            pts.append(np.stack((x, 2 * cent[a] - x)))  # a's centroid stays
+            labels.append(np.array([a, a]))
+        p = Partition.from_labels(Dataset(np.concatenate(pts)), np.concatenate(labels), m)
+        d2 = squared_distances(p.ds.points, p.centroids())
+        keep = np.array_equal(_ref_assign(d2, p.labels), p.labels)
+        assert is_lloyd_fixed_point(p) == keep
+        own, dmin = d2[np.arange(p.n), p.labels], d2.min(axis=1)
+        if not keep:
+            seen["moved"] += 1
+        elif (own > dmin).any():
+            seen["kept inside the tolerance"] += 1
+        elif ((d2 == dmin[:, None]).sum(axis=1) > 1).any():
+            seen["kept on a tie"] += 1
+    assert min(seen.values()) >= 5, seen
+
+
 # The Lloyd loop as it ran before the candidates of a growth step were
 # stacked: one run per candidate, each ending in its own Partition. The
 # stacked kernel must reproduce it bit for bit.

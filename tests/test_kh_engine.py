@@ -1,5 +1,7 @@
 """Reclassification engine: stability, correction loops, merge/split sequences."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -466,3 +468,39 @@ def test_stacked_correction_matches_one_candidate_at_a_time(monkeypatch, refresh
                                   _split_one_cluster_at_a_time(q, policy))
     assert moved > 10 and group_moves > 0
     assert refreshed > 0 or refresh is None
+
+
+def _tuples_one_move_at_a_time(p, l, policy):
+    """correct_tuples as its definition reads: for each l-tuple of clusters
+    in lexicographic order, apply the first violation that verify_stability
+    ranks with donor and acceptor in the tuple, through Partition.move,
+    until there is none; repeat the passes until one makes no move."""
+    q, moves = p.copy(), 0
+    while True:
+        before = moves
+        for t in itertools.combinations(range(q.m), l):
+            while inside := [v for v in verify_stability(q, policy).violations
+                             if v.donor in t and v.acceptor in t]:
+                q.move(np.asarray(inside[0].subset), inside[0].donor, inside[0].acceptor)
+                moves += 1
+        if moves == before:
+            return q, moves
+
+
+def test_correct_tuples_matches_one_move_at_a_time():
+    """correct_tuples for l = 3 and 4 reproduces the plain sweep through
+    Partition.move bit for bit, in labels, E and moves, on every
+    _reference_sets case under every policy."""
+    rng = np.random.default_rng(909)
+    moved = 0
+    for d in (1, 2, 3):
+        for ds, lab in _reference_sets(rng, d):
+            for policy in (SINGLETONS, IDENTICAL, BOTH):
+                p = Partition.from_labels(ds, lab)
+                for l in (3, 4):
+                    want, moves = _tuples_one_move_at_a_time(p, l, policy)
+                    got = correct_tuples(p, l, policy)
+                    assert_same_bits(got.partition, want)
+                    assert got.n_moves == moves
+                    moved += moves > 0
+    assert moved > 10

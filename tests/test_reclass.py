@@ -173,3 +173,16 @@ def test_scalar_transfer_delta_matches_the_array_form_bit_for_bit():
         home.tolist(), away.tolist(), k.tolist(), n1.tolist(), n2.tolist())])
     assert np.isinf(want).any() and np.isfinite(want).any()
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_merge_deltas_on_python_numbers_matches_the_array_form():
+    """merge_deltas on Python floats and ints, as segment calls it, gives
+    the bits of the same call on numpy arrays, as kh_engine makes it."""
+    rng = np.random.default_rng(5)
+    d_sq = rng.uniform(0.0, 1e4, 2000) * 10.0 ** rng.integers(-6, 7, 2000)
+    na, nb = rng.integers(1, 10**6 + 1, (2, 2000))
+    na[:20], nb[:20] = 1, 10**6
+    want = reclass.merge_deltas(d_sq, na, nb)
+    got = np.array([reclass.merge_deltas(*args) for args in zip(
+        d_sq.tolist(), na.tolist(), nb.tolist())])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

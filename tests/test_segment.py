@@ -8,8 +8,8 @@ import pytest
 
 from helpers import labeled_energy
 from khcluster import reclass
-from khcluster.core import (Dataset, InputFormatError, InternalConsistencyError,
-                            PreconditionError, sigma)
+from khcluster.core import (ClusterStats, Dataset, InputFormatError,
+                            InternalConsistencyError, PreconditionError, sigma)
 from khcluster.kh_engine import build_sequence
 from khcluster.otsu1d import build_histogram, curve as otsu_curve
 from khcluster.segment import (GrayImage, SegmentMap, read_pgm, segment_curve,
@@ -553,3 +553,38 @@ def test_dirty_borders_equal_a_filtered_full_rebuild(monkeypatch):
                + rng.integers(0, 2, size=(h, w)))
         segment_curve(GrayImage.from_array(arr))
     assert seen[True] > 0 and seen[False] > 100
+
+
+def test_rebuild_matches_a_brute_force_grid_scan():
+    """On random labellings of every grid up to 6x6, strips included, the
+    rebuilt contact counts, border sets and merge heap agree with a plain
+    scan of the grid's 4-neighbour pairs by row and column."""
+    rng = np.random.default_rng(61)
+    for w in range(1, 7):
+        for h in range(1, 7):
+            for _ in range(4):
+                img = GrayImage.from_array(rng.integers(0, 256, (h, w)).astype(float))
+                lab = rng.integers(0, int(rng.integers(1, 7)), w * h)
+                sm = SegmentMap(img, lab)
+                ids = set(lab.tolist())
+                adj = {s: {} for s in ids}
+                border = {s: set() for s in ids}
+                for r in range(h):
+                    for c in range(w):
+                        for rr, cc in ((r, c + 1), (r + 1, c)):
+                            if rr == h or cc == w:
+                                continue
+                            p, q = r * w + c, rr * w + cc
+                            s, t = int(lab[p]), int(lab[q])
+                            if s != t:
+                                adj[s][t] = adj[t][s] = adj[s].get(t, 0) + 1
+                                border[s].add(p)
+                                border[t].add(q)
+                assert sm.adj == adj
+                assert sm.border == border
+                want = sorted(sm._edge(s, t) for s in adj for t in adj[s] if s < t)
+                assert sorted(sm.heap) == want
+                for cost, s, t, _, _ in want:
+                    assert cost == pytest.approx(reclass.delta_e_merge(
+                        *(ClusterStats.from_points(img.intensities[lab == u][:, None])
+                          for u in (s, t))), rel=1e-9, abs=1e-9)
