@@ -102,6 +102,12 @@ def _repair_empty(points: np.ndarray, labels: np.ndarray, m: int) -> np.ndarray:
     return labels
 
 
+def _first_equal_rows(rows: np.ndarray) -> np.ndarray:
+    """For each row of rows (B, N), the index of the first row equal to it."""
+    first: dict[bytes, int] = {}
+    return np.array([first.setdefault(row.tobytes(), k) for k, row in enumerate(rows)])
+
+
 def _lloyd_stack(points: np.ndarray, centers: np.ndarray, labels: np.ndarray | None):
     """Lloyd runs from a stack of B center sets (B, m, d), each member bit
     for bit as if run alone.
@@ -111,8 +117,7 @@ def _lloyd_stack(points: np.ndarray, centers: np.ndarray, labels: np.ndarray | N
     iterations; until then its total error must not increase. Distances and
     assignments go core.STACK_BUDGET members x rows x clusters at a time.
     Returns the final labels (B, N), each member's iteration count and
-    whether it converged, and runs_as (B,), the member whose run each
-    member's run repeated (itself if it ran; never a later member).
+    whether it converged.
 
     Once assigned, a member's future (means, repair, next assignment, stop)
     depends on its labels alone, so live members with equal label rows run
@@ -143,8 +148,7 @@ def _lloyd_stack(points: np.ndarray, centers: np.ndarray, labels: np.ndarray | N
                 if live.size == 0:
                     break
         if live.size > 1:
-            first: dict[bytes, int] = {}
-            rep = np.array([first.setdefault(row.tobytes(), k) for k, row in enumerate(new)])
+            rep = _first_equal_rows(new)
             fold = rep != np.arange(live.size)
             if fold.any():
                 np.minimum.at(prev_e, rep[fold], prev_e[fold])
@@ -163,7 +167,7 @@ def _lloyd_stack(points: np.ndarray, centers: np.ndarray, labels: np.ndarray | N
         prev_e = e
     else:
         final[live] = labels
-    return final[runs_as], iterations[runs_as], converged[runs_as], runs_as
+    return final[runs_as], iterations[runs_as], converged[runs_as]
 
 
 def lloyd(ds: Dataset, cfg: KMeansConfig) -> LloydResult:
@@ -188,7 +192,7 @@ def lloyd(ds: Dataset, cfg: KMeansConfig) -> LloydResult:
         labels = _repair_empty(points, labels, cfg.m)[None]
         centers = _means(points, labels, cfg.m)[1]
 
-    labels, iterations, converged, _ = _lloyd_stack(points, centers, labels)
+    labels, iterations, converged = _lloyd_stack(points, centers, labels)
     part = Partition.from_labels(ds, labels[0], cfg.m)
     return LloydResult(part, int(iterations[0]), bool(converged[0]))
 
@@ -207,9 +211,9 @@ def _grow_one(ds: Dataset, prev: Partition, rng_seed: int):
 
     The runs go as one stack, in waves of core.STACK_BUDGET members x rows
     (runs with equal label rows go once); the first run that attains the
-    lowest error wins, and only it becomes a Partition. Only the runs that
-    ran get statistics: a repeat has the labels, hence the error bits, of
-    an earlier member, so the first minimum is always a run that ran.
+    lowest error wins, and only it becomes a Partition. Only the first of
+    each distinct final label row gets statistics: equal rows have equal
+    error bits, so the first minimum is always such a first row.
     """
     cands = _candidate_rows(ds, rng_seed)
     m = prev.m + 1
@@ -218,9 +222,10 @@ def _grow_one(ds: Dataset, prev: Partition, rng_seed: int):
     best_e = best = None
     iters = 0
     for sel in _chunks(cands.shape[0], ds.n):
-        labels, iterations, _, runs_as = _lloyd_stack(ds.points, centers[sel], None)
+        labels, iterations, _ = _lloyd_stack(ds.points, centers[sel], None)
         iters += int(iterations.sum())
-        st = PartitionStack.from_labels(ds, labels[np.unique(runs_as)], m)
+        first = np.flatnonzero(_first_equal_rows(labels) == np.arange(labels.shape[0]))
+        st = PartitionStack.from_labels(ds, labels[first], m)
         i = int(np.argmin(st.total_e))  # first minimum = first candidate
         if best is None or st.total_e[i] < best_e:
             best_e, best = st.total_e[i], st.partition(i)

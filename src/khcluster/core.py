@@ -77,7 +77,7 @@ class Dataset:
     between clusters as one subset.
     """
 
-    __slots__ = ("points", "_bit_ids")
+    __slots__ = ("points", "_bit_ids", "_bit_leads")
 
     def __init__(self, points):
         pts = np.array(points, dtype=np.float64, copy=True)
@@ -93,7 +93,7 @@ class Dataset:
             raise PreconditionError("dataset coordinates are too large: squared sums overflow")
         pts.setflags(write=False)
         self.points = pts
-        self._bit_ids = None
+        self._bit_ids = self._bit_leads = None
 
     @property
     def n(self) -> int:
@@ -117,13 +117,19 @@ class Dataset:
     def bit_group_ids(self) -> np.ndarray:
         """Ids putting bit-identical rows together (0.0 and -0.0 differ).
 
-        Computed on first use and kept, since the points never change.
+        Computed on first use and kept, with bit_group_leads, since the
+        points never change.
         """
         if self._bit_ids is None:
-            _, inverse = np.unique(self.points.view(np.int64), axis=0,
-                                   return_inverse=True)
+            _, self._bit_leads, inverse = np.unique(
+                self.points.view(np.int64), axis=0, return_index=True, return_inverse=True)
             self._bit_ids = inverse.reshape(-1)
         return self._bit_ids
+
+    def bit_group_leads(self) -> np.ndarray:
+        """The first row of each bit group, in id order."""
+        self.bit_group_ids()
+        return self._bit_leads
 
 
 @dataclass(frozen=True)

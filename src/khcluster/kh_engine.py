@@ -18,6 +18,14 @@ too, and nothing in the package calls it). Each pass recomputes d2 to
 every centroid with one stacked matmul, since numpy computes a one-column
 product as a matrix-vector product that rounds differently from the same
 column of a wider one.
+
+A pass scores one row per occupied (member, cluster, bit group) triple.
+_pair_rows finds these rows without a sort, by one bincount over the key
+space members x clusters x bit groups. Every group occupies some cluster
+of every member, so the key space is no larger than the rows x clusters
+of deltas the pass scores, and the chunks that bound those bound it too.
+The bit groups and their first points are computed once per Dataset, and
+the sums of k points of a group once per _correct_stack call.
 """
 
 from __future__ import annotations
@@ -125,15 +133,37 @@ def verify_stability(p: Partition, policy: SubsetPolicy = BOTH) -> StabilityRepo
 def _group_rows(ds: Dataset):
     """Bit group ids, one point per group (at least two rows: a one-row
     product is a vector-matrix product, which rounds differently), and
-    those points' squared norms."""
-    gid = ds.bit_group_ids()
-    _, first = np.unique(gid, return_index=True)
+    those points' squared norms. The ids and each group's first point are
+    the Dataset's, computed once, so this only indexes."""
+    first = ds.bit_group_leads()
     rep = ds.points[first] if first.size > 1 else ds.points[[0, 0]]
-    return gid, rep, (rep * rep).sum(axis=1)
+    return ds.bit_group_ids(), rep, (rep * rep).sum(axis=1)
+
+
+def _pair_rows(labels: np.ndarray, m: int, groups):
+    """The occupied (member, cluster, bit group) rows of the labelings
+    labels (B, N) onto m clusters, found without a sort: exactly
+    np.unique(key, return_index=True, return_counts=True) of the keys
+    (member * m + label) * n_groups + group id.
+
+    The keys lie below B * m * n_groups. One bincount over that space
+    counts each key, its nonzero entries are the occupied keys in
+    ascending order, and np.minimum.at of the flat indices gives each
+    key's first one. groups is _group_rows of the dataset.
+    """
+    gid, rep, _ = groups
+    n_groups = rep.shape[0]
+    space = labels.shape[0] * m * n_groups
+    key = ((np.arange(labels.shape[0])[:, None] * m + labels) * n_groups + gid).reshape(-1)
+    size = np.bincount(key, minlength=space)
+    pair = np.flatnonzero(size)
+    first = np.full(space, key.size)
+    np.minimum.at(first, key, np.arange(key.size))
+    return pair, first[pair], size[pair]
 
 
 def _best_moves(st: PartitionStack, active: np.ndarray, policy: SubsetPolicy,
-                groups, allowed: np.ndarray | None = None):
+                groups, group_sums: dict, allowed: np.ndarray | None = None):
     """The best admissible move of every member in active that beats
     -move_tolerance(E), scored all at once.
 
@@ -143,16 +173,19 @@ def _best_moves(st: PartitionStack, active: np.ndarray, policy: SubsetPolicy,
     occupied (cluster, bit group) pair, led by its first point, carries the
     single-point move and, when the pair holds two or more points, the
     whole-group move: bit-identical twins in one cluster have bit-identical
-    deltas, so the pair's first point stands for all of them. groups is
-    _group_rows(st.ds); allowed, a mask over clusters, confines donors and
+    deltas, so the pair's first point stands for all of them. The rows
+    come from _pair_rows, whose key space is no larger than the rows x
+    clusters of deltas scored here. groups is _group_rows(st.ds);
+    group_sums caches by (group, k) the coordinate sum and sum of |x|^2
+    of k points of a group, which any k bit-identical rows give in the
+    same bits; allowed, a mask over clusters, confines donors and
     acceptors.
     """
     gid, rep, rep_sq = groups
     n_groups, n, m = rep.shape[0], st.labels.shape[1], st.counts.shape[1]
     if m < 2:
         return None
-    key = (np.arange(active.size)[:, None] * m + st.labels[active]) * n_groups + gid
-    pair, at, size = np.unique(key, return_index=True, return_counts=True)
+    pair, at, size = _pair_rows(st.labels[active], m, groups)
     mem, donor, g = pair // (m * n_groups), pair // n_groups % m, pair % n_groups
     lead = at % n
     rows = np.arange(pair.size)
@@ -192,8 +225,11 @@ def _best_moves(st: PartitionStack, active: np.ndarray, policy: SubsetPolicy,
              & ((kk > 1)[:, None] | (np.arange(n) == lead[r][:, None])))
     sub_sum, sub_sq = rep[g[r]], rep_sq[g[r]]
     for i in np.flatnonzero(kk > 1):
-        pts = st.ds.points[moved[i]]  # summed as Partition.move sums a subset
-        sub_sum[i], sub_sq[i] = pts.sum(axis=0), (pts * pts).sum()
+        gk = (int(g[r[i]]), int(kk[i]))
+        if gk not in group_sums:
+            pts = st.ds.points[moved[i]]  # summed as Partition.move sums a subset
+            group_sums[gk] = pts.sum(axis=0), (pts * pts).sum()
+        sub_sum[i], sub_sq[i] = group_sums[gk]
     return members, donor[r], acceptor, moved, sub_sum, sub_sq
 
 
@@ -209,10 +245,11 @@ def _correct_stack(st: PartitionStack | Partition, policy: SubsetPolicy,
     report are the Partition.move calls the benchmark's tracer counts.
     """
     stack = st._stack if isinstance(st, Partition) else st
-    groups = _group_rows(stack.ds)
+    groups, group_sums = _group_rows(stack.ds), {}
     moves = np.zeros(stack.labels.shape[0], dtype=np.int64)
     active = np.arange(moves.size)
-    while (best := _best_moves(stack, active, policy, groups, allowed)) is not None:
+    while (best := _best_moves(stack, active, policy, groups, group_sums,
+                               allowed)) is not None:
         members, donor, acceptor, moved, _, _ = best
         if stack is st:
             stack.move(*best)
@@ -260,7 +297,7 @@ def correct_tuples(p: Partition, l: int, policy: SubsetPolicy = BOTH) -> Correct
 
 def _occupied_pairs(p: Partition) -> int:
     """Rows the kernel scores for p: its occupied (cluster, bit group) pairs."""
-    return int(np.unique(p.labels * p.n + p.ds.bit_group_ids()).size)
+    return int(_pair_rows(p.labels[None], p.m, _group_rows(p.ds))[0].size)
 
 
 def merge_step(p: Partition, policy: SubsetPolicy = BOTH) -> Partition:

@@ -378,7 +378,8 @@ def test_equal_label_rows_run_once(monkeypatch, max_iters):
     points the kernel assigns fewer members than the runs' summed
     iterations, yet every member matches its run alone in labels, total_e
     bits, iteration count and convergence, also when runs are cut off
-    after one or two iterations."""
+    after one or two iterations; a growth step builds statistics only for
+    pairwise distinct final label rows."""
     if max_iters is not None:
         monkeypatch.setattr(baselines, "MAX_ITERS", max_iters)
     assign = baselines._assign
@@ -389,10 +390,21 @@ def test_equal_label_rows_run_once(monkeypatch, max_iters):
         return assign(d2, current)
 
     monkeypatch.setattr(baselines, "_assign", counted)
+    stacked = []
+
+    class Recorded(core.PartitionStack):
+        @classmethod
+        def from_labels(cls, ds, labels, m):
+            stacked.append(labels)
+            return core.PartitionStack.from_labels(ds, labels, m)
+
+    monkeypatch.setattr(baselines, "PartitionStack", Recorded)
     ds = Dataset(np.round(np.random.default_rng(12).normal(0.0, 5.0, 60), 2))
     cands = ds.unique_rows()
     assert 50 < cands.shape[0] < 60
     seq = kmeans_sequence(ds, 5)
+    assert len(stacked) == 4
+    assert all(len({row.tobytes() for row in lab}) == lab.shape[0] for lab in stacked)
     parts, iters = _ref_kmeans_sequence(ds, 5)
     for m in range(1, 6):
         assert_same_bits(seq.by_cluster_count[m], parts[m])
@@ -401,12 +413,8 @@ def test_equal_label_rows_run_once(monkeypatch, max_iters):
     for m in range(2, 6):
         base = np.broadcast_to(parts[m - 1].centroids(), (cands.shape[0], m - 1, 1))
         centers = np.concatenate((base, cands[:, None, :]), axis=1)
-        labels, iterations, converged, runs_as = baselines._lloyd_stack(
-            ds.points, centers, None)
-        assert (runs_as <= np.arange(cands.shape[0])).all()
-        assert (runs_as[runs_as] == runs_as).all()
+        labels, iterations, converged = baselines._lloyd_stack(ds.points, centers, None)
         for k in range(cands.shape[0]):
             part, it, conv = _ref_lloyd(ds, m, centers=centers[k])
             assert np.array_equal(labels[k], part.labels)
-            assert np.array_equal(labels[runs_as[k]], part.labels)
             assert (iterations[k], converged[k]) == (it, conv)

@@ -370,14 +370,13 @@ def test_sequence_never_beats_exhaustive_search():
 def _one_move_at_a_time(p, policy):
     """correct_pairs as its definition reads: apply the first violation that
     verify_stability ranks, through Partition.move, until there is none.
-    Returns the partition, the moves and the moves of two or more points."""
-    q, moves, group_moves = p.copy(), 0, 0
+    Returns the partition and the size of each move's subset."""
+    q, sizes = p.copy(), []
     while violations := verify_stability(q, policy).violations:
         v = violations[0]
         q.move(np.asarray(v.subset), v.donor, v.acceptor)
-        moves += 1
-        group_moves += len(v.subset) > 1
-    return q, moves, group_moves
+        sizes.append(len(v.subset))
+    return q, sizes
 
 
 def _merge_one_pair_at_a_time(p, policy):
@@ -411,9 +410,13 @@ def _split_one_cluster_at_a_time(p, policy):
 
 def _reference_sets(rng, d):
     """(dataset, labels) pairs in d dimensions, with signed zeros: distinct
-    points, duplicate-heavy points, small integers, and a partition that a
+    points, duplicate-heavy points, small integers, a partition that a
     reflection of the last coordinate maps onto itself with clusters 1 and 2
-    swapped, so that moves tie exactly across points and acceptors."""
+    swapped, so that moves tie exactly across points and acceptors, and six
+    groups of twelve copies of a multiple of 0.1 (sums of copies are not
+    exact), each mostly in one cluster with two or three copies elsewhere,
+    so that whole groups of nine or more points move. The last case draws
+    from its own generator, so the earlier ones draw from rng as before."""
     n = 24
     for kind in ("distinct", "duplicates", "grid"):
         pts = np.round(rng.normal(0.0, 3.0, (n, d)), 3)
@@ -432,13 +435,21 @@ def _reference_sets(rng, d):
     lab_up = np.r_[1, 0, 3, rng.integers(0, 4, 5)]
     lab = np.r_[lab_up, np.array([0, 2, 1, 3])[lab_up], rng.integers(0, 2, 6) * 3]
     yield Dataset(np.concatenate((upper, lower, axis))), lab
+    own = np.random.default_rng(d)
+    group = own.permutation(np.repeat(np.arange(6), 12))
+    lab = np.r_[0, 1, 2, 3, own.integers(0, 4, 2)][group]
+    for g in range(6):  # two or three copies of each group stray together
+        stray = np.flatnonzero(group == g)[:own.integers(2, 4)]
+        lab[stray] = (lab[stray[0]] + own.integers(1, 4)) % 4
+    yield Dataset(own.integers(-20, 21, (6, d))[group] * 0.1), lab
 
 
 @pytest.mark.parametrize("refresh, budget", [(None, None), (None, 150), (2, None)])
 def test_stacked_correction_matches_one_candidate_at_a_time(monkeypatch, refresh, budget):
     """The stacked kernel reproduces, bit for bit, correct_pairs as one move
-    at a time, and merge_step and split_step as one candidate at a time, on
-    every _reference_sets case under every policy; also with candidates
+    at a time, and merge_step and split_step as one candidate at a time
+    from both the case's labels and their correction, on every
+    _reference_sets case under every policy; also with candidates
     spread over several chunks (budget), and with statistics rebuilt from
     the labels every second move (refresh)."""
     if refresh is not None:
@@ -446,27 +457,29 @@ def test_stacked_correction_matches_one_candidate_at_a_time(monkeypatch, refresh
     if budget is not None:
         monkeypatch.setattr(core, "STACK_BUDGET", budget)
     rng = np.random.default_rng(808)
-    moved = group_moves = refreshed = 0
+    moved = group_moves = large_moves = refreshed = 0
     for d in (1, 2, 3):
         for ds, lab in _reference_sets(rng, d):
             for policy in (SINGLETONS, IDENTICAL, BOTH):
                 p = Partition.from_labels(ds, lab)
-                want, moves, groups = _one_move_at_a_time(p, policy)
+                want, sizes = _one_move_at_a_time(p, policy)
                 got = correct_pairs(p, policy)
                 assert_same_bits(got.partition, want)
+                moves = len(sizes)
                 assert got.n_moves == moves
                 moved += moves > 0
-                group_moves += groups
+                group_moves += sum(k > 1 for k in sizes)
+                large_moves += sum(k >= 9 for k in sizes)
                 if refresh is not None and moves and moves % refresh == 0:
                     assert_same_bits(got.partition,
                                       Partition.from_labels(ds, got.partition.labels))
                     refreshed += 1
-                q = got.partition
-                assert_same_bits(merge_step(q, policy),
-                                  _merge_one_pair_at_a_time(q, policy))
-                assert_same_bits(split_step(q, policy),
-                                  _split_one_cluster_at_a_time(q, policy))
-    assert moved > 10 and group_moves > 0
+                for q in (p, got.partition):
+                    assert_same_bits(merge_step(q, policy),
+                                      _merge_one_pair_at_a_time(q, policy))
+                    assert_same_bits(split_step(q, policy),
+                                      _split_one_cluster_at_a_time(q, policy))
+    assert moved > 10 and group_moves > 0 and large_moves > 0
     assert refreshed > 0 or refresh is None
 
 
@@ -504,3 +517,36 @@ def test_correct_tuples_matches_one_move_at_a_time():
                     assert got.n_moves == moves
                     moved += moves > 0
     assert moved > 10
+
+
+def test_pair_rows_match_np_unique():
+    """The kernel's row table, built without a sort, is exactly np.unique of
+    its (member, cluster, bit group) keys with first indices and counts, on
+    random label stacks over heavily duplicated points, signed zeros (0.0
+    and -0.0 are two groups), a single value and all-distinct points; also
+    for one member and for two clusters."""
+    rng = np.random.default_rng(616)
+    for kind in ("duplicates", "signed zeros", "one value", "distinct"):
+        for b, m in ((1, 2), (1, 5), (6, 2), (6, 5)):
+            n = int(rng.integers(8, 40))
+            d = int(rng.integers(1, 3))
+            if kind == "duplicates":
+                pts = rng.integers(-2, 3, (4, d))[rng.integers(0, 4, n)] * 0.1
+            elif kind == "signed zeros":
+                pts = rng.choice([0.0, -0.0, 1.0], (n, d))
+            elif kind == "one value":
+                pts = np.full((n, d), 0.3)
+            else:
+                pts = rng.permutation(n * d).reshape(n, d) / 8.0
+            ds = Dataset(pts)
+            groups = kh_engine._group_rows(ds)
+            gid, rep, _ = groups
+            labels = np.stack([random_labels(rng, n, m) for _ in range(b)])
+            key = (np.arange(b)[:, None] * m + labels) * rep.shape[0] + gid
+            want = np.unique(key, return_index=True, return_counts=True)
+            got = kh_engine._pair_rows(labels, m, groups)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+    zeros = Dataset([[0.0], [-0.0], [0.0]])
+    assert zeros.bit_group_ids().tolist() == [1, 0, 1]
+    assert zeros.bit_group_leads().tolist() == [1, 0]
