@@ -26,10 +26,11 @@ REFRESH_INTERVAL = 1024
 # this relative band; anything more negative is a bookkeeping bug.
 ENERGY_CLAMP_REL = 1e-9
 
-# Members x rows x clusters that a stacked kernel (the correction passes of
-# kh_engine, the Lloyd distances of baselines) works on in one chunk, and
-# members x rows in one wave of Lloyd runs; it bounds the kernels'
-# temporary arrays, and so the peak memory.
+# Cells that a blocked kernel works on in one chunk: members x rows x
+# clusters in the correction passes of kh_engine and the Lloyd distances
+# and assignments of baselines, ends x starts in a block of the Otsu DP.
+# It bounds the kernels' temporary arrays, and peak memory grows with it;
+# the waves of Lloyd runs have a bound of their own (baselines.WAVE_BUDGET).
 STACK_BUDGET = 8192
 
 
@@ -246,9 +247,10 @@ def partition_energy(ds: Dataset, labels, m: int | None = None) -> float:
     return float(_total_energy(*_stacked_stats(ds.points, lab[None], m))[0])
 
 
-def _chunks(count: int, per_member: int):
-    """Slices of at most STACK_BUDGET // per_member members (at least one)."""
-    size = max(1, STACK_BUDGET // per_member)
+def _chunks(count: int, per_member: int, budget: int | None = None):
+    """Slices of at most budget // per_member members (at least one); the
+    budget is STACK_BUDGET unless given."""
+    size = max(1, (STACK_BUDGET if budget is None else budget) // per_member)
     return (slice(lo, lo + size) for lo in range(0, count, size))
 
 
@@ -368,14 +370,34 @@ class PartitionStack:
                                         self.sums[b].copy(), self.sumsqs[b].copy(),
                                         self.total_e[b].copy(), self.since_refresh[b].copy()))
 
-    def move(self, b, donor, acceptor, moved, sub_sum, sub_sq) -> None:
+    def moved_stats(self, b, donor, acceptor, k, sub_sum, sub_sq):
+        """What each move does to its member, nothing changed in place: the
+        index pair of its donor and acceptor entries, their counts, sums
+        and sums of |x|^2 after it (B, 2, ...), and the move's change of
+        total error, their energies after minus before. move applies
+        exactly these numbers."""
+        pair = (b[:, None], np.stack((donor, acceptor), axis=1))
+        counts, sums, sumsqs = self.counts[pair], self.sums[pair], self.sumsqs[pair]
+        e_old = _cluster_energies(counts, sums, sumsqs)
+        sign = np.array([-1, 1])  # x + (-1 * y) has the bits of x - y
+        counts = counts + k[:, None] * sign
+        sums = sums + sub_sum[:, None] * sign[:, None]
+        sumsqs = sumsqs + sub_sq[:, None] * sign
+        e_new = _cluster_energies(counts, sums, sumsqs)
+        change = (e_new[:, 0] + e_new[:, 1]) - (e_old[:, 0] + e_old[:, 1])
+        return pair, counts, sums, sumsqs, change
+
+    def move(self, b, donor, acceptor, moved, sub_sum, sub_sq, below=None):
         """In each member b[i], move the points flagged in moved[i] from
         cluster donor[i] to acceptor[i], in place; sub_sum[i] and sub_sq[i]
         are their coordinate sum and sum of |x|^2. The members are distinct.
 
         The total error changes by the recomputed donor and acceptor
-        energies, e_new - e_old. A member rebuilds its statistics from its
-        labels after every REFRESH_INTERVAL moves, which bounds drift.
+        energies, e_new - e_old (moved_stats). Given below (B,), only the
+        moves whose change lies below below[i] are made, the others leave
+        their member untouched, and the mask of the moves made is
+        returned. A member rebuilds its statistics from its labels after
+        every REFRESH_INTERVAL moves, which bounds drift.
         """
         k = moved.sum(axis=1)
         if (donor == acceptor).any():
@@ -385,22 +407,22 @@ class PartitionStack:
         if (k >= self.counts[b, donor]).any():
             raise PreconditionError("subset equals the donor cluster; use a merge instead")
 
-        pair = (b[:, None], np.stack((donor, acceptor), axis=1))
-        e_old = _cluster_energies(self.counts[pair], self.sums[pair], self.sumsqs[pair])
-        self.counts[b, donor] -= k
-        self.counts[b, acceptor] += k
-        self.sums[b, donor] -= sub_sum
-        self.sums[b, acceptor] += sub_sum
-        self.sumsqs[b, donor] -= sub_sq
-        self.sumsqs[b, acceptor] += sub_sq
-        e_new = _cluster_energies(self.counts[pair], self.sums[pair], self.sumsqs[pair])
-        self.total_e[b] += (e_new[:, 0] + e_new[:, 1]) - (e_old[:, 0] + e_old[:, 1])
+        pair, counts, sums, sumsqs, change = self.moved_stats(b, donor, acceptor, k,
+                                                              sub_sum, sub_sq)
+        made = None if below is None else change < below
+        if made is not None and not made.all():
+            b, acceptor, moved, pair = b[made], acceptor[made], moved[made], \
+                (pair[0][made], pair[1][made])
+            counts, sums, sumsqs, change = counts[made], sums[made], sumsqs[made], change[made]
+        self.counts[pair], self.sums[pair], self.sumsqs[pair] = counts, sums, sumsqs
+        self.total_e[b] += change
         self.labels[b] = np.where(moved, acceptor[:, None], self.labels[b])
 
         self.since_refresh[b] += 1
         due = b[self.since_refresh[b] >= REFRESH_INTERVAL]
         if due.size:
             self.refresh(due)
+        return made
 
     def refresh(self, b) -> None:
         """Rebuild the statistics and total error of members b from their labels."""

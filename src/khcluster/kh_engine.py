@@ -4,7 +4,9 @@ A partition is stable when no admissible subset move lowers the total
 squared error beyond the shared move tolerance. Every move has one donor
 and one acceptor, so stability is pair stability. The one correction loop
 repeatedly applies the single best move, and merge_step, split_step and
-every route of build_sequence end in it.
+every route of build_sequence end in it. It ends by construction: a move
+is made only when its change of E, recomputed from the statistics, lies
+below -move_tolerance(E).
 
 That loop is _correct_stack, and each of its passes is one kernel,
 _best_moves, which finds the best move of every member of a stack of
@@ -168,14 +170,15 @@ def _best_moves(st: PartitionStack, active: np.ndarray, policy: SubsetPolicy,
     -move_tolerance(E), scored all at once.
 
     Returns (members, donor, acceptor, moved, sub_sum, sub_sq) for
-    PartitionStack.move, or None when no member has such a move. Moves are
-    ranked on (delta, donor, acceptor, first index, subset size). A row per
-    occupied (cluster, bit group) pair, led by its first point, carries the
-    single-point move and, when the pair holds two or more points, the
-    whole-group move: bit-identical twins in one cluster have bit-identical
-    deltas, so the pair's first point stands for all of them. The rows
-    come from _pair_rows, whose key space is no larger than the rows x
-    clusters of deltas scored here. groups is _group_rows(st.ds);
+    PartitionStack.move and each member's -move_tolerance(E), or None when
+    no member has such a move. Moves are ranked on (delta, donor,
+    acceptor, first index, subset size). A row per occupied (cluster, bit
+    group) pair, led by its first point, carries the single-point move
+    and, when the pair holds two or more points, the whole-group move:
+    bit-identical twins in one cluster have bit-identical deltas, so the
+    pair's first point stands for all of them. The rows come from
+    _pair_rows, whose key space is no larger than the rows x clusters of
+    deltas scored here. groups is _group_rows(st.ds);
     group_sums caches by (group, k) the coordinate sum and sum of |x|^2
     of k points of a group, which any k bit-identical rows give in the
     same bits; allowed, a mask over clusters, confines donors and
@@ -211,7 +214,8 @@ def _best_moves(st: PartitionStack, active: np.ndarray, policy: SubsetPolicy,
 
     starts = np.searchsorted(mem, np.arange(active.size))
     low = np.minimum.reduceat(delta.reshape(pair.size, -1).min(axis=1), starts)
-    go = low < -reclass.move_tolerance(st.total_e[active])
+    below = -reclass.move_tolerance(st.total_e[active])
+    go = low < below
     if not go.any():
         return None
     r, s, c = np.nonzero((delta == low[mem][:, None, None]) & go[mem][:, None, None])
@@ -230,7 +234,7 @@ def _best_moves(st: PartitionStack, active: np.ndarray, policy: SubsetPolicy,
             pts = st.ds.points[moved[i]]  # summed as Partition.move sums a subset
             group_sums[gk] = pts.sum(axis=0), (pts * pts).sum()
         sub_sum[i], sub_sq[i] = group_sums[gk]
-    return members, donor[r], acceptor, moved, sub_sum, sub_sq
+    return (members, donor[r], acceptor, moved, sub_sum, sub_sq), below[mem[r]]
 
 
 def _correct_stack(st: PartitionStack | Partition, policy: SubsetPolicy,
@@ -240,22 +244,35 @@ def _correct_stack(st: PartitionStack | Partition, policy: SubsetPolicy,
     has no improving move. allowed, a mask over clusters, confines donors
     and acceptors.
 
+    The loop ends by construction: a move is made only when its change of
+    E, recomputed from the donor and acceptor energies as the move applies
+    it, lies below -move_tolerance(E), so E falls by more than the
+    tolerance with every move. A move predicted to improve that fails this
+    (cancellation in the predicted delta) is refused, and its member drops
+    out as if it had no improving move; verify_stability can still report
+    such a member unstable.
+
     A Partition is scored as its stack of one and each of its moves is one
-    Partition.move call, so the moves correct_pairs and correct_tuples
-    report are the Partition.move calls the benchmark's tracer counts.
+    Partition.move call, made only after the check passed, so the moves
+    correct_pairs and correct_tuples report are the Partition.move calls
+    the benchmark's tracer counts.
     """
     stack = st._stack if isinstance(st, Partition) else st
     groups, group_sums = _group_rows(stack.ds), {}
     moves = np.zeros(stack.labels.shape[0], dtype=np.int64)
     active = np.arange(moves.size)
-    while (best := _best_moves(stack, active, policy, groups, group_sums,
-                               allowed)) is not None:
-        members, donor, acceptor, moved, _, _ = best
+    while active.size and (found := _best_moves(stack, active, policy, groups,
+                                                group_sums, allowed)) is not None:
+        best, below = found
+        members, donor, acceptor, moved, sub_sum, sub_sq = best
         if stack is st:
-            stack.move(*best)
+            made = stack.move(*best, below=below)
         else:
-            st.move(np.flatnonzero(moved[0]), int(donor[0]), int(acceptor[0]))
-        active = members
+            made = stack.moved_stats(members, donor, acceptor, moved.sum(axis=1),
+                                     sub_sum, sub_sq)[-1] < below
+            if made[0]:
+                st.move(np.flatnonzero(moved[0]), int(donor[0]), int(acceptor[0]))
+        active = members[made]
         moves[active] += 1
     return moves
 
@@ -264,7 +281,9 @@ def correct_pairs(p: Partition, policy: SubsetPolicy = BOTH) -> CorrectionResult
     """Apply the globally best improving move until none remains.
 
     Each accepted move lowers E by more than the move tolerance, so the
-    loop terminates; the result verifies stable under the same policy.
+    loop terminates; the result verifies stable under the same policy,
+    unless a move predicted to improve was refused on its recomputed
+    change (see _correct_stack).
     Ties break on the lowest (donor, acceptor, first index, subset).
     """
     q = p.copy()

@@ -5,7 +5,10 @@ contiguous in sorted order, so the search space is cut positions between
 distinct values. A dynamic program over prefix sums finds, for every class
 count, the thresholds with globally minimal error. This is the multilevel
 extension of Otsu's criterion, and it serves as the exact reference that
-reclassification results are compared against in one dimension.
+reclassification results are compared against in one dimension. Each row
+of the DP is scored a block of ends at a time, at most core.STACK_BUDGET
+(end, start) cells per block, so a row costs one chain of numpy calls per
+block rather than one per end.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, PreconditionError, SizeGuardError, sigma
+from .core import Dataset, PreconditionError, SizeGuardError, _chunks, sigma
 
 MAX_DISTINCT = 4096  # the DP is O(m * V^2); keep V desk-scale
 
@@ -74,6 +77,13 @@ def _dp_tables(h: Histogram, m_max: int):
 
     arg[j][v] is the slot where the last class begins, taken as small as
     possible so equal-error solutions resolve to the same thresholds.
+
+    Row j is scored a block of ends at a time: one (ends x starts) matrix
+    of cost[j - 1, start] + interval_error(start, end), with +inf where a
+    start does not lie below its end, and the first minimum of each row.
+    Every cell is the elementwise expression a single end would compute,
+    so the bits do not depend on the blocks; each block holds at most
+    core.STACK_BUDGET cells, or one end.
     """
     v = h.v
     slots = np.arange(v + 1)
@@ -82,11 +92,14 @@ def _dp_tables(h: Histogram, m_max: int):
     cost[1] = h.interval_error(np.zeros(v + 1, dtype=np.int64), slots)
     cost[1, 0] = np.inf
     for j in range(2, m_max + 1):
-        for end in range(j, v + 1):
-            starts = np.arange(j - 1, end)
-            totals = cost[j - 1, starts] + h.interval_error(starts, np.full(starts.shape, end))
-            k = int(np.argmin(totals))  # first minimum = lowest start slot
-            cost[j, end] = totals[k]
+        ends = slots[j:]
+        for sel in _chunks(ends.size, ends.size):
+            end = ends[sel]
+            starts = slots[j - 1:end[-1]]
+            totals = cost[j - 1, starts] + h.interval_error(starts, end[:, None])
+            totals[starts >= end[:, None]] = np.inf
+            k = totals.argmin(axis=1)  # first minimum = lowest start slot
+            cost[j, end] = totals[np.arange(end.size), k]
             arg[j, end] = starts[k]
     return cost, arg
 

@@ -475,8 +475,24 @@ class SegmentMap:
                         if live == 1:
                             return True
 
-    def _apply_move(self, subset: tuple[int, ...], don: int, acc: int) -> None:
-        e_before = self._seg_energy(don) + self._seg_energy(acc)
+    def _moved_stats(self, subset: tuple[int, ...], don: int, acc: int):
+        """The count, sum and sum of squares of the donor and of the
+        acceptor after moving the subset, and the change of E from their
+        energies after minus before: the numbers _apply_move applies."""
+        # numpy sums the subset, so the statistics keep numpy's bits
+        x = self.img.intensities[list(subset)]
+        k, s, ss = len(subset), float(x.sum()), float((x * x).sum())
+        counts, sums, sumsqs = self.counts, self.sums, self.sumsqs
+        n_d, s_d, ss_d = counts[don] - k, sums[don] - s, sumsqs[don] - ss
+        n_a, s_a, ss_a = counts[acc] + k, sums[acc] + s, sumsqs[acc] + ss
+        e_after = (clamped_cluster_energy(ss_d, s_d ** 2, n_d)
+                   + clamped_cluster_energy(ss_a, s_a ** 2, n_a))
+        change = e_after - (self._seg_energy(don) + self._seg_energy(acc))
+        return n_d, s_d, ss_d, n_a, s_a, ss_a, change
+
+    def _apply_move(self, subset: tuple[int, ...], don: int, acc: int,
+                    stats: tuple) -> None:
+        """Move the subset from don to acc; stats is its _moved_stats."""
         lab, nbrs, border = self._labels, self._nbrs, self.border
         moved = set(subset)
         # contact updates read the labelling before it changes
@@ -500,17 +516,9 @@ class SegmentMap:
         for p in subset:
             for q in (p, *nbrs[p]):
                 border[lab[q]].add(q)
-        # numpy sums the subset, so the statistics keep numpy's bits
-        x = self.img.intensities[list(subset)]
-        k = len(subset)
-        self.counts[don] -= k
-        self.counts[acc] += k
-        s, ss = float(x.sum()), float((x * x).sum())
-        self.sums[don] -= s
-        self.sums[acc] += s
-        self.sumsqs[don] -= ss
-        self.sumsqs[acc] += ss
-        self.total_e += self._seg_energy(don) + self._seg_energy(acc) - e_before
+        (self.counts[don], self.sums[don], self.sumsqs[don],
+         self.counts[acc], self.sums[acc], self.sumsqs[acc], change) = stats
+        self.total_e += change
         self.version[don] += 1
         self.version[acc] += 1
         self._dirty.update((don, acc))
@@ -535,15 +543,20 @@ class SegmentMap:
         """Apply improving boundary moves, best first, until none is admissible.
 
         Candidates are single border pixels and same-intensity groups of
-        them; a candidate is applied only if the donor stays connected.
-        Returns the number of moves performed.
+        them; a candidate is applied only if the donor stays connected and
+        its change of E, recomputed from the donor and acceptor energies
+        as _apply_move applies it, lies below -move_tolerance(E). So E falls
+        by more than the tolerance with every move, and the loop ends by
+        construction. A refused candidate passes to the next, as after a
+        lock refusal. Returns the number of moves performed.
         """
         n_moves = 0
         while self.segment_count >= 2:
             tau = reclass.move_tolerance(self.total_e)
             for _, dn, ac, subset in self._ranked_moves(-tau):
-                if self._donor_survives(subset, dn):
-                    self._apply_move(subset, dn, ac)
+                if self._donor_survives(subset, dn) and \
+                        (stats := self._moved_stats(subset, dn, ac))[-1] < -tau:
+                    self._apply_move(subset, dn, ac, stats)
                     n_moves += 1
                     break
             else:

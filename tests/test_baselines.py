@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_same_bits, labeled_energy, random_dataset, random_labels
-from khcluster import baselines, core
+from khcluster import baselines, core, otsu1d
 from khcluster.baselines import (KMeansConfig, is_lloyd_fixed_point,
                                  kmeans_sequence, lloyd)
 from khcluster.core import (Dataset, InternalConsistencyError, Partition,
@@ -291,20 +291,31 @@ def _kmeans_reference_sets(rng):
     yield Dataset([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 7.0, -7.0])
 
 
-@pytest.mark.parametrize("max_iters, budget, subsample", [
-    (None, None, False), (1, None, False), (2, None, False),
-    (None, 1, False), (None, 700, False), (None, None, True)])
+@pytest.mark.parametrize("max_iters, budget, wave, subsample", [
+    pytest.param(None, None, None, False, id="None-None-False"),
+    pytest.param(1, None, None, False, id="1-None-False"),
+    pytest.param(2, None, None, False, id="2-None-False"),
+    pytest.param(None, 1, 1, False, id="None-1-False"),
+    pytest.param(None, 700, 200, False, id="None-700-False"),
+    pytest.param(None, None, None, True, id="None-None-True"),
+    pytest.param(None, None, 1, False, id="wave-1"),
+    pytest.param(None, 1, None, False, id="budget-1-whole-wave"),
+    pytest.param(None, None, 200, False, id="wave-200")])
 def test_stacked_lloyd_matches_one_candidate_at_a_time(monkeypatch, max_iters,
-                                                       budget, subsample):
+                                                       budget, wave, subsample):
     """kmeans_sequence and lloyd reproduce the per-candidate Lloyd loop bit
     for bit: labels, statistics, total_e bits, iteration counts and
     convergence. Also for runs cut off after one or two iterations (members
-    that never converge), one member per wave and per chunk (budget 1), a
-    partial last wave (budget 700), and subsampled candidates."""
+    that never converge), one member per chunk (budget 1), one member per
+    wave (wave 1), partial last chunks (budget 700) and waves (wave 200), a
+    whole growth step in one wave (the default wave bound), and subsampled
+    candidates."""
     if max_iters is not None:
         monkeypatch.setattr(baselines, "MAX_ITERS", max_iters)
     if budget is not None:
         monkeypatch.setattr(core, "STACK_BUDGET", budget)
+    if wave is not None:
+        monkeypatch.setattr(baselines, "WAVE_BUDGET", wave)
     if subsample:
         monkeypatch.setattr(baselines, "SUBSAMPLE_ABOVE", 8)
         monkeypatch.setattr(baselines, "SUBSAMPLE_SIZE", 6)
@@ -317,7 +328,7 @@ def test_stacked_lloyd_matches_one_candidate_at_a_time(monkeypatch, max_iters,
 
     monkeypatch.setattr(baselines, "_repair_empty", counted)
     rng = np.random.default_rng(909)
-    partial = unconverged = 0
+    partial = whole = unconverged = 0
     for ds in _kmeans_reference_sets(rng):
         m_max = min(5, ds.unique_rows().shape[0])
         seq = kmeans_sequence(ds, m_max, rng_seed=3)
@@ -326,7 +337,9 @@ def test_stacked_lloyd_matches_one_candidate_at_a_time(monkeypatch, max_iters,
             assert_same_bits(seq.by_cluster_count[m], parts[m])
             assert seq.info[m]["iterations"] == iters[m]
             cands = baselines._candidate_rows(ds, 3).shape[0]
-            partial += m > 1 and cands % max(1, core.STACK_BUDGET // ds.n) > 0
+            per_wave = max(1, baselines.WAVE_BUDGET // ds.n)
+            partial += m > 1 and cands > per_wave and cands % per_wave > 0
+            whole += m > 1 and cands <= per_wave
         for m in range(2, m_max + 1):
             start = random_labels(rng, ds.n, m)
             centers = ds.points[rng.choice(ds.n, m, replace=False)]
@@ -339,8 +352,58 @@ def test_stacked_lloyd_matches_one_candidate_at_a_time(monkeypatch, max_iters,
                 assert (res.iterations, res.converged) == ref[1:]
                 unconverged += not res.converged
     assert repairs
-    assert partial > 0 or budget != 700
+    assert partial > 0 or wave != 200
+    assert whole > 0 or wave is not None
     assert unconverged > 0 or max_iters is None
+
+
+@pytest.mark.parametrize("budget, wave", [(None, None), (7, 1), (100, 90), (1, 1000)])
+def test_chunks_waves_and_dp_blocks_keep_their_bounds(monkeypatch, budget, wave):
+    """Every stack of distances the Lloyd kernel computes holds at most
+    core.STACK_BUDGET members x rows x clusters (or one member), every
+    block of the Otsu DP at most core.STACK_BUDGET (end, start) cells (or
+    one end), and every wave of Lloyd runs at most WAVE_BUDGET members x
+    rows (or one member). With the default bounds a growth step of 200
+    points runs in one wave."""
+    if budget is not None:
+        monkeypatch.setattr(core, "STACK_BUDGET", budget)
+    if wave is not None:
+        monkeypatch.setattr(baselines, "WAVE_BUDGET", wave)
+    chunks, waves, blocks = [], [], []
+    distances, lloyd_stack = baselines.squared_distances, baselines._lloyd_stack
+    interval_error = otsu1d.Histogram.interval_error
+
+    def recorded_distances(x, centers):
+        chunks.append((centers.shape[0], x.shape[0], centers.shape[1]))
+        return distances(x, centers)
+
+    def recorded_stack(points, centers, labels):
+        out = lloyd_stack(points, centers, labels)
+        waves.append(out[0].shape)
+        return out
+
+    def recorded_block(self, lo, hi):
+        shape = np.broadcast_shapes(np.shape(lo), np.shape(hi))
+        if len(shape) == 2:  # row 1 is one vector: one start, every end
+            blocks.append(shape)
+        return interval_error(self, lo, hi)
+
+    monkeypatch.setattr(baselines, "squared_distances", recorded_distances)
+    monkeypatch.setattr(baselines, "_lloyd_stack", recorded_stack)
+    monkeypatch.setattr(otsu1d.Histogram, "interval_error", recorded_block)
+    x = np.round(np.random.default_rng(41).normal(0.0, 20.0, 200), 3)
+    ds = Dataset(x)
+    assert ds.unique_rows().shape[0] == 200
+    kmeans_sequence(ds, 6)
+    otsu1d.curve(otsu1d.build_histogram(x), 6)
+    assert chunks and waves and blocks
+    assert all(b * n * m <= core.STACK_BUDGET or b == 1 for b, n, m in chunks)
+    assert all(b * n <= baselines.WAVE_BUDGET or b == 1 for b, n in waves)
+    assert all(e * s <= core.STACK_BUDGET or e == 1 for e, s in blocks)
+    assert max(b for b, _, _ in chunks) > 1 or core.STACK_BUDGET < 2 * 200 * 2
+    assert max(e for e, _ in blocks) > 1 or core.STACK_BUDGET < 2 * 200
+    if wave is None:
+        assert len(waves) == 5 and all(b == 200 for b, _ in waves)
 
 
 def test_a_member_whose_error_rises_raises(monkeypatch):

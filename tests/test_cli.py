@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import labeled_energy
-from khcluster import baselines, kh_engine, segment
+from khcluster import baselines, core, kh_engine, segment
 from khcluster.cli import (EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_USAGE,
                            build_parser, load_csv, main)
 from khcluster.core import Dataset, InputFormatError, Partition
@@ -144,6 +144,31 @@ def test_cluster_reports_the_corrected_optimum(tmp_path):
     assert report["methods"]["kmeans"]["2"]["E"] == pytest.approx(target, rel=1e-9)
     assert report["methods"]["kh"]["2"]["E"] == pytest.approx(target, rel=1e-9)
     assert report["methods"]["kh"]["2"]["stable"] is True
+
+
+def test_a_refused_move_is_reported_unstable(tmp_path, monkeypatch):
+    """The same skewed data offset by 1e7: cancellation makes a move look
+    improving that raises E, so the correction loops refuse it and end
+    (a counter fails the test if they cycle), and the audit reports the
+    m = 2 records unstable."""
+    move = core.PartitionStack.move
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        assert len(calls) <= 1000, "the correction loops do not end"
+        return move(self, *args, **kwargs)
+
+    monkeypatch.setattr(core.PartitionStack, "move", counted)
+    data = tmp_path / "offset.csv"
+    write_csv(data, [[1e7], [1e7 + 6.0]] + [[1e7 + 10.0]] * 100)
+    out = tmp_path / "run"
+    code = main(["cluster", "--input", str(data), "--m-max", "2",
+                 "--methods", "kmeans,kh", "--out", str(out)])
+    assert code == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["methods"]["kmeans"]["2"]["stable"] is False
+    assert report["methods"]["kh"]["2"]["stable"] is False
 
 
 def test_one_kmeans_sequence_per_job(tmp_path, monkeypatch):

@@ -42,6 +42,45 @@ def test_verify_stability_is_pure():
     assert np.array_equal(res.partition.labels, before)
 
 
+def _offset_instance():
+    """{0, 6, 10 x 100} + 1e7 with labels [0, 0, 1 x 100]. Cancellation in
+    the predicted deltas makes the 100-point group move look improving,
+    though it raises E by 84; a loop that trusted the prediction would
+    cycle forever."""
+    ds = Dataset(np.array([0.0, 6.0] + [10.0] * 100) + 1e7)
+    return Partition.from_labels(ds, np.array([0, 0] + [1] * 100))
+
+
+def _count_moves(monkeypatch, limit=100):
+    """Count PartitionStack.move calls (Partition.move makes one), failing
+    after limit of them instead of hanging."""
+    calls = []
+    move = core.PartitionStack.move
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        if len(calls) > limit:
+            raise AssertionError("the correction loop does not end")
+        return move(self, *args, **kwargs)
+
+    monkeypatch.setattr(core.PartitionStack, "move", counted)
+    return calls
+
+
+def test_correction_ends_when_the_predicted_delta_cancels(monkeypatch):
+    """A move whose recomputed change of E is not below -move_tolerance(E)
+    is refused, so correct_pairs ends on the offset instance; the moves it
+    reports are the moves it made, and verify_stability still audits the
+    result: the refused move leaves it reported unstable."""
+    calls = _count_moves(monkeypatch)
+    p = _offset_instance()
+    res = correct_pairs(p)
+    assert res.n_moves == len(calls) == 1
+    res.partition.check_consistency()
+    assert res.partition.total_e < p.total_e
+    assert not verify_stability(res.partition).stable
+
+
 def test_correction_beats_the_lloyd_fixed_point():
     """The E = 18 fixed point gives up its 6 and lands at 1600/101."""
     ds = Dataset([0.0, 6.0] + [10.0] * 100)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import energy_by_means, labeled_energy
+from khcluster import core, otsu1d
 from khcluster.core import Dataset, PreconditionError, SizeGuardError, partition_energy
 from khcluster.oracle import global_min
 from khcluster.otsu1d import (MAX_DISTINCT, assign_classes, build_histogram,
@@ -115,3 +116,64 @@ def test_dp_matches_exhaustive_oracle(seed):
     _, e = optimal_thresholds(h, m)
     opt = global_min(Dataset(x), m)
     assert e == pytest.approx(opt.best_e, rel=1e-9, abs=1e-9)
+
+
+# The DP as it ran before its rows were scored in blocks: one chain of
+# numpy calls per (class count, end) cell. The blocked tables must have its
+# bits.
+
+def _ref_dp_tables(h, m_max):
+    v = h.v
+    slots = np.arange(v + 1)
+    cost = np.full((m_max + 1, v + 1), np.inf)
+    arg = np.zeros((m_max + 1, v + 1), dtype=np.int64)
+    cost[1] = h.interval_error(np.zeros(v + 1, dtype=np.int64), slots)
+    cost[1, 0] = np.inf
+    for j in range(2, m_max + 1):
+        for end in range(j, v + 1):
+            starts = np.arange(j - 1, end)
+            totals = cost[j - 1, starts] + h.interval_error(starts, np.full(starts.shape, end))
+            k = int(np.argmin(totals))
+            cost[j, end] = totals[k]
+            arg[j, end] = starts[k]
+    return cost, arg
+
+
+def _dp_histograms(rng):
+    """Heavy ties, integer grids and values offset by 1e6, V from 1 to
+    about 300. On the narrow offset ranges the prefix moments cancel, so
+    the rounded costs are not monotone in the end slot and an unmasked
+    start at or past its end could win a row."""
+    yield build_histogram(np.array([4.0]))
+    yield build_histogram(np.array([2.0, 2.0, 5.0]))
+    for v in (3, 17, 64, 150, 300):
+        yield build_histogram(np.round(rng.normal(0.0, 2.0, 4 * v), 0)[:v]
+                              .repeat(rng.integers(1, 9, v)))
+        yield build_histogram(rng.integers(0, v, 3 * v).astype(np.float64))
+        yield build_histogram(np.round(rng.uniform(-50.0, 50.0, v), 2) + 1e6)
+        yield build_histogram(np.round(rng.uniform(-1.0, 1.0, v), 3) + 1e6)
+
+
+@pytest.mark.parametrize("budget", [1, 7, None])
+def test_blocked_dp_has_the_bits_of_the_per_end_loop(monkeypatch, budget):
+    """cost and arg have the bits of the per-end loop, and so do curve and
+    optimal_thresholds, with one end per block (budget 1), small blocks
+    (budget 7) and the default budget."""
+    if budget is not None:
+        monkeypatch.setattr(core, "STACK_BUDGET", budget)
+    rng = np.random.default_rng(31)
+    sizes = set()
+    for h in _dp_histograms(rng):
+        m_max = min(h.v, 8)
+        sizes.add(h.v)
+        cost, arg = otsu1d._dp_tables(h, m_max)
+        ref_cost, ref_arg = _ref_dp_tables(h, m_max)
+        assert np.array_equal(cost.view(np.int64), ref_cost.view(np.int64))
+        assert np.array_equal(arg, ref_arg)
+        for p in curve(h, m_max):
+            ref_th = otsu1d._thresholds_from(ref_arg, h, p.m)
+            assert p.error == float(ref_cost[p.m, h.v])
+            assert p.thresholds == tuple(float(t) for t in ref_th)
+            th, e = optimal_thresholds(h, p.m)
+            assert np.array_equal(th, ref_th) and e == p.error
+    assert min(sizes) == 1 and max(sizes) >= 250

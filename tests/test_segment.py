@@ -200,6 +200,45 @@ def test_boundary_correction_fixes_horizontal_split():
     assert sm.correct_boundaries() == 0  # already stable
 
 
+def test_a_move_the_recomputed_energies_deny_is_refused(monkeypatch):
+    """When transfer_delta promises a gain that the donor and acceptor
+    energies, recomputed as the move would apply them, deny, the candidate
+    is refused like a lock refusal: nothing moves, E keeps its bits and the
+    audit passes. Applying a move fails the test instead of looping."""
+    rng = np.random.default_rng(23)
+    maps = [SegmentMap(GrayImage.from_array(np.array([[0.0, 10.0], [0.0, 10.0]])),
+                       np.array([0, 0, 1, 1]))]
+    for _ in range(3):
+        arr = rng.choice([20.0, 120.0, 220.0], size=(5, 6)) + rng.integers(0, 3, (5, 6))
+        maps.append(SegmentMap.from_image(GrayImage.from_array(arr)))
+    for sm in maps:
+        while sm.segment_count > 3:
+            sm.merge_best()
+        sm.correct_boundaries()
+        sm = SegmentMap(sm.img, sm.labels)  # every segment dirty again
+        labels, e = sm.labels, sm.total_e
+        with monkeypatch.context() as patch:
+            # a gain for every move that keeps its donor nonempty
+            patch.setattr(reclass, "transfer_delta",
+                          lambda hh, gg, k, n1, n2: -1.0 if k < n1 else np.inf)
+            refused = []
+            moved_stats = SegmentMap._moved_stats
+
+            def recomputed(self, subset, don, acc):
+                refused.append(subset)
+                return moved_stats(self, subset, don, acc)
+
+            def applied(self, *args):
+                raise AssertionError("a move the energies deny was applied")
+
+            patch.setattr(SegmentMap, "_moved_stats", recomputed)
+            patch.setattr(SegmentMap, "_apply_move", applied)
+            assert sm.correct_boundaries() == 0
+        assert refused
+        assert np.array_equal(sm.labels, labels) and sm.total_e == e
+        sm.check_consistency()
+
+
 def test_articulation_pixel_is_locked():
     """A move that would disconnect its donor is refused despite the gain."""
     img = GrayImage.from_array(np.array([[5.0, 100.0, 5.0],
@@ -295,7 +334,7 @@ def test_ranked_move_deltas_match_applied_change():
         assert keys == sorted(keys)
         for delta, don, acc, subset in cands:
             trial = SegmentMap(sm.img, sm.labels)
-            trial._apply_move(subset, don, acc)
+            trial._apply_move(subset, don, acc, trial._moved_stats(subset, don, acc))
             actual = labeled_energy(arr.reshape(-1, 1), trial.labels) - e
             assert abs(actual - delta) <= 1e-9 * (1.0 + e)
             group_moves += len(subset) > 1
