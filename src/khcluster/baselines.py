@@ -4,11 +4,10 @@ There is one Lloyd loop, a kernel that runs a whole stack of center sets
 together, each member bit for bit as if run alone. Members whose label
 rows are equal after an assignment have the same future, so each distinct
 trajectory runs once. A growth step of kmeans_sequence runs its candidate
-placements in waves of at most WAVE_BUDGET members x rows, one wave on
-desk-scale inputs, with distances and assignments at most
+placements in waves of at most WAVE_BUDGET members x rows x (d + 1)
+cells, one wave on small inputs, with distances and assignments at most
 core.STACK_BUDGET members x rows x clusters at a time; lloyd is a stack
-of one. The two bounds differ because peak memory grows with the chunk
-of distances, not with the wave's labels, while each wave pays the fixed
+of one. The wave has a bound of its own, since each wave pays the fixed
 costs of every iteration again. The means of every member come from
 core.stacked_sums, the builder of the partitions' statistics; the loop
 needs no sums of squares.
@@ -35,9 +34,12 @@ SUBSAMPLE_SIZE = 512
 # Lloyd stops after this many iterations even when not yet converged.
 MAX_ITERS = 200
 
-# Members x rows in one wave of the Lloyd runs of a growth step, a label
-# matrix of 2 MiB: every candidate of a dataset of up to 512 points goes
-# in one wave.
+# Cells in the largest arrays of one wave of the Lloyd runs of a growth
+# step: members x rows x (d + 1), the tiled points and |x|^2 of
+# PartitionStack.from_labels; the tiled points of the means and each
+# point's own center are members x rows x d. A wave holds several such
+# arrays of at most 2 MiB each, whatever d; every candidate of 200 points
+# in 1-D goes in one wave.
 WAVE_BUDGET = 262144
 
 
@@ -217,11 +219,12 @@ def _candidate_rows(ds: Dataset, rng_seed: int) -> np.ndarray:
 def _grow_one(ds: Dataset, prev: Partition, rng_seed: int):
     """Best Lloyd run over all candidate placements of one extra center.
 
-    The runs go as one stack, in waves of WAVE_BUDGET members x rows (runs
-    with equal label rows go once); the first run that attains the
-    lowest error wins, and only it becomes a Partition. Only the first of
-    each distinct final label row gets statistics: equal rows have equal
-    error bits, so the first minimum is always such a first row.
+    The runs go as one stack, in waves of WAVE_BUDGET members x rows x
+    (d + 1) cells (runs with equal label rows go once); the first run
+    that attains the lowest error wins, and only it becomes a Partition.
+    Only the first of each distinct final label row gets statistics:
+    equal rows have equal error bits, so the first minimum is always such
+    a first row.
     """
     cands = _candidate_rows(ds, rng_seed)
     m = prev.m + 1
@@ -229,7 +232,7 @@ def _grow_one(ds: Dataset, prev: Partition, rng_seed: int):
     centers = np.concatenate((base, cands[:, None, :]), axis=1)
     best_e = best = None
     iters = 0
-    for sel in _chunks(cands.shape[0], ds.n, WAVE_BUDGET):
+    for sel in _chunks(cands.shape[0], ds.n * (ds.d + 1), WAVE_BUDGET):
         labels, iterations, _ = _lloyd_stack(ds.points, centers[sel], None)
         iters += int(iterations.sum())
         first = np.flatnonzero(_first_equal_rows(labels) == np.arange(labels.shape[0]))
@@ -246,9 +249,9 @@ def kmeans_sequence(ds: Dataset, m_max: int, rng_seed: int = 0) -> PartitionSequ
     Each count grows the previous solution by one center, trying every
     distinct point as the new center and keeping the first Lloyd run that
     attains the lowest error; the runs of a count go together, as one
-    stack in waves of WAVE_BUDGET members x rows, and runs whose
-    labels become equal go on as one. info[m]["iterations"] sums the
-    iterations of every run, as if each ran alone. Above
+    stack in waves of WAVE_BUDGET members x rows x (d + 1) cells, and
+    runs whose labels become equal go on as one. info[m]["iterations"]
+    sums the iterations of every run, as if each ran alone. Above
     SUBSAMPLE_ABOVE distinct points the candidates are a subsample of
     SUBSAMPLE_SIZE rows seeded by rng_seed, which must be nonnegative.
     """

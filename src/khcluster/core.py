@@ -29,8 +29,9 @@ ENERGY_CLAMP_REL = 1e-9
 # Cells that a blocked kernel works on in one chunk: members x rows x
 # clusters in the correction passes of kh_engine and the Lloyd distances
 # and assignments of baselines, ends x starts in a block of the Otsu DP.
-# It bounds the kernels' temporary arrays, and peak memory grows with it;
-# the waves of Lloyd runs have a bound of their own (baselines.WAVE_BUDGET).
+# It bounds the kernels' temporary arrays. The waves of Lloyd runs have a
+# bound of their own (baselines.WAVE_BUDGET): on 200 points in 1-D, peak
+# memory rose with this chunk, not with the wave.
 STACK_BUDGET = 8192
 
 
@@ -387,17 +388,16 @@ class PartitionStack:
         change = (e_new[:, 0] + e_new[:, 1]) - (e_old[:, 0] + e_old[:, 1])
         return pair, counts, sums, sumsqs, change
 
-    def move(self, b, donor, acceptor, moved, sub_sum, sub_sq, below=None):
+    def move(self, b, donor, acceptor, moved, sub_sum, sub_sq, stats=None) -> None:
         """In each member b[i], move the points flagged in moved[i] from
         cluster donor[i] to acceptor[i], in place; sub_sum[i] and sub_sq[i]
         are their coordinate sum and sum of |x|^2. The members are distinct.
 
         The total error changes by the recomputed donor and acceptor
-        energies, e_new - e_old (moved_stats). Given below (B,), only the
-        moves whose change lies below below[i] are made, the others leave
-        their member untouched, and the mask of the moves made is
-        returned. A member rebuilds its statistics from its labels after
-        every REFRESH_INTERVAL moves, which bounds drift.
+        energies, e_new - e_old: the moved_stats of these moves, or stats
+        when the caller computed them already. A member rebuilds its
+        statistics from its labels after every REFRESH_INTERVAL moves,
+        which bounds drift.
         """
         k = moved.sum(axis=1)
         if (donor == acceptor).any():
@@ -407,13 +407,9 @@ class PartitionStack:
         if (k >= self.counts[b, donor]).any():
             raise PreconditionError("subset equals the donor cluster; use a merge instead")
 
-        pair, counts, sums, sumsqs, change = self.moved_stats(b, donor, acceptor, k,
-                                                              sub_sum, sub_sq)
-        made = None if below is None else change < below
-        if made is not None and not made.all():
-            b, acceptor, moved, pair = b[made], acceptor[made], moved[made], \
-                (pair[0][made], pair[1][made])
-            counts, sums, sumsqs, change = counts[made], sums[made], sumsqs[made], change[made]
+        if stats is None:
+            stats = self.moved_stats(b, donor, acceptor, k, sub_sum, sub_sq)
+        pair, counts, sums, sumsqs, change = stats
         self.counts[pair], self.sums[pair], self.sumsqs[pair] = counts, sums, sumsqs
         self.total_e[b] += change
         self.labels[b] = np.where(moved, acceptor[:, None], self.labels[b])
@@ -422,7 +418,6 @@ class PartitionStack:
         due = b[self.since_refresh[b] >= REFRESH_INTERVAL]
         if due.size:
             self.refresh(due)
-        return made
 
     def refresh(self, b) -> None:
         """Rebuild the statistics and total error of members b from their labels."""

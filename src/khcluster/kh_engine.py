@@ -255,23 +255,28 @@ def _correct_stack(st: PartitionStack | Partition, policy: SubsetPolicy,
     A Partition is scored as its stack of one and each of its moves is one
     Partition.move call, made only after the check passed, so the moves
     correct_pairs and correct_tuples report are the Partition.move calls
-    the benchmark's tracer counts.
+    the benchmark's tracer counts. Partition.move recomputes the checked
+    statistics; a stack's move applies them as checked.
     """
     stack = st._stack if isinstance(st, Partition) else st
     groups, group_sums = _group_rows(stack.ds), {}
     moves = np.zeros(stack.labels.shape[0], dtype=np.int64)
     active = np.arange(moves.size)
-    while active.size and (found := _best_moves(stack, active, policy, groups,
-                                                group_sums, allowed)) is not None:
+    while (found := _best_moves(stack, active, policy, groups, group_sums,
+                                allowed)) is not None:
         best, below = found
         members, donor, acceptor, moved, sub_sum, sub_sq = best
-        if stack is st:
-            made = stack.move(*best, below=below)
+        stats = stack.moved_stats(members, donor, acceptor, moved.sum(axis=1),
+                                  sub_sum, sub_sq)
+        made = stats[-1] < below
+        if not made.any():
+            break
+        if stack is not st:
+            st.move(np.flatnonzero(moved[0]), int(donor[0]), int(acceptor[0]))
+        elif made.all():
+            stack.move(*best, stats=stats)
         else:
-            made = stack.moved_stats(members, donor, acceptor, moved.sum(axis=1),
-                                     sub_sum, sub_sq)[-1] < below
-            if made[0]:
-                st.move(np.flatnonzero(moved[0]), int(donor[0]), int(acceptor[0]))
+            stack.move(*(a[made] for a in best))
         active = members[made]
         moves[active] += 1
     return moves

@@ -337,7 +337,7 @@ def test_stacked_lloyd_matches_one_candidate_at_a_time(monkeypatch, max_iters,
             assert_same_bits(seq.by_cluster_count[m], parts[m])
             assert seq.info[m]["iterations"] == iters[m]
             cands = baselines._candidate_rows(ds, 3).shape[0]
-            per_wave = max(1, baselines.WAVE_BUDGET // ds.n)
+            per_wave = max(1, baselines.WAVE_BUDGET // (ds.n * (ds.d + 1)))
             partial += m > 1 and cands > per_wave and cands % per_wave > 0
             whole += m > 1 and cands <= per_wave
         for m in range(2, m_max + 1):
@@ -363,15 +363,18 @@ def test_chunks_waves_and_dp_blocks_keep_their_bounds(monkeypatch, budget, wave)
     core.STACK_BUDGET members x rows x clusters (or one member), every
     block of the Otsu DP at most core.STACK_BUDGET (end, start) cells (or
     one end), and every wave of Lloyd runs at most WAVE_BUDGET members x
-    rows (or one member). With the default bounds a growth step of 200
-    points runs in one wave."""
+    rows x (d + 1) (or one member). So do the points a wave tiles for its
+    means and statistics, which have the shape of each point's own center
+    too. With the default bounds a growth step of 200 points in 1-D runs
+    in one wave, and one of 100 points in 32-D in two."""
     if budget is not None:
         monkeypatch.setattr(core, "STACK_BUDGET", budget)
     if wave is not None:
         monkeypatch.setattr(baselines, "WAVE_BUDGET", wave)
-    chunks, waves, blocks = [], [], []
+    chunks, waves, blocks, tiled = [], [], [], []
     distances, lloyd_stack = baselines.squared_distances, baselines._lloyd_stack
     interval_error = otsu1d.Histogram.interval_error
+    sums = core.stacked_sums
 
     def recorded_distances(x, centers):
         chunks.append((centers.shape[0], x.shape[0], centers.shape[1]))
@@ -379,7 +382,7 @@ def test_chunks_waves_and_dp_blocks_keep_their_bounds(monkeypatch, budget, wave)
 
     def recorded_stack(points, centers, labels):
         out = lloyd_stack(points, centers, labels)
-        waves.append(out[0].shape)
+        waves.append(out[0].shape + (points.shape[1],))
         return out
 
     def recorded_block(self, lo, hi):
@@ -388,22 +391,40 @@ def test_chunks_waves_and_dp_blocks_keep_their_bounds(monkeypatch, budget, wave)
             blocks.append(shape)
         return interval_error(self, lo, hi)
 
+    def recorded_sums(points, labels, m):
+        tiled.append((labels.shape[0], points.shape[0], points.shape[1]))
+        return sums(points, labels, m)
+
     monkeypatch.setattr(baselines, "squared_distances", recorded_distances)
     monkeypatch.setattr(baselines, "_lloyd_stack", recorded_stack)
     monkeypatch.setattr(otsu1d.Histogram, "interval_error", recorded_block)
-    x = np.round(np.random.default_rng(41).normal(0.0, 20.0, 200), 3)
+    monkeypatch.setattr(baselines, "stacked_sums", recorded_sums)
+    monkeypatch.setattr(core, "stacked_sums", recorded_sums)
+    rng = np.random.default_rng(41)
+    x = np.round(rng.normal(0.0, 20.0, 200), 3)
     ds = Dataset(x)
     assert ds.unique_rows().shape[0] == 200
     kmeans_sequence(ds, 6)
     otsu1d.curve(otsu1d.build_histogram(x), 6)
-    assert chunks and waves and blocks
+    assert chunks and waves and blocks and tiled
     assert all(b * n * m <= core.STACK_BUDGET or b == 1 for b, n, m in chunks)
-    assert all(b * n <= baselines.WAVE_BUDGET or b == 1 for b, n in waves)
+    assert all(b * n * (d + 1) <= baselines.WAVE_BUDGET or b == 1 for b, n, d in waves)
     assert all(e * s <= core.STACK_BUDGET or e == 1 for e, s in blocks)
     assert max(b for b, _, _ in chunks) > 1 or core.STACK_BUDGET < 2 * 200 * 2
     assert max(e for e, _ in blocks) > 1 or core.STACK_BUDGET < 2 * 200
     if wave is None:
-        assert len(waves) == 5 and all(b == 200 for b, _ in waves)
+        assert len(waves) == 5 and all(b == 200 for b, _, _ in waves)
+
+    waves.clear()
+    tiled.clear()
+    wide = Dataset(rng.normal(0.0, 1.0, (100, 32)))
+    kmeans_sequence(wide, 2)
+    assert waves and tiled
+    assert all(b * n * (d + 1) <= baselines.WAVE_BUDGET or b == 1 for b, n, d in waves)
+    assert all(b * n * c <= baselines.WAVE_BUDGET or b == 1 for b, n, c in tiled)
+    assert max(c for _, _, c in tiled) == 33  # the statistics' tiled points
+    if wave is None:
+        assert [b for b, _, _ in waves] == [79, 21]
 
 
 def test_a_member_whose_error_rises_raises(monkeypatch):

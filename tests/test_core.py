@@ -97,30 +97,25 @@ def test_move_updates_energy_exactly():
     p.check_consistency()
 
 
-def test_stack_move_below_makes_only_the_moves_that_pass():
-    """Given below, PartitionStack.move makes a member's move only when its
-    recomputed change of E lies below below[i]; a refused member keeps
-    every bit, and the one made has the bits of a plain move."""
+def test_moved_stats_is_what_move_applies():
+    """PartitionStack.moved_stats changes nothing in place, and move then
+    applies exactly its donor and acceptor statistics and change of E."""
     ds = Dataset([0.0, 1.0, 9.0, 10.0])
-    labels = np.array([[0, 0, 0, 1], [0, 0, 0, 1]])
-    st = PartitionStack.from_labels(ds, labels.copy(), 2)
-    plain = PartitionStack.from_labels(ds, labels.copy(), 2)
-    b, donor, acceptor = np.array([0, 1]), np.array([0, 0]), np.array([1, 1])
-    moved = np.array([[False, False, True, False]] * 2)
+    st = PartitionStack.from_labels(ds, np.array([[0, 0, 0, 1], [0, 0, 1, 1]]), 2)
+    b, donor, acceptor = np.array([0, 1]), np.array([0, 1]), np.array([1, 0])
+    moved = np.array([[False, False, True, False], [False, False, True, False]])
     sub_sum, sub_sq = np.array([[9.0], [9.0]]), np.array([81.0, 81.0])
-    change = st.moved_stats(b, donor, acceptor, moved.sum(axis=1), sub_sum, sub_sq)[-1]
-    assert change[0] == change[1] == 1.0 - st.total_e[0]
     before = [a.copy() for a in (st.labels, st.counts, st.sums, st.sumsqs, st.total_e)]
-    made = st.move(b, donor, acceptor, moved, sub_sum, sub_sq,
-                   below=np.array([change[0] + 1.0, change[1]]))
-    assert made.tolist() == [True, False]
-    plain.move(b[:1], donor[:1], acceptor[:1], moved[:1], sub_sum[:1], sub_sq[:1])
-    for a, was, ref in zip((st.labels, st.counts, st.sums, st.sumsqs, st.total_e),
-                           before, (plain.labels, plain.counts, plain.sums,
-                                    plain.sumsqs, plain.total_e)):
-        assert np.array_equal(a[1], was[1])
-        assert np.array_equal(a[0], ref[0])
-    assert st.since_refresh.tolist() == [1, 0]
+    pair, counts, sums, sumsqs, change = st.moved_stats(b, donor, acceptor,
+                                                        moved.sum(axis=1), sub_sum, sub_sq)
+    for a, was in zip((st.labels, st.counts, st.sums, st.sumsqs, st.total_e), before):
+        assert np.array_equal(a, was)
+    st.move(b, donor, acceptor, moved, sub_sum, sub_sq)
+    assert np.array_equal(st.counts[pair], counts)
+    assert np.array_equal(st.sums[pair], sums)
+    assert np.array_equal(st.sumsqs[pair], sumsqs)
+    assert np.array_equal(st.total_e, before[-1] + change)
+    assert st.labels.tolist() == [[0, 0, 1, 1], [0, 0, 0, 1]]
 
 
 def test_move_rejects_bad_subsets():

@@ -81,6 +81,31 @@ def test_correction_ends_when_the_predicted_delta_cancels(monkeypatch):
     assert not verify_stability(res.partition).stable
 
 
+def test_a_refused_member_leaves_the_stack_alone(monkeypatch):
+    """In a stack, a member whose move is refused drops out while the others
+    go on: on the offset data one member stops after one move, and in the
+    same pass the other makes its second. Each ends bit for bit as
+    correct_pairs ends it alone."""
+    ds = _offset_instance().ds
+    rows = np.array([[0, 0] + [1] * 100, [1, 1] + [0] * 99 + [1]])
+    _count_moves(monkeypatch)
+    alone = [correct_pairs(Partition.from_labels(ds, row)) for row in rows]
+    move = core.PartitionStack.move
+    members = []
+
+    def recorded(self, b, *args, **kwargs):
+        members.append(b.tolist())
+        return move(self, b, *args, **kwargs)
+
+    monkeypatch.setattr(core.PartitionStack, "move", recorded)
+    stack = core.PartitionStack.from_labels(ds, rows.copy(), 2)
+    moves = kh_engine._correct_stack(stack, BOTH)
+    assert moves.tolist() == [res.n_moves for res in alone] == [1, 2]
+    assert members[:2] == [[0, 1], [1]]
+    for i, res in enumerate(alone):
+        assert_same_bits(stack.partition(i), res.partition)
+
+
 def test_correction_beats_the_lloyd_fixed_point():
     """The E = 18 fixed point gives up its 6 and lands at 1600/101."""
     ds = Dataset([0.0, 6.0] + [10.0] * 100)
