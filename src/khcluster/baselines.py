@@ -4,7 +4,7 @@ There is one Lloyd loop, a kernel that runs a whole stack of center sets
 together, each member bit for bit as if run alone. Members whose label
 rows are equal after an assignment have the same future, so each distinct
 trajectory runs once. A growth step of kmeans_sequence runs its candidate
-placements in waves of at most WAVE_BUDGET members x rows x (d + 1)
+placements in waves of at most core.WAVE_BUDGET members x rows x (d + 1)
 cells, one wave on small inputs, with distances and assignments at most
 core.STACK_BUDGET members x rows x clusters at a time; lloyd is a stack
 of one. The wave has a bound of its own, since each wave pays the fixed
@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import (Dataset, InternalConsistencyError, Partition,
                    PartitionSequence, PartitionStack, PreconditionError,
-                   _chunks, squared_distances, stacked_sums)
+                   _chunks, _waves, squared_distances, stacked_sums)
 
 # Relative tolerance for assignment ties; a point keeps its current cluster
 # when the best alternative is not closer than this.
@@ -33,15 +33,6 @@ SUBSAMPLE_SIZE = 512
 
 # Lloyd stops after this many iterations even when not yet converged.
 MAX_ITERS = 200
-
-# Cells in the largest arrays of one wave of the Lloyd runs of a growth
-# step: members x rows x (d + 1), the tiled points and |x|^2 of
-# PartitionStack.from_labels; the tiled points of the means and each
-# point's own center are members x rows x d. A wave holds several such
-# arrays of at most 2 MiB each, whatever d; every candidate of 200 points
-# in 1-D goes in one wave.
-WAVE_BUDGET = 262144
-
 
 @dataclass
 class KMeansConfig:
@@ -219,7 +210,7 @@ def _candidate_rows(ds: Dataset, rng_seed: int) -> np.ndarray:
 def _grow_one(ds: Dataset, prev: Partition, rng_seed: int):
     """Best Lloyd run over all candidate placements of one extra center.
 
-    The runs go as one stack, in waves of WAVE_BUDGET members x rows x
+    The runs go as one stack, in waves of core.WAVE_BUDGET members x rows x
     (d + 1) cells (runs with equal label rows go once); the first run
     that attains the lowest error wins, and only it becomes a Partition.
     Only the first of each distinct final label row gets statistics:
@@ -232,7 +223,7 @@ def _grow_one(ds: Dataset, prev: Partition, rng_seed: int):
     centers = np.concatenate((base, cands[:, None, :]), axis=1)
     best_e = best = None
     iters = 0
-    for sel in _chunks(cands.shape[0], ds.n * (ds.d + 1), WAVE_BUDGET):
+    for sel in _waves(cands.shape[0], ds):
         labels, iterations, _ = _lloyd_stack(ds.points, centers[sel], None)
         iters += int(iterations.sum())
         first = np.flatnonzero(_first_equal_rows(labels) == np.arange(labels.shape[0]))
@@ -249,7 +240,7 @@ def kmeans_sequence(ds: Dataset, m_max: int, rng_seed: int = 0) -> PartitionSequ
     Each count grows the previous solution by one center, trying every
     distinct point as the new center and keeping the first Lloyd run that
     attains the lowest error; the runs of a count go together, as one
-    stack in waves of WAVE_BUDGET members x rows x (d + 1) cells, and
+    stack in waves of core.WAVE_BUDGET members x rows x (d + 1) cells, and
     runs whose labels become equal go on as one. info[m]["iterations"]
     sums the iterations of every run, as if each ran alone. Above
     SUBSAMPLE_ABOVE distinct points the candidates are a subsample of

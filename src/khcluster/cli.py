@@ -90,7 +90,7 @@ def _partition_record(p: Partition, moves: int,
                       policy: kh_engine.SubsetPolicy) -> dict:
     report = kh_engine.verify_stability(p, policy)
     return {
-        "labels": [int(c) for c in p.labels],
+        "labels": p.labels.tolist(),
         "E": p.total_e,
         "sigma": sigma(p.total_e, p.n),
         "stable": report.stable,
@@ -139,22 +139,19 @@ def _checked_methods(ds, args) -> tuple[list[str], kh_engine.SubsetPolicy]:
 
 
 def _run_methods(ds, args, methods: list[str], policy: kh_engine.SubsetPolicy) -> dict:
-    """Run each method; every record's stability is audited under the
-    run's subset policy. kmeans and kh share one k-means sequence, seeded
-    by --seed."""
+    """The runs of each method, _runs by name. kmeans and kh share one
+    k-means sequence, seeded by --seed."""
     kmeans = (baselines.kmeans_sequence(ds, args.m_max, rng_seed=args.seed)
               if {"kmeans", "kh"} & set(methods) else None)
-    return {name: {str(m): _partition_record(p, moves, policy)
-                   for m, p, moves in _runs(name, ds, args, policy, kmeans)}
-            for name in methods}
+    return {name: _runs(name, ds, args, policy, kmeans) for name in methods}
 
 
-def _comparison(by_method: dict, m_max: int) -> str:
-    names = [n for n in METHOD_ORDER if n in by_method]
+def _comparison(runs: dict, m_max: int) -> str:
+    names = [n for n in METHOD_ORDER if n in runs]
+    energies = [{m: p.total_e for m, p, _ in runs[n]} for n in names]
     lines = ["m," + ",".join(f"E_{n}" for n in names)]
     for m in range(1, m_max + 1):
-        cells = [by_method[n].get(str(m)) for n in names]
-        lines.append(",".join([str(m)] + [repr(c["E"]) if c else "" for c in cells]))
+        lines.append(",".join([str(m)] + [repr(e[m]) if m in e else "" for e in energies]))
     return "\n".join(lines) + "\n"
 
 
@@ -185,7 +182,10 @@ def cmd_cluster(args) -> int:
     ds = _load_dataset(args)
     methods, policy = _checked_methods(ds, args)
     out = _out_dir(args)
-    by_method = _run_methods(ds, args, methods, policy)
+    runs = _run_methods(ds, args, methods, policy)
+    # every record's stability is audited under the run's subset policy
+    by_method = {name: {str(m): _partition_record(p, moves, policy) for m, p, moves in r}
+                 for name, r in runs.items()}
     report = {
         "schemaVersion": 1,
         "command": "cluster",
@@ -197,8 +197,8 @@ def cmd_cluster(args) -> int:
         "policy": args.policy,
         "methods": by_method,
     }
-    _write(out / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _write(out / "comparison.csv", _comparison(by_method, args.m_max))
+    _write(out / "report.json", _report_json(report) + "\n")
+    _write(out / "comparison.csv", _comparison(runs, args.m_max))
     print(f"wrote {out / 'report.json'} and {out / 'comparison.csv'}")
     return EXIT_OK
 
@@ -207,10 +207,27 @@ def cmd_compare(args) -> int:
     ds = _load_dataset(args)
     methods, policy = _checked_methods(ds, args)
     out = _out_dir(args)
-    by_method = _run_methods(ds, args, methods, policy)
-    _write(out / "comparison.csv", _comparison(by_method, args.m_max))
+    runs = _run_methods(ds, args, methods, policy)
+    _write(out / "comparison.csv", _comparison(runs, args.m_max))
     print(f"wrote {out / 'comparison.csv'}")
     return EXIT_OK
+
+
+def _report_json(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), bit for bit, for what a
+    report holds: dicts with string keys, lists and JSON scalars. pad is the
+    newline and indent of obj's closing bracket. json's indented output
+    takes its pure-Python encoder; here only the scalars go through json,
+    and a list of ints, such as a record's labels, is joined in one call."""
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = [json.dumps(k) + ": " + _report_json(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = (map(str, obj) if set(map(type, obj)) == {int}
+                 else [_report_json(v, inner) for v in obj])
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if obj else "[]"
+    return json.dumps(obj)
 
 
 def cmd_segment(args) -> int:

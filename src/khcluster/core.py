@@ -29,10 +29,20 @@ ENERGY_CLAMP_REL = 1e-9
 # Cells that a blocked kernel works on in one chunk: members x rows x
 # clusters in the correction passes of kh_engine and the Lloyd distances
 # and assignments of baselines, ends x starts in a block of the Otsu DP.
-# It bounds the kernels' temporary arrays. The waves of Lloyd runs have a
-# bound of their own (baselines.WAVE_BUDGET): on 200 points in 1-D, peak
-# memory rose with this chunk, not with the wave.
+# It bounds the kernels' temporary arrays, not the stacks they score: a
+# correction pass or a Lloyd iteration goes over its stack a chunk at a
+# time, so the work that runs once per pass is not repeated per chunk.
 STACK_BUDGET = 8192
+
+# Cells in the largest arrays of one wave, a stack that runs as one: the
+# merge or split candidates of a kh step, or the Lloyd runs of a k-means
+# growth step. A wave holds members x rows x (d + 1) of them, the tiled
+# points and |x|^2 of PartitionStack.from_labels; the tiled points of the
+# means and each point's own center are members x rows x d. A wave holds
+# several such arrays of at most 2 MiB each, whatever d; every candidate
+# of 200 points in 1-D goes in one wave. On those points peak memory rose
+# with STACK_BUDGET, not with this bound.
+WAVE_BUDGET = 262144
 
 
 class PreconditionError(ValueError):
@@ -253,6 +263,12 @@ def _chunks(count: int, per_member: int, budget: int | None = None):
     budget is STACK_BUDGET unless given."""
     size = max(1, (STACK_BUDGET if budget is None else budget) // per_member)
     return (slice(lo, lo + size) for lo in range(0, count, size))
+
+
+def _waves(count: int, ds: Dataset):
+    """Slices of count stacked partitions of ds, WAVE_BUDGET cells each:
+    at most WAVE_BUDGET // (N (d + 1)) members (at least one)."""
+    return _chunks(count, ds.n * (ds.d + 1), WAVE_BUDGET)
 
 
 class Partition:

@@ -8,18 +8,25 @@ every route of build_sequence end in it. It ends by construction: a move
 is made only when its change of E, recomputed from the statistics, lies
 below -move_tolerance(E).
 
-That loop is _correct_stack, and each of its passes is one kernel,
-_best_moves, which finds the best move of every member of a stack of
-partitions (core.PartitionStack) at once, so each member ends bit for bit
-as if corrected alone. merge_step stacks its merged candidates and
-split_step its bisected ones, at most core.STACK_BUDGET members x rows x
-clusters at a time; correct_pairs and correct_tuples are _correct_stack on
-one partition, a stack of one whose moves are Partition.move calls, the
-latter with a mask of the clusters of each tuple (it ends pair-stable
-too, and nothing in the package calls it). Each pass recomputes d2 to
-every centroid with one stacked matmul, since numpy computes a one-column
-product as a matrix-vector product that rounds differently from the same
-column of a wider one.
+That loop is _correct_stack. Each of its passes finds the best move of
+every member still moving in a stack of partitions (core.PartitionStack)
+and applies them together, so each member ends bit for bit as if
+corrected alone; the kernel, _best_moves, scores those members
+core.STACK_BUDGET members x rows x clusters at a time, which bounds the
+pass's temporary arrays. merge_step stacks its merged candidates and
+split_step its bisected ones, in waves of at most core.WAVE_BUDGET
+members x rows x (d + 1) cells, the bound the Lloyd waves of the k-means
+baseline share, and corrects each wave with one loop. A step of tens of
+points is one wave, so the later passes, which carry only the few members
+still moving, run once per step, not once per chunk. correct_pairs and
+correct_tuples are _correct_stack on one partition, a stack of one whose
+moves are Partition.move calls, the latter with a mask of the clusters of
+each tuple (it ends pair-stable too, and nothing in the package calls
+it). Each pass recomputes d2 to every centroid with one stacked matmul,
+since numpy computes a one-column product as a matrix-vector product that
+rounds differently from the same column of a wider one, and computes the
+size factors of the delta (reclass.size_factors) on the shapes they
+depend on, not on every (row, variant, acceptor) cell.
 
 A pass scores one row per occupied (member, cluster, bit group) triple.
 _pair_rows finds these rows without a sort, by one bincount over the key
@@ -40,7 +47,8 @@ import numpy as np
 from . import reclass
 from .baselines import KMeansConfig, kmeans_sequence, lloyd
 from .core import (Dataset, Partition, PartitionSequence, PartitionStack,
-                   PreconditionError, _chunks, sq_norms, squared_distances)
+                   PreconditionError, _chunks, _waves, sq_norms,
+                   squared_distances)
 
 # Exact farthest-pair search is quadratic; larger clusters fall back to the
 # deterministic two-hop approximation.
@@ -164,30 +172,50 @@ def _pair_rows(labels: np.ndarray, m: int, groups):
     return pair, first[pair], size[pair]
 
 
-def _best_moves(st: PartitionStack, active: np.ndarray, policy: SubsetPolicy,
-                groups, group_sums: dict, allowed: np.ndarray | None = None):
+def _best_moves(st: PartitionStack, active: np.ndarray, per_member: int,
+                policy: SubsetPolicy, groups, group_sums: dict,
+                allowed: np.ndarray | None = None):
     """The best admissible move of every member in active that beats
-    -move_tolerance(E), scored all at once.
+    -move_tolerance(E), scored core.STACK_BUDGET cells at a time: chunks of
+    at most STACK_BUDGET // per_member members, per_member being the rows
+    x clusters one member adds.
 
     Returns (members, donor, acceptor, moved, sub_sum, sub_sq) for
-    PartitionStack.move and each member's -move_tolerance(E), or None when
-    no member has such a move. Moves are ranked on (delta, donor,
-    acceptor, first index, subset size). A row per occupied (cluster, bit
-    group) pair, led by its first point, carries the single-point move
-    and, when the pair holds two or more points, the whole-group move:
-    bit-identical twins in one cluster have bit-identical deltas, so the
-    pair's first point stands for all of them. The rows come from
-    _pair_rows, whose key space is no larger than the rows x clusters of
-    deltas scored here. groups is _group_rows(st.ds);
-    group_sums caches by (group, k) the coordinate sum and sum of |x|^2
-    of k points of a group, which any k bit-identical rows give in the
-    same bits; allowed, a mask over clusters, confines donors and
-    acceptors.
+    PartitionStack.move and each member's -move_tolerance(E), the chunks'
+    moves concatenated, or None when no member has such a move.
+    """
+    if st.counts.shape[1] < 2:
+        return None
+    found = [f for sel in _chunks(active.size, per_member)
+             if (f := _chunk_moves(st, active[sel], policy, groups, group_sums,
+                                   allowed)) is not None]
+    if len(found) < 2:
+        return found[0] if found else None
+    best = tuple(np.concatenate(a) for a in zip(*(f[0] for f in found)))
+    return best, np.concatenate([f[1] for f in found])
+
+
+def _chunk_moves(st: PartitionStack, active: np.ndarray, policy: SubsetPolicy,
+                 groups, group_sums: dict, allowed: np.ndarray | None):
+    """_best_moves of one chunk of members, scored all at once.
+
+    Moves are ranked on (delta, donor, acceptor, first index, subset size).
+    A row per occupied (cluster, bit group) pair, led by its first point,
+    carries the single-point move and, when the pair holds two or more
+    points, the whole-group move: bit-identical twins in one cluster have
+    bit-identical deltas, so the pair's first point stands for all of them.
+    The rows come from _pair_rows, whose key space is no larger than the
+    rows x clusters of deltas scored here. The size factors of the delta
+    are computed on the shapes they depend on, a single point's on
+    (members, clusters) and a group's on (rows, clusters) and rows, with
+    the operations transfer_deltas applies to them. groups is
+    _group_rows(st.ds); group_sums caches by (group, k) the coordinate sum
+    and sum of |x|^2 of k points of a group, which any k bit-identical rows
+    give in the same bits; allowed, a mask over clusters, confines donors
+    and acceptors.
     """
     gid, rep, rep_sq = groups
     n_groups, n, m = rep.shape[0], st.labels.shape[1], st.counts.shape[1]
-    if m < 2:
-        return None
     pair, at, size = _pair_rows(st.labels[active], m, groups)
     mem, donor, g = pair // (m * n_groups), pair // n_groups % m, pair % n_groups
     lead = at % n
@@ -195,16 +223,21 @@ def _best_moves(st: PartitionStack, active: np.ndarray, policy: SubsetPolicy,
 
     counts = st.counts[active]
     d2 = squared_distances(rep, st.sums[active] / counts[:, :, None])[mem, g]
-    n2 = counts[mem]
-    n1 = n2[rows, donor]
-    if policy.mode == "singletons" or size.max() == 1:
-        k = np.ones((pair.size, 1), dtype=np.int64)
-    elif policy.mode == "identical":
-        k = size[:, None]
-    else:
-        k = np.stack((np.ones_like(size), size), axis=1)
-    delta = reclass.transfer_deltas(d2[rows, donor][:, None, None], d2[:, None, :],
-                                    k[:, :, None], n1[:, None, None], n2[:, None, :])
+    home_sq = d2[rows, donor]
+    n1 = counts[mem, donor]
+    variants = []  # (k, acceptor factor (rows, clusters), donor factor (rows,))
+    if policy.mode != "identical" or size.max() == 1:
+        away, home = reclass.size_factors(1, counts, counts)
+        variants.append((np.ones_like(size), away[mem], home[mem, donor]))
+    if policy.mode != "singletons" and size.max() > 1:
+        away, home = reclass.size_factors(size[:, None], n1[:, None], counts[mem])
+        variants.append((size, away, home[:, 0]))
+    k = np.stack([v[0] for v in variants], axis=1)
+    delta = np.empty((pair.size, k.shape[1], m))
+    for v, (_, away, home) in enumerate(variants):
+        np.multiply(d2, away, out=delta[:, v])
+        delta[:, v] -= (home_sq * home)[:, None]
+    delta[k >= n1[:, None]] = np.inf
     delta[rows, :, donor] = np.inf
     if k.shape[1] == 2:
         delta[size == 1, 1] = np.inf
@@ -218,10 +251,10 @@ def _best_moves(st: PartitionStack, active: np.ndarray, policy: SubsetPolicy,
     go = low < below
     if not go.any():
         return None
-    r, s, c = np.nonzero((delta == low[mem][:, None, None]) & go[mem][:, None, None])
+    target = np.where(go, low, np.nan)  # no delta equals nan
+    r, s, c = np.nonzero(delta == target[mem][:, None, None])
     order = np.lexsort((k[r, s], lead[r], c, donor[r], mem[r]))
-    owner = mem[r[order]]
-    best = order[np.r_[True, owner[1:] != owner[:-1]]]  # first per member
+    best = order[np.searchsorted(mem[r[order]], np.flatnonzero(go))]  # first per member
     r, kk, acceptor = r[best], k[r[best], s[best]], c[best]
     members = active[mem[r]]
 
@@ -238,11 +271,14 @@ def _best_moves(st: PartitionStack, active: np.ndarray, policy: SubsetPolicy,
 
 
 def _correct_stack(st: PartitionStack | Partition, policy: SubsetPolicy,
-                   allowed: np.ndarray | None = None) -> np.ndarray:
+                   allowed: np.ndarray | None = None, per_member: int = 1) -> np.ndarray:
     """Correct every member of st in place, each bit for bit as alone, and
     return each member's moves; a member drops out of the passes when it
     has no improving move. allowed, a mask over clusters, confines donors
-    and acceptors.
+    and acceptors. Each pass scores the members still moving in chunks of
+    core.STACK_BUDGET cells, per_member (rows x clusters) to a member
+    (_best_moves), then checks and applies all their moves together; a
+    stack of one is one chunk.
 
     The loop ends by construction: a move is made only when its change of
     E, recomputed from the donor and acceptor energies as the move applies
@@ -262,8 +298,8 @@ def _correct_stack(st: PartitionStack | Partition, policy: SubsetPolicy,
     groups, group_sums = _group_rows(stack.ds), {}
     moves = np.zeros(stack.labels.shape[0], dtype=np.int64)
     active = np.arange(moves.size)
-    while (found := _best_moves(stack, active, policy, groups, group_sums,
-                                allowed)) is not None:
+    while (found := _best_moves(stack, active, per_member, policy, groups,
+                                group_sums, allowed)) is not None:
         best, below = found
         members, donor, acceptor, moved, sub_sum, sub_sq = best
         stats = stack.moved_stats(members, donor, acceptor, moved.sum(axis=1),
@@ -330,7 +366,11 @@ def merge_step(p: Partition, policy: SubsetPolicy = BOTH) -> Partition:
     Every pair is tentatively merged and corrected to pair
     stability; the candidate with minimal corrected E wins. Exact ties fall
     back to the smaller raw merge cost, then the lower pair of ids.
-    Candidates are built and corrected a chunk at a time, as one stack.
+    The candidates are corrected as one stack, in waves of at most
+    core.WAVE_BUDGET members x rows x (d + 1) cells (one wave on small
+    inputs), each wave by one correction loop whose passes score
+    core.STACK_BUDGET members x rows x clusters at a time, sized from the
+    occupied rows of p.
     """
     if p.m < 2:
         raise PreconditionError("merging needs at least two clusters")
@@ -340,11 +380,12 @@ def merge_step(p: Partition, policy: SubsetPolicy = BOTH) -> Partition:
     # cluster c of the pair (a, b) becomes c, a, or c - 1 below, at, above b
     relabel = np.arange(p.m) - (np.arange(p.m) > b[:, None])
     relabel[np.arange(a.size), b] = a
+    per_member = _occupied_pairs(p) * (p.m - 1)
     best_key = best_part = None
-    for sel in _chunks(a.size, _occupied_pairs(p) * (p.m - 1)):
+    for sel in _waves(a.size, p.ds):
         st = PartitionStack.from_labels(p.ds, relabel[sel][:, p.labels], p.m - 1)
-        _correct_stack(st, policy)
-        i = np.lexsort((raw[sel], st.total_e))[0]
+        _correct_stack(st, policy, per_member=per_member)
+        i = np.lexsort((raw[sel], st.total_e))[0]  # first minimum = lowest pair
         key = (st.total_e[i], raw[sel][i])
         if best_key is None or key < best_key:
             best_key, best_part = key, st.partition(i)
@@ -376,7 +417,8 @@ def split_step(p: Partition, policy: SubsetPolicy = BOTH) -> Partition:
 
     Clusters of identical points have zero internal error and are never
     candidates. The new cluster takes id m; ties keep the lowest donor id.
-    The bisected candidates are corrected together, as one stack.
+    The bisected candidates are corrected together, as one stack, in waves
+    and chunks as merge_step's are.
     """
     labels = []
     for c in range(p.m):
@@ -390,10 +432,11 @@ def split_step(p: Partition, policy: SubsetPolicy = BOTH) -> Partition:
         labels.append(lbl)
     if not labels:
         raise PreconditionError("no cluster with two distinct points to split")
+    per_member = _occupied_pairs(p) * (p.m + 1)
     best_key = best_part = None
-    for sel in _chunks(len(labels), _occupied_pairs(p) * (p.m + 1)):
+    for sel in _waves(len(labels), p.ds):
         st = PartitionStack.from_labels(p.ds, np.stack(labels[sel]), p.m + 1)
-        _correct_stack(st, policy)
+        _correct_stack(st, policy, per_member=per_member)
         i = int(np.argmin(st.total_e))  # first minimum = lowest donor id
         if best_key is None or st.total_e[i] < best_key:
             best_key, best_part = st.total_e[i], st.partition(i)

@@ -33,9 +33,13 @@ def move_tolerance(energy_scale: float) -> float:
     return TOLERANCE_SCALE * (1.0 + energy_scale)
 
 
-def _transfer(home_sq, away_sq, k, n1, n2, rest):
-    # the closed form; rest is n1 - k, or a positive stand-in where k >= n1
-    return away_sq * (k * n2 / (k + n2)) - home_sq * (k * n1 / rest)
+def size_factors(k, n1, n2):
+    """The acceptor and donor factors of the closed form, k n2 / (k + n2)
+    and k n1 / (n1 - k), with n1 - k floored at 1 where k >= n1 (the move
+    would empty the donor; its delta is +inf). Broadcasts over numpy
+    arrays, each factor over its own arguments only, so a caller can
+    compute each on the shape it depends on."""
+    return k * n2 / (k + n2), k * n1 / np.maximum(n1 - k, 1)
 
 
 def transfer_deltas(home_sq, away_sq, k, n1, n2):
@@ -46,14 +50,18 @@ def transfer_deltas(home_sq, away_sq, k, n1, n2):
     over numpy arrays. Moves that would empty the donor (k >= n1) get +inf.
     """
     k, n1, n2 = np.asarray(k), np.asarray(n1), np.asarray(n2)
-    return np.where(k < n1, _transfer(home_sq, away_sq, k, n1, n2,
-                                      np.maximum(n1 - k, 1)), np.inf)
+    away, home = size_factors(k, n1, n2)
+    return np.where(k < n1, away_sq * away - home_sq * home, np.inf)
 
 
 def transfer_delta(home_sq: float, away_sq: float, k: int, n1: int, n2: int) -> float:
     """transfer_deltas of one move, on Python floats and ints, bit for bit:
-    an int quotient rounds once, as numpy's quotient of two exact doubles."""
-    return _transfer(home_sq, away_sq, k, n1, n2, n1 - k) if k < n1 else math.inf
+    an int quotient rounds once, as numpy's quotient of two exact doubles.
+    The closed form is written out here, with no call, since the image
+    pipeline scores every boundary move with it."""
+    if k < n1:
+        return away_sq * (k * n2 / (k + n2)) - home_sq * (k * n1 / (n1 - k))
+    return math.inf
 
 
 def _require_cluster(stats: ClusterStats, name: str) -> None:

@@ -206,7 +206,10 @@ class SegmentMap:
     s: a merge unites the two sets, a move adds the moved pixels and their
     neighbours, and a border scan drops the pixels it finds interior.
     _dirty holds the live segments changed since the map was last
-    boundary-stable (all of them after a rebuild).
+    boundary-stable; after a rebuild, every segment that can donate (two or
+    more pixels). Every admissible move has such a donor, and a donor's
+    border scan lists all its moves, so the moves found are those of a map
+    with every segment dirty.
     """
 
     def __init__(self, img: GrayImage, labels: np.ndarray):
@@ -236,7 +239,7 @@ class SegmentMap:
 
     def _rebuild(self) -> None:
         """Recompute every derived structure from the labelling; every
-        segment becomes dirty and gets a new version."""
+        segment gets a new version, and those that can donate become dirty."""
         lab = self.labels
         px = self.img.intensities
         cap = len(self.version)
@@ -261,7 +264,7 @@ class SegmentMap:
         self.total_e = float(sum(self._seg_energy(s) for s in range(cap)
                                  if self.counts[s]))
         self.version = [v + 1 for v in self.version]
-        self._dirty = set(self.pixels)
+        self._dirty = {s for s in self.pixels if self.counts[s] >= 2}
         self._lock_cache: dict[tuple[int, tuple[int, ...]], tuple[int, bool]] = {}
         self.heap = [self._edge(u, v) for u, row in self.adj.items() for v in row if u < v]
         heapq.heapify(self.heap)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_same_bits, labeled_energy, random_dataset, random_labels
-from khcluster import baselines, core, otsu1d
+from khcluster import baselines, core, kh_engine, otsu1d
 from khcluster.baselines import (KMeansConfig, is_lloyd_fixed_point,
                                  kmeans_sequence, lloyd)
 from khcluster.core import (Dataset, InternalConsistencyError, Partition,
@@ -315,7 +315,7 @@ def test_stacked_lloyd_matches_one_candidate_at_a_time(monkeypatch, max_iters,
     if budget is not None:
         monkeypatch.setattr(core, "STACK_BUDGET", budget)
     if wave is not None:
-        monkeypatch.setattr(baselines, "WAVE_BUDGET", wave)
+        monkeypatch.setattr(core, "WAVE_BUDGET", wave)
     if subsample:
         monkeypatch.setattr(baselines, "SUBSAMPLE_ABOVE", 8)
         monkeypatch.setattr(baselines, "SUBSAMPLE_SIZE", 6)
@@ -337,7 +337,7 @@ def test_stacked_lloyd_matches_one_candidate_at_a_time(monkeypatch, max_iters,
             assert_same_bits(seq.by_cluster_count[m], parts[m])
             assert seq.info[m]["iterations"] == iters[m]
             cands = baselines._candidate_rows(ds, 3).shape[0]
-            per_wave = max(1, baselines.WAVE_BUDGET // (ds.n * (ds.d + 1)))
+            per_wave = max(1, core.WAVE_BUDGET // (ds.n * (ds.d + 1)))
             partial += m > 1 and cands > per_wave and cands % per_wave > 0
             whole += m > 1 and cands <= per_wave
         for m in range(2, m_max + 1):
@@ -362,15 +362,18 @@ def test_chunks_waves_and_dp_blocks_keep_their_bounds(monkeypatch, budget, wave)
     """Every stack of distances the Lloyd kernel computes holds at most
     core.STACK_BUDGET members x rows x clusters (or one member), every
     block of the Otsu DP at most core.STACK_BUDGET (end, start) cells (or
-    one end), and every wave of Lloyd runs at most WAVE_BUDGET members x
+    one end), and every wave of Lloyd runs at most core.WAVE_BUDGET members x
     rows x (d + 1) (or one member). So do the points a wave tiles for its
     means and statistics, which have the shape of each point's own center
-    too. With the default bounds a growth step of 200 points in 1-D runs
-    in one wave, and one of 100 points in 32-D in two."""
+    too, and the stacks of kh's merge and split steps, whose correction
+    passes compute distances at most core.STACK_BUDGET members x groups x
+    clusters at a time. With the default bounds a growth step of 200
+    points in 1-D runs in one wave, one of 100 points in 32-D in two, and
+    the first merge step of 24 points in 2-D in one."""
     if budget is not None:
         monkeypatch.setattr(core, "STACK_BUDGET", budget)
     if wave is not None:
-        monkeypatch.setattr(baselines, "WAVE_BUDGET", wave)
+        monkeypatch.setattr(core, "WAVE_BUDGET", wave)
     chunks, waves, blocks, tiled = [], [], [], []
     distances, lloyd_stack = baselines.squared_distances, baselines._lloyd_stack
     interval_error = otsu1d.Histogram.interval_error
@@ -408,7 +411,7 @@ def test_chunks_waves_and_dp_blocks_keep_their_bounds(monkeypatch, budget, wave)
     otsu1d.curve(otsu1d.build_histogram(x), 6)
     assert chunks and waves and blocks and tiled
     assert all(b * n * m <= core.STACK_BUDGET or b == 1 for b, n, m in chunks)
-    assert all(b * n * (d + 1) <= baselines.WAVE_BUDGET or b == 1 for b, n, d in waves)
+    assert all(b * n * (d + 1) <= core.WAVE_BUDGET or b == 1 for b, n, d in waves)
     assert all(e * s <= core.STACK_BUDGET or e == 1 for e, s in blocks)
     assert max(b for b, _, _ in chunks) > 1 or core.STACK_BUDGET < 2 * 200 * 2
     assert max(e for e, _ in blocks) > 1 or core.STACK_BUDGET < 2 * 200
@@ -420,11 +423,31 @@ def test_chunks_waves_and_dp_blocks_keep_their_bounds(monkeypatch, budget, wave)
     wide = Dataset(rng.normal(0.0, 1.0, (100, 32)))
     kmeans_sequence(wide, 2)
     assert waves and tiled
-    assert all(b * n * (d + 1) <= baselines.WAVE_BUDGET or b == 1 for b, n, d in waves)
-    assert all(b * n * c <= baselines.WAVE_BUDGET or b == 1 for b, n, c in tiled)
+    assert all(b * n * (d + 1) <= core.WAVE_BUDGET or b == 1 for b, n, d in waves)
+    assert all(b * n * c <= core.WAVE_BUDGET or b == 1 for b, n, c in tiled)
     assert max(c for _, _, c in tiled) == 33  # the statistics' tiled points
     if wave is None:
         assert [b for b, _, _ in waves] == [79, 21]
+
+    tiled.clear()  # the stacks of kh's merge and split steps, and their chunks
+    distances = kh_engine.squared_distances
+    kh_chunks = []
+
+    def recorded_kh_distances(x, centers):
+        if centers.ndim == 3:
+            kh_chunks.append((centers.shape[0], x.shape[0], centers.shape[1]))
+        return distances(x, centers)
+
+    monkeypatch.setattr(kh_engine, "squared_distances", recorded_kh_distances)
+    blobs = Dataset(np.round(rng.normal(0.0, 1.0, (24, 2))
+                             + np.repeat([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]], 8, axis=0), 2))
+    kh_engine.build_sequence(blobs, 4)
+    assert tiled and kh_chunks
+    assert all(b * n * c <= core.WAVE_BUDGET or b == 1 for b, n, c in tiled)
+    assert all(b * n * m <= core.STACK_BUDGET or b == 1 for b, n, m in kh_chunks)
+    assert max(b for b, _, _ in tiled) > 1 or core.WAVE_BUDGET < 2 * 24 * 3
+    if wave is None:
+        assert max(b for b, _, _ in tiled) == 24 * 23 // 2  # the first merge step
 
 
 def test_a_member_whose_error_rises_raises(monkeypatch):

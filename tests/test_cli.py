@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import labeled_energy
-from khcluster import baselines, core, kh_engine, segment
+from khcluster import baselines, cli, core, kh_engine, segment
 from khcluster.cli import (EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_USAGE,
                            build_parser, load_csv, main)
 from khcluster.core import Dataset, InputFormatError, Partition
@@ -219,6 +219,61 @@ def test_compare_writes_only_the_table(tmp_path):
     assert not (out / "report.json").exists()
     header = (out / "comparison.csv").read_text().splitlines()[0]
     assert header == "m,E_kh,E_otsu"  # fixed column order, not request order
+
+
+def test_compare_audits_nothing_and_writes_the_cluster_table(tmp_path, monkeypatch):
+    """compare writes only E, so it makes no verify_stability call, and its
+    comparison.csv has the bytes cluster writes for the same input."""
+    rng = np.random.default_rng(12)
+    data = tmp_path / "pts.csv"
+    write_csv(data, np.round(rng.normal(0.0, 4.0, (10, 1)), 2).tolist())
+    audits = []
+    audit = kh_engine.verify_stability
+
+    def counted(p, policy=BOTH):
+        audits.append(p.m)
+        return audit(p, policy)
+
+    monkeypatch.setattr(kh_engine, "verify_stability", counted)
+    tables = {}
+    for command in ("compare", "cluster"):
+        audits.clear()
+        out = tmp_path / command
+        assert main([command, "--input", str(data), "--m-max", "5", "--methods",
+                     "oracle,kmeans,otsu,kh", "--out", str(out)]) == EXIT_OK
+        tables[command] = (out / "comparison.csv").read_bytes()
+        assert len(audits) == (0 if command == "compare" else 4 * 5)
+    assert tables["compare"] == tables["cluster"]
+
+
+def _reports(rng):
+    """Report-like objects: string keys that need escapes or sort as text
+    ("10" before "2"), empty containers, ints past 64 bits, bools, None,
+    -0.0, the smallest subnormal and mixed lists."""
+    yield {}
+    yield []
+    yield {"a": [], "b": {}, "c": [[], {}], "": 0}
+    yield [True, False, None, 1, -0.0, 5e-324, 1e308, "x"]
+    yield {"10": 1, "2": 2, "1": {"b": -0.0, "a": 5e-324}}
+    yield {'quote " back \\ tab \t nl \n': ["\u00e9\u4e2d\ud83d\ude00", "\x00\x1f"]}
+    yield {"big": [2**64, -2**70, 0, 7], "bools": [True, 1, False], "one": [3]}
+    for _ in range(20):
+        labels = rng.integers(0, 5, int(rng.integers(0, 40)))
+        yield {"schemaVersion": 1, "command": "cluster", "input": "in/p\u00e9.csv",
+               "methods": {name: {str(m): {"labels": labels.tolist(),
+                                           "E": float(rng.normal() * 10.0 ** rng.integers(-300, 300)),
+                                           "sigma": float(rng.random()),
+                                           "stable": bool(rng.random() < 0.5),
+                                           "moves": int(rng.integers(0, 2**40))}
+                                   for m in range(1, int(rng.integers(1, 12)))}
+                           for name in ("kh", "kmeans")}}
+
+
+def test_report_writer_matches_json_dumps():
+    """The report writer gives the bytes of json.dumps(indent=2,
+    sort_keys=True) on varied reports."""
+    for obj in _reports(np.random.default_rng(44)):
+        assert cli._report_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 def test_segment_command_outputs(tmp_path):

@@ -508,18 +508,39 @@ def _reference_sets(rng, d):
     yield Dataset(own.integers(-20, 21, (6, d))[group] * 0.1), lab
 
 
-@pytest.mark.parametrize("refresh, budget", [(None, None), (None, 150), (2, None)])
-def test_stacked_correction_matches_one_candidate_at_a_time(monkeypatch, refresh, budget):
+@pytest.mark.parametrize("refresh, budget, wave", [
+    pytest.param(None, None, None, id="None-None"),
+    pytest.param(None, 150, None, id="None-150"),
+    pytest.param(2, None, None, id="2-None"),
+    pytest.param(None, 150, 250, id="None-150-wave-250")])
+def test_stacked_correction_matches_one_candidate_at_a_time(monkeypatch, refresh,
+                                                            budget, wave):
     """The stacked kernel reproduces, bit for bit, correct_pairs as one move
     at a time, and merge_step and split_step as one candidate at a time
     from both the case's labels and their correction, on every
-    _reference_sets case under every policy; also with candidates
-    spread over several chunks (budget), and with statistics rebuilt from
-    the labels every second move (refresh)."""
+    _reference_sets case under every policy; also with the members of a
+    pass scored over several chunks (budget), with a step's candidates
+    split into several waves of several chunks each (wave), and with
+    statistics rebuilt from the labels every second move (refresh)."""
     if refresh is not None:
         monkeypatch.setattr(core, "REFRESH_INTERVAL", refresh)
     if budget is not None:
         monkeypatch.setattr(core, "STACK_BUDGET", budget)
+    if wave is not None:
+        monkeypatch.setattr(core, "WAVE_BUDGET", wave)
+    stacks, chunked, waves = [], [], []
+    correct, best_moves = kh_engine._correct_stack, kh_engine._best_moves
+
+    def recorded_correct(st, *args, **kwargs):
+        stacks.append(st.labels.shape[0])
+        return correct(st, *args, **kwargs)
+
+    def recorded_best(st, active, per_member, *args):
+        chunked.append(-(-active.size // max(1, core.STACK_BUDGET // per_member)))
+        return best_moves(st, active, per_member, *args)
+
+    monkeypatch.setattr(kh_engine, "_correct_stack", recorded_correct)
+    monkeypatch.setattr(kh_engine, "_best_moves", recorded_best)
     rng = np.random.default_rng(808)
     moved = group_moves = large_moves = refreshed = 0
     for d in (1, 2, 3):
@@ -539,12 +560,55 @@ def test_stacked_correction_matches_one_candidate_at_a_time(monkeypatch, refresh
                                       Partition.from_labels(ds, got.partition.labels))
                     refreshed += 1
                 for q in (p, got.partition):
-                    assert_same_bits(merge_step(q, policy),
-                                      _merge_one_pair_at_a_time(q, policy))
-                    assert_same_bits(split_step(q, policy),
-                                      _split_one_cluster_at_a_time(q, policy))
+                    for step, one_at_a_time in ((merge_step, _merge_one_pair_at_a_time),
+                                                (split_step, _split_one_cluster_at_a_time)):
+                        start = len(stacks)
+                        stepped = step(q, policy)
+                        waves.append(stacks[start:])
+                        assert_same_bits(stepped, one_at_a_time(q, policy))
     assert moved > 10 and group_moves > 0 and large_moves > 0
     assert refreshed > 0 or refresh is None
+    if budget is not None:
+        assert max(chunked) > 1  # a pass of several chunks
+    if wave is not None:  # a step in several waves of several members
+        assert any(len(w) > 1 and w[0] > 1 for w in waves)
+    else:
+        assert all(len(w) == 1 for w in waves)
+
+
+def _blobs(per_blob: int) -> Dataset:
+    """Four blobs of per_blob distinct points in 2-D."""
+    rng = np.random.default_rng(7)
+    pts = np.repeat([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0], [8.0, 8.0]], per_blob, axis=0)
+    ds = Dataset(np.round(pts + rng.normal(0.0, 1.5, pts.shape), 2))
+    assert ds.unique_rows().shape[0] == ds.n
+    return ds
+
+
+@pytest.mark.parametrize("waves", [1, 3])
+def test_one_correction_loop_per_step_and_wave(monkeypatch, waves):
+    """build_sequence runs one correction loop per merge or split step and
+    one per record of the kmeans route at the default budgets, on 32 blob
+    points; a wave budget that cuts the first merge step (496 candidates
+    of 32 x 3 cells) into waves of 200 runs it as 3 loops."""
+    if waves > 1:
+        monkeypatch.setattr(core, "WAVE_BUDGET", 200 * 32 * 3)
+    loops = []
+    correct = kh_engine._correct_stack
+
+    def counted(st, *args, **kwargs):
+        loops.append(st.labels.shape[0])
+        return correct(st, *args, **kwargs)
+
+    monkeypatch.setattr(kh_engine, "_correct_stack", counted)
+    ds = _blobs(8)
+    p = Partition.from_labels(ds, np.arange(ds.n))
+    merge_step(p)
+    assert loops == ([496] if waves == 1 else [200, 200, 96])
+    if waves == 1:
+        loops.clear()
+        build_sequence(ds, 6)
+        assert len(loops) == (ds.n - 1) + (6 - 1) + 6
 
 
 def _tuples_one_move_at_a_time(p, l, policy):

@@ -175,6 +175,38 @@ def test_scalar_transfer_delta_matches_the_array_form_bit_for_bit():
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def test_size_factors_give_the_bits_of_transfer_deltas():
+    """The delta formed from size_factors computed on the shapes they
+    depend on, the acceptor factor of one point on (members, clusters) and
+    the donor factor on (rows, variants), as the correction kernel forms
+    it, has the bits of transfer_deltas on the full broadcast and of the
+    scalar transfer_delta, +inf where k >= n1 included."""
+    rng = np.random.default_rng(9)
+    members, clusters, rows = 5, 4, 60
+    counts = rng.integers(1, 30, (members, clusters))
+    mem, donor = rng.integers(0, members, rows), rng.integers(0, clusters, rows)
+    size = rng.integers(1, 40, rows)
+    k = np.stack((np.ones_like(size), size), axis=1)  # (rows, variants)
+    d2 = rng.uniform(0.0, 1e3, (rows, clusters)) * 10.0 ** rng.integers(-3, 4, (rows, 1))
+    home_sq, n1, n2 = d2[np.arange(rows), donor], counts[mem, donor], counts[mem]
+
+    one_away, _ = reclass.size_factors(1, counts, counts)
+    away = np.stack((one_away[mem], reclass.size_factors(size[:, None], n1[:, None], n2)[0]),
+                    axis=1)
+    _, home = reclass.size_factors(k, n1[:, None], 1)
+    got = d2[:, None, :] * away - (home_sq[:, None] * home)[:, :, None]
+    got[k >= n1[:, None]] = np.inf
+
+    want = reclass.transfer_deltas(home_sq[:, None, None], d2[:, None, :], k[:, :, None],
+                                   n1[:, None, None], n2[:, None, :])
+    scalar = np.array([[[reclass.transfer_delta(float(home_sq[r]), float(d2[r, c]),
+                                                 int(k[r, v]), int(n1[r]), int(n2[r, c]))
+                         for c in range(clusters)] for v in range(2)] for r in range(rows)])
+    assert np.isinf(want).any() and np.isfinite(want).any()
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(scalar.view(np.int64), want.view(np.int64))
+
+
 def test_merge_deltas_on_python_numbers_matches_the_array_form():
     """merge_deltas on Python floats and ints, as segment calls it, gives
     the bits of the same call on numpy arrays, as kh_engine makes it."""
