@@ -233,7 +233,10 @@ def _report_json(obj, pad: str = "\n") -> str:
 def cmd_segment(args) -> int:
     img = segment.read_pgm(args.input)
     out = _out_dir(args)
-    result = segment.segment_curve(img, m_min=args.m_max, init=args.init)
+    try:
+        result = segment.segment_curve(img, m_min=args.m_max, init=args.init)
+    except PreconditionError as e:  # the count to stop at is its one precondition
+        raise PreconditionError(f"--m-max {args.m_max}: {e}") from None
     lines = ["count,E,sigma,variant"]
     for variant, rows in (("merge_only", result.merge_only),
                           ("corrected", result.corrected)):

@@ -11,19 +11,19 @@ heuristics: searches from the donor pixels next to the moved ones run in
 turn and stop at the smaller side of a cut. Every segment carries a
 version, bumped whenever its pixels change; it keys the heap entries and
 the lock cache. The segments changed since the map was last
-boundary-stable form a dirty set, and each segment keeps a superset of its
-border pixels, so a correction pass lists the candidates of the dirty
-borders alone, in O(dirty border) rather than O(image). The labelling and
-the per-segment statistics are plain Python lists, squared so that their
-int and float arithmetic gives the bits of the numpy kernels (see
-SegmentMap). Contact counts (the number of adjacent pixel pairs
-straddling each segment border) are maintained exactly so the adjacency
-graph never drifts from the labelling. One table of every pixel's
-4-neighbours is the only description of the grid: the rebuild of the
-derived state, the border scans, the connectivity lock and the region
-labeller all read it. One labeller of 4-connected regions of equal value
-finds the flat zones (regions of equal intensity) and audits connectivity
-(regions of equal label, one per segment).
+boundary-stable form a dirty set. One structure holds the borders, the
+facing sets: for adjacent segments s and t, the pixels of s with a
+4-neighbour in t. Kept exact, they give the adjacency graph (their keys)
+and every boundary candidate (their pixels), so a correction pass scores
+the pairs of the dirty segments alone, in O(dirty border) rather than
+O(image). The labelling and the per-segment statistics are plain Python
+lists, squared so that their int and float arithmetic gives the bits of
+the numpy kernels (see SegmentMap). One table of every pixel's
+4-neighbours is the only description of the grid: the facing sets, the
+connectivity lock and the region labeller all read it. One labeller of
+4-connected regions of equal value finds the flat zones (regions of equal
+intensity) and audits connectivity (regions of equal label, one per
+segment).
 """
 
 from __future__ import annotations
@@ -198,31 +198,33 @@ class SegmentMap:
     creates them; the live ids are the keys of pixels. The merge heap is
     lazily invalidated: every entry carries the version of both endpoints
     and is discarded when either version moved on, which also discards
-    every entry of a merged-away id. adj[s][t] is the number of 4-neighbour
-    pixel pairs straddling the border of s and t, kept in both directions.
-    Each pixel move and merge updates it from the labelling before it
-    changes, so adjacency stays exact. border[s] is a superset of the
-    pixels of s that have a foreign 4-neighbour, and holds only pixels of
-    s: a merge unites the two sets, a move adds the moved pixels and their
-    neighbours, and a border scan drops the pixels it finds interior.
+    every entry of a merged-away id. facing[s][t] is the set of pixels of s
+    that have a 4-neighbour in t, so the keys of facing[s] are the
+    neighbours of s. The sets are exact: a merge unites them, a move takes
+    the moved pixels and their neighbours out and puts them back by the
+    new labelling, and a set that empties is deleted with its key.
     _dirty holds the live segments changed since the map was last
     boundary-stable; after a rebuild, every segment that can donate (two or
-    more pixels). Every admissible move has such a donor, and a donor's
-    border scan lists all its moves, so the moves found are those of a map
-    with every segment dirty.
+    more pixels). Every admissible move has such a donor, and the facing
+    sets of a dirty segment hold all its moves, so the moves found are
+    those of a map with every segment dirty.
     """
 
     def __init__(self, img: GrayImage, labels: np.ndarray):
         self.img = img
         self.w, self.h = img.width, img.height
         self._nbrs = _neighbor_table(self.w, self.h)
-        lab = np.asarray(labels, dtype=np.int64)
+        lab = np.asarray(labels)
         if lab.shape != (img.n_pixels,):
             raise PreconditionError("label buffer does not match the image")
-        self._labels: list[int] = lab.tolist()
+        with np.errstate(invalid="ignore"):  # nan and inf fail the comparison
+            ints = lab.astype(np.int64) if lab.dtype.kind in "biuf" else None
+        if ints is None or not np.array_equal(ints, lab) or ints.min() < 0:
+            raise PreconditionError("labels must be nonnegative integers")
+        self._labels: list[int] = ints.tolist()
         self._px: list[float] = img.intensities.tolist()
         self._bits: list[int] = img.intensities.view(np.int64).tolist()
-        self.version = [0] * (int(lab.max()) + 1)
+        self.version = [0] * (int(ints.max()) + 1)
         self._ops = 0
         self._rebuild()
 
@@ -248,25 +250,21 @@ class SegmentMap:
         self.sumsqs: list[float] = np.bincount(lab, weights=px * px,
                                                minlength=cap).tolist()
         pixels: dict[int, set[int]] = {}
-        adj: dict[int, dict[int, int]] = {}
-        border: dict[int, set[int]] = {}
-        labels, nbrs = self._labels, self._nbrs
-        for p, s in enumerate(labels):
-            if s not in pixels:
-                pixels[s], adj[s], border[s] = set(), {}, set()
-            pixels[s].add(p)
-            for q in nbrs[p]:
-                t = labels[q]
-                if t != s:  # a straddling pair counts in adj[s][t] from the side of s
-                    border[s].add(p)
-                    adj[s][t] = adj[s].get(t, 0) + 1
-        self.pixels, self.adj, self.border = pixels, adj, border
+        for p, s in enumerate(self._labels):
+            if s in pixels:
+                pixels[s].add(p)
+            else:
+                pixels[s] = {p}
+        self.pixels = pixels
+        self.facing: dict[int, dict[int, set[int]]] = {s: {} for s in pixels}
+        self._file(range(len(self._labels)))
         self.total_e = float(sum(self._seg_energy(s) for s in range(cap)
                                  if self.counts[s]))
         self.version = [v + 1 for v in self.version]
         self._dirty = {s for s in self.pixels if self.counts[s] >= 2}
         self._lock_cache: dict[tuple[int, tuple[int, ...]], tuple[int, bool]] = {}
-        self.heap = [self._edge(u, v) for u, row in self.adj.items() for v in row if u < v]
+        self.heap = [self._edge(u, v) for u, row in self.facing.items()
+                     for v in row if u < v]
         heapq.heapify(self.heap)
 
     # -- bookkeeping primitives
@@ -289,6 +287,21 @@ class SegmentMap:
 
     def _push_edge(self, a: int, b: int) -> None:
         heapq.heappush(self.heap, self._edge(a, b) if a < b else self._edge(b, a))
+
+    def _file(self, ps) -> None:
+        """Put each pixel of ps into facing[s][t], s its segment, for every
+        other segment t among its 4-neighbours."""
+        lab, nbrs, facing = self._labels, self._nbrs, self.facing
+        for p in ps:
+            s = lab[p]
+            row = facing[s]
+            for q in nbrs[p]:
+                t = lab[q]
+                if t != s:
+                    if t in row:
+                        row[t].add(p)
+                    else:
+                        row[t] = {p}
 
     def _neighbors(self, p: int) -> tuple[int, ...]:
         return self._nbrs[p]
@@ -331,7 +344,6 @@ class SegmentMap:
         for p in self.pixels[b]:
             lab[p] = a
         self.pixels[a] |= self.pixels.pop(b)
-        self.border[a] |= self.border.pop(b)
         counts[a] += counts[b]
         self.sums[a] += self.sums[b]
         self.sumsqs[a] += self.sumsqs[b]
@@ -340,48 +352,27 @@ class SegmentMap:
         self.sumsqs[b] = 0.0
         self.total_e += self._seg_energy(a) - e_before
 
-        for t, c in self.adj.pop(b).items():
-            del self.adj[t][b]
-            if t != a:
-                self.adj[a][t] = self.adj[t][a] = self.adj[a].get(t, 0) + c
+        facing = self.facing
+        row_a, row_b = facing[a], facing.pop(b)
+        del row_a[b], row_b[a]
+        for t, from_b in row_b.items():
+            row_t = facing[t]
+            to_b = row_t.pop(b)
+            if t in row_a:  # t borders both
+                row_a[t] = _union(row_a[t], from_b)
+                row_t[a] = _union(row_t[a], to_b)
+            else:
+                row_a[t], row_t[a] = from_b, to_b
         self.version[a] += 1
         self.version[b] += 1
         self._dirty.discard(b)
         self._dirty.add(a)
-        for t in self.adj[a]:
+        for t in row_a:
             self._push_edge(a, t)
         self._tick()
         return a, b
 
     # -- boundary correction
-
-    def _boundary_candidates(self) -> set[tuple[int, int]]:
-        """(pixel, acceptor) pairs where a pixel borders a foreign segment.
-
-        Only pairs that touch a dirty segment are listed: stats elsewhere
-        are unchanged since the map was last boundary-stable, so a new
-        improving move must take from or give to a dirty segment. They are
-        found from the border sets of the dirty segments alone, in
-        O(dirty border): a border pixel p of s lists (p, t) for every
-        foreign neighbour's segment t, and that neighbour q lists (q, s).
-        Pixels found interior leave the border set.
-        """
-        lab, nbrs = self._labels, self._nbrs
-        pairs = set()
-        for s in self._dirty:
-            inner = []
-            for p in self.border[s]:
-                foreign = False
-                for q in nbrs[p]:
-                    t = lab[q]
-                    if t != s:
-                        foreign = True
-                        pairs.add((p, t))
-                        pairs.add((q, s))
-                if not foreign:
-                    inner.append(p)
-            self.border[s].difference_update(inner)
-        return pairs
 
     def _ranked_moves(self, below: float):
         """Boundary moves predicted to change the error by less than below.
@@ -389,33 +380,48 @@ class SegmentMap:
         Candidates are single border pixels and groups (k >= 2) of
         bit-identical intensity that share donor and acceptor. Yields
         (delta, donor, acceptor, subset) in (delta, donor, acceptor, lead
-        pixel, k) order. Only borders of dirty segments are considered (see
-        _boundary_candidates); a group shares its donor and acceptor, so it
-        is kept or dropped whole. The pixels of a group share one single
-        move delta, so it is computed once per group.
+        pixel, k) order. Only pairs that touch a dirty segment are scored:
+        statistics elsewhere are unchanged since the map was last
+        boundary-stable, so a new improving move must take from or give to
+        a dirty segment. Each pair (s, t) with s dirty is visited once and
+        scored both ways, from facing[s][t] and facing[t][s]. The pixels of
+        a group share one single move delta, so it is computed once per
+        group.
         """
-        lab, counts, sums, px = self._labels, self.counts, self.sums, self._px
-        groups: dict[tuple[int, int, int], list[int]] = {}
-        for p, acc in self._boundary_candidates():
-            don = lab[p]
-            if counts[don] >= 2:  # a move may not empty its donor
-                groups.setdefault((don, acc, self._bits[p]), []).append(p)
+        counts, sums, px, bits, facing = (self.counts, self.sums, self._px,
+                                          self._bits, self.facing)
+        dirty = self._dirty
         ranked = []
-        for (don, acc, _), ps in groups.items():
-            n1, n2 = counts[don], counts[acc]
-            x = px[ps[0]]
-            h = x - sums[don] / n1
-            g = x - sums[acc] / n2
-            hh, gg = h * h, g * g
-            delta = reclass.transfer_delta(hh, gg, 1, n1, n2)
-            if delta < below:
-                ranked += [(delta, don, acc, p, 1, (p,)) for p in ps]
-            k = len(ps)
-            if k >= 2:
-                delta = reclass.transfer_delta(hh, gg, k, n1, n2)
-                if delta < below:
-                    ps.sort()
-                    ranked.append((delta, don, acc, ps[0], k, tuple(ps)))
+        for s in dirty:
+            for t, toward_t in facing[s].items():
+                if t < s and t in dirty:
+                    continue  # visited from t
+                for don, acc, border in ((s, t, toward_t), (t, s, facing[t][s])):
+                    n1 = counts[don]
+                    if n1 < 2:  # a move may not empty its donor
+                        continue
+                    n2 = counts[acc]
+                    mean_d, mean_a = sums[don] / n1, sums[acc] / n2
+                    groups: dict[int, list[int]] = {}
+                    for p in border:
+                        if (ps := groups.get(bits[p])) is None:
+                            groups[bits[p]] = [p]
+                        else:
+                            ps.append(p)
+                    for ps in groups.values():
+                        x = px[ps[0]]
+                        h = x - mean_d
+                        g = x - mean_a
+                        hh, gg = h * h, g * g
+                        delta = reclass.transfer_delta(hh, gg, 1, n1, n2)
+                        if delta < below:
+                            ranked += [(delta, don, acc, p, 1, (p,)) for p in ps]
+                        k = len(ps)
+                        if k >= 2:
+                            delta = reclass.transfer_delta(hh, gg, k, n1, n2)
+                            if delta < below:
+                                ps.sort()
+                                ranked.append((delta, don, acc, ps[0], k, tuple(ps)))
         ranked.sort()
         for delta, don, acc, _, _, subset in ranked:
             yield delta, don, acc, subset
@@ -495,52 +501,40 @@ class SegmentMap:
 
     def _apply_move(self, subset: tuple[int, ...], don: int, acc: int,
                     stats: tuple) -> None:
-        """Move the subset from don to acc; stats is its _moved_stats."""
-        lab, nbrs, border = self._labels, self._nbrs, self.border
-        moved = set(subset)
-        # contact updates read the labelling before it changes
-        for p in subset:
+        """Move the subset from don to acc; stats is its _moved_stats.
+
+        Only the moved pixels and their neighbours can change which facing
+        sets hold them: they leave every set by the old labelling and
+        rejoin by the new one, and the sets left empty go with their keys.
+        """
+        lab, nbrs, facing = self._labels, self._nbrs, self.facing
+        touched = {q for p in subset for q in (p, *nbrs[p])}
+        for p in touched:
+            s = lab[p]
+            row = facing[s]
             for q in nbrs[p]:
-                if q in moved:
-                    continue
-                t = lab[q]
-                if t == don:
-                    self._contact_inc(acc, don)
-                elif t == acc:
-                    self._contact_dec(don, acc)
-                else:
-                    self._contact_dec(don, t)
-                    self._contact_inc(acc, t)
+                if lab[q] != s:
+                    row[lab[q]].discard(p)
         for p in subset:
             lab[p] = acc
             self.pixels[don].discard(p)
             self.pixels[acc].add(p)
-            border[don].discard(p)
-        for p in subset:
-            for q in (p, *nbrs[p]):
-                border[lab[q]].add(q)
+        self._file(touched)
+        for s in (don, acc):
+            for t in [t for t, f in facing[s].items() if not f]:
+                del facing[s][t], facing[t][s]
         (self.counts[don], self.sums[don], self.sumsqs[don],
          self.counts[acc], self.sums[acc], self.sumsqs[acc], change) = stats
         self.total_e += change
         self.version[don] += 1
         self.version[acc] += 1
         self._dirty.update((don, acc))
-        for t in self.adj[don]:
+        for t in facing[don]:
             self._push_edge(don, t)
-        for t in self.adj[acc]:
+        for t in facing[acc]:
             if t != don:
                 self._push_edge(acc, t)
         self._tick()
-
-    def _contact_inc(self, a: int, b: int) -> None:
-        self.adj[a][b] = self.adj[b][a] = self.adj[a].get(b, 0) + 1
-
-    def _contact_dec(self, a: int, b: int) -> None:
-        left = self.adj[a][b] - 1
-        if left:
-            self.adj[a][b] = self.adj[b][a] = left
-        else:
-            del self.adj[a][b], self.adj[b][a]
 
     def correct_boundaries(self) -> int:
         """Apply improving boundary moves, best first, until none is admissible.
@@ -578,22 +572,16 @@ class SegmentMap:
     def check_consistency(self) -> None:
         """Recompute all derived state from the labelling and compare."""
         snapshot = (list(self.counts), np.array(self.sums),
-                    {k: dict(v) for k, v in self.adj.items()},
-                    {k: set(v) for k, v in self.pixels.items()},
-                    {k: set(v) for k, v in self.border.items()}, self.total_e)
+                    {s: {t: set(f) for t, f in row.items()} for s, row in self.facing.items()},
+                    {k: set(v) for k, v in self.pixels.items()}, self.total_e)
         self._rebuild()
-        counts, sums, adj, pixels, border, e = snapshot
+        counts, sums, facing, pixels, e = snapshot
         if counts != self.counts:
             raise InternalConsistencyError("segment counts drifted")
-        if adj != self.adj:
-            raise InternalConsistencyError("contact counts drifted")
         if pixels != self.pixels:
             raise InternalConsistencyError("segment membership drifted")
-        # the rebuilt border sets are exact; the kept ones may hold more,
-        # but only pixels of their own segment
-        if border.keys() != self.border.keys() or any(
-                not self.border[s] <= border[s] <= self.pixels[s] for s in border):
-            raise InternalConsistencyError("border sets drifted")
+        if facing != self.facing:
+            raise InternalConsistencyError("facing sets drifted")
         fresh = np.array(self.sums)
         scale = 1e-9 * (1.0 + abs(self.total_e))
         if abs(e - self.total_e) > scale or \
@@ -605,6 +593,14 @@ class SegmentMap:
         if pieces != self.segment_count:
             raise InternalConsistencyError(
                 f"{self.segment_count} segments lie in {pieces} connected pieces")
+
+
+def _union(kept: set[int], other: set[int]) -> set[int]:
+    """kept | other, built by adding the smaller set to the larger."""
+    if len(kept) < len(other):
+        kept, other = other, kept
+    kept |= other
+    return kept
 
 
 def _regions(nbrs: tuple[tuple[int, ...], ...], values: np.ndarray) -> np.ndarray:
@@ -646,14 +642,14 @@ def segment_curve(img: GrayImage, m_min: int = 1,
     per segment count from the initial count down to m_min.
     """
     if m_min < 1:
-        raise PreconditionError("cannot merge below one segment")
+        raise PreconditionError("cannot stop below one segment")
     out = SegmentCurveResult()
 
     for correct, rows in ((False, out.merge_only), (True, out.corrected)):
         sm = SegmentMap.from_image(img, init)
         if sm.segment_count < m_min:
-            raise PreconditionError(
-                f"image starts at {sm.segment_count} segments, below m_min {m_min}")
+            raise PreconditionError(f"the image starts at {sm.segment_count} "
+                                    f"segments, fewer than the {m_min} to stop at")
         rows.append(CurveRow(sm.segment_count, sm.total_e, sm.segment_sigma()))
         while sm.segment_count > m_min:
             sm.merge_best()

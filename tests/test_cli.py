@@ -388,6 +388,12 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
             assert err.startswith("error: ") and err.count("\n") == 1
             assert not (tmp_path / "a").exists()
             assert kept.is_dir() and not any(kept.iterdir())
+            # segment's errors name the option the user set, and its value
+            if argv[0] == "segment":
+                assert err == {"0": "error: --m-max 0: cannot stop below one segment\n",
+                               "5": "error: --m-max 5: the image starts at 4 segments, "
+                                    "fewer than the 5 to stop at\n"}[argv[-1]]
+                assert "m_min" not in err
 
     # --out is created after the input is loaded and the options are
     # checked, and before any method runs: an --out that cannot be created
@@ -476,8 +482,10 @@ def test_identical_runs_are_byte_identical(tmp_path):
 def test_outputs_match_golden_fixtures(tmp_path):
     """Committed inputs and outputs (tests/data/README.md) pin the exact bytes
     of segment and cluster runs, on 1-D and 2-D CSV, binary PGM and ASCII
-    PGM input, from single pixels and from flat zones, of the k-means growth on 60 mostly distinct values, and of
-    all four methods together; exact speed-ups must keep them. The report's
+    PGM input, from single pixels and from flat zones, of boundary
+    correction with group moves, of the k-means growth on 60 mostly
+    distinct values, and of all four methods together; exact speed-ups
+    must keep them. The report's
     input field holds the path, so only its methods object is compared, as
     methods.json."""
     data = Path(__file__).parent / "data"
@@ -501,6 +509,8 @@ def test_outputs_match_golden_fixtures(tmp_path):
          ("comparison.csv", "methods.json")),
         ("cluster_pgm/input.pgm", ["segment", "--m-max", "2"],
          ("segment_curve.csv", "approx_merge_only_2.pgm", "approx_corrected_2.pgm")),
+        ("segment_quadrant24/input.pgm", ["segment", "--m-max", "4"],
+         ("segment_curve.csv", "approx_merge_only_4.pgm", "approx_corrected_4.pgm")),
     )
     for i, (source, argv, names) in enumerate(runs):
         fixture = data / source

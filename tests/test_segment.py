@@ -163,6 +163,19 @@ def test_from_image_inits():
         SegmentMap(img, np.zeros(3, dtype=np.int64))
 
 
+def test_labels_must_be_nonnegative_integers():
+    """A negative or fractional label is a precondition error, not numpy's
+    ValueError or a silent truncation; integral floats are taken as ids."""
+    img = GrayImage.from_array(np.array([[0.0, 0.0], [0.0, 5.0]]))
+    for labels, what in (([0, 0, 1, -1], "nonnegative"), ([0, 0, 1, 1.5], "integers"),
+                         ([0, 0, 1, np.nan], "integers"), ([0, 0, 1, np.inf], "integers"),
+                         ([0, 0, 1, 1e300], "integers"), (["0", "0", "1", "1"], "integers")):
+        with pytest.raises(PreconditionError, match=what):
+            SegmentMap(img, labels)
+    sm = SegmentMap(img, np.array([0.0, 0.0, 1.0, 1.0]))
+    assert sm.segment_count == 2 and sm.labels.tolist() == [0, 0, 1, 1]
+
+
 def test_line_image_frozen_curve_matches_thresholding():
     """On a 1-pixel-high image contiguity costs nothing; the curve is optimal."""
     img = GrayImage.from_array(np.array([[0.0, 0.0, 9.0, 10.0]]))
@@ -252,8 +265,8 @@ def test_articulation_pixel_is_locked():
 
 def test_consistency_audit_raises_on_each_fault():
     """The audit passes an intact map, and raises on a segment in two
-    pieces, on a perturbed coordinate sum, on a perturbed contact count,
-    on a dropped border pixel and on a border pixel of another segment."""
+    pieces, on a perturbed coordinate sum, on a dropped facing pixel, on a
+    facing pixel of another segment and on a stale neighbour key."""
     img = GrayImage.from_array(np.array([[0.0, 5.0, 0.0],
                                          [1.0, 2.0, 3.0]]))
     intact = np.array([0, 1, 2, 3, 3, 3])
@@ -264,18 +277,15 @@ def test_consistency_audit_raises_on_each_fault():
     sm.sums[3] += 0.5
     with pytest.raises(InternalConsistencyError, match="statistics"):
         sm.check_consistency()
-    sm = SegmentMap(img, intact)
-    sm.adj[0][1] += 1
-    with pytest.raises(InternalConsistencyError, match="contact"):
-        sm.check_consistency()
-    sm = SegmentMap(img, intact)
-    sm.border[3].discard(4)
-    with pytest.raises(InternalConsistencyError, match="border"):
-        sm.check_consistency()
-    sm = SegmentMap(img, intact)
-    sm.border[0].add(1)
-    with pytest.raises(InternalConsistencyError, match="border"):
-        sm.check_consistency()
+    faults = (lambda f: f[3][1].discard(4),   # pixel 4 of 3 still faces 1
+              lambda f: f[0][3].add(4),       # pixel 4 belongs to 3, not 0
+              lambda f: f[0].update({2: set()}),  # 0 and 2 do not touch
+              lambda f: f[0].update({2: {0}}))
+    for fault in faults:
+        sm = SegmentMap(img, intact)
+        fault(sm.facing)
+        with pytest.raises(InternalConsistencyError, match="facing"):
+            sm.check_consistency()
 
 
 def test_donor_never_empties():
@@ -560,31 +570,62 @@ def test_lock_refusal_costs_the_short_side(monkeypatch):
     assert len(calls) <= 20
 
 
+def _grid_facing(lab: np.ndarray) -> dict[int, dict[int, set[int]]]:
+    """facing[s][t] by a plain scan of the grid's 4-neighbour pairs, by row
+    and column, for the (h, w) labelling lab."""
+    h, w = lab.shape
+    facing = {int(s): {} for s in np.unique(lab)}
+    for r in range(h):
+        for c in range(w):
+            for rr, cc in ((r, c + 1), (r + 1, c)):
+                if rr == h or cc == w:
+                    continue
+                s, t = int(lab[r, c]), int(lab[rr, cc])
+                if s != t:
+                    facing[s].setdefault(t, set()).add(r * w + c)
+                    facing[t].setdefault(s, set()).add(rr * w + cc)
+    return facing
+
+
 def test_dirty_borders_equal_a_filtered_full_rebuild(monkeypatch):
-    """Every border listing along corrected curves equals a full rebuild,
-    filtered to pairs that touch a dirty segment: one changed since the map
-    was last boundary-stable."""
-    real = SegmentMap._boundary_candidates
+    """Along corrected curves, the candidates of every correction pass are
+    those of a brute-force enumeration filtered to dirty segments (changed
+    since the map was last boundary-stable): every pixel with a 4-neighbour
+    in another segment, single and grouped by bit-identical intensity per
+    donor and acceptor, the donor dirty or the acceptor dirty and the donor
+    left nonempty, with the delta of reclass.transfer_delta, in the same
+    order."""
+    real = SegmentMap._ranked_moves
     seen = {True: 0, False: 0}
 
-    def checked(self):
-        got = real(self)
-        lab = self.labels.reshape(self.h, self.w)
-        pairs = set()
-        for r in range(self.h):
-            for c in range(self.w):
-                for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                    if 0 <= rr < self.h and 0 <= cc < self.w \
-                            and lab[rr, cc] != lab[r, c]:
-                        pairs.add((r * self.w + c, int(lab[rr, cc])))
+    def checked(self, below):
+        got = list(real(self, np.inf))
         dirty = self._dirty
         assert dirty <= self.pixels.keys()
-        pairs = {(q, a) for q, a in pairs if self.labels[q] in dirty or a in dirty}
-        assert sorted(got) == sorted(pairs)
+        x = self.img.intensities
+        groups = {}
+        for don, row in _grid_facing(self.labels.reshape(self.h, self.w)).items():
+            for acc, ps in row.items():
+                if (don in dirty or acc in dirty) and len(self.pixels[don]) >= 2:
+                    for p in ps:
+                        groups.setdefault((don, acc, x[p].tobytes()), []).append(p)
+        want = []
+        for (don, acc, _), ps in groups.items():
+            n1, n2 = len(self.pixels[don]), len(self.pixels[acc])
+            h = float(x[ps[0]]) - self.sums[don] / n1
+            g = float(x[ps[0]]) - self.sums[acc] / n2
+            subsets = [(p,) for p in ps] + ([tuple(sorted(ps))] if len(ps) > 1 else [])
+            want += [(reclass.transfer_delta(h * h, g * g, len(sub), n1, n2),
+                      don, acc, sub[0], len(sub), sub) for sub in subsets]
+        # below = inf drops only the moves that would empty their donor
+        want = [(d, dn, ac, sub) for d, dn, ac, _, _, sub in sorted(want) if d < np.inf]
+        assert [c[1:] for c in got] == [c[1:] for c in want]
+        assert np.array_equal(np.array([c[0] for c in got]).view(np.int64),
+                              np.array([c[0] for c in want]).view(np.int64))
         seen[len(dirty) == len(self.pixels)] += 1
-        return got
+        return real(self, below)
 
-    monkeypatch.setattr(SegmentMap, "_boundary_candidates", checked)
+    monkeypatch.setattr(SegmentMap, "_ranked_moves", checked)
     rng = np.random.default_rng(41)
     for _ in range(6):
         h, w = int(rng.integers(3, 10)), int(rng.integers(3, 10))
@@ -594,10 +635,11 @@ def test_dirty_borders_equal_a_filtered_full_rebuild(monkeypatch):
     assert seen[True] > 0 and seen[False] > 100
 
 
-def test_rebuild_matches_a_brute_force_grid_scan():
+def test_rebuild_matches_a_brute_force_grid_scan(monkeypatch):
     """On random labellings of every grid up to 6x6, strips included, the
-    rebuilt contact counts, border sets and merge heap agree with a plain
-    scan of the grid's 4-neighbour pairs by row and column."""
+    rebuilt facing sets and merge heap agree with a plain scan of the
+    grid's 4-neighbour pairs by row and column; along corrected curves the
+    facing sets agree with it after every merge and every applied move."""
     rng = np.random.default_rng(61)
     for w in range(1, 7):
         for h in range(1, 7):
@@ -605,25 +647,27 @@ def test_rebuild_matches_a_brute_force_grid_scan():
                 img = GrayImage.from_array(rng.integers(0, 256, (h, w)).astype(float))
                 lab = rng.integers(0, int(rng.integers(1, 7)), w * h)
                 sm = SegmentMap(img, lab)
-                ids = set(lab.tolist())
-                adj = {s: {} for s in ids}
-                border = {s: set() for s in ids}
-                for r in range(h):
-                    for c in range(w):
-                        for rr, cc in ((r, c + 1), (r + 1, c)):
-                            if rr == h or cc == w:
-                                continue
-                            p, q = r * w + c, rr * w + cc
-                            s, t = int(lab[p]), int(lab[q])
-                            if s != t:
-                                adj[s][t] = adj[t][s] = adj[s].get(t, 0) + 1
-                                border[s].add(p)
-                                border[t].add(q)
-                assert sm.adj == adj
-                assert sm.border == border
-                want = sorted(sm._edge(s, t) for s in adj for t in adj[s] if s < t)
+                facing = _grid_facing(lab.reshape(h, w))
+                assert sm.facing == facing
+                want = sorted(sm._edge(s, t) for s in facing for t in facing[s] if s < t)
                 assert sorted(sm.heap) == want
                 for cost, s, t, _, _ in want:
                     assert cost == pytest.approx(reclass.delta_e_merge(
                         *(ClusterStats.from_points(img.intensities[lab == u][:, None])
                           for u in (s, t))), rel=1e-9, abs=1e-9)
+
+    steps = {"_merge": 0, "_apply_move": 0}
+    for name in steps:
+        def checked(self, *args, real=getattr(SegmentMap, name), name=name):
+            out = real(self, *args)
+            assert self.facing == _grid_facing(self.labels.reshape(self.h, self.w))
+            steps[name] += 1
+            return out
+        monkeypatch.setattr(SegmentMap, name, checked)
+    for _ in range(6):
+        h, w = int(rng.integers(3, 10)), int(rng.integers(3, 10))
+        arr = (rng.choice([20.0, 90.0, 150.0, 220.0], size=(h, w))
+               + rng.integers(0, 2, size=(h, w)))
+        for init in ("pixels", "flat_zones"):
+            segment_curve(GrayImage.from_array(arr), init=init)
+    assert steps["_merge"] > 300 and steps["_apply_move"] > 30
