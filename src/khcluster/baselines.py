@@ -8,9 +8,10 @@ placements in waves of at most core.WAVE_BUDGET members x rows x (d + 1)
 cells, one wave on small inputs, with distances and assignments at most
 core.STACK_BUDGET members x rows x clusters at a time; lloyd is a stack
 of one. The wave has a bound of its own, since each wave pays the fixed
-costs of every iteration again. The means of every member come from
-core.stacked_sums, the builder of the partitions' statistics; the loop
-needs no sums of squares.
+costs of every iteration again. The first run of lowest error wins, by
+kh's step winner rule (core._step_winner). The means of every member
+come from core.stacked_sums, the builder of the partitions' statistics;
+the loop needs no sums of squares.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 
 from .core import (Dataset, InternalConsistencyError, Partition,
                    PartitionSequence, PartitionStack, PreconditionError,
-                   _chunks, _waves, squared_distances, stacked_sums)
+                   _chunks, _step_winner, _waves, squared_distances,
+                   stacked_sums)
 
 # Relative tolerance for assignment ties; a point keeps its current cluster
 # when the best alternative is not closer than this.
@@ -212,26 +214,23 @@ def _grow_one(ds: Dataset, prev: Partition, rng_seed: int):
 
     The runs go as one stack, in waves of core.WAVE_BUDGET members x rows x
     (d + 1) cells (runs with equal label rows go once); the first run
-    that attains the lowest error wins, and only it becomes a Partition.
-    Only the first of each distinct final label row gets statistics:
-    equal rows have equal error bits, so the first minimum is always such
-    a first row.
+    that attains the lowest error wins (core._step_winner), and only it
+    becomes a Partition. Only the first of each distinct final label row
+    gets statistics: equal rows have equal error bits, so the first
+    minimum is always such a first row.
     """
     cands = _candidate_rows(ds, rng_seed)
     m = prev.m + 1
     base = np.broadcast_to(prev.centroids(), (cands.shape[0], prev.m, ds.d))
     centers = np.concatenate((base, cands[:, None, :]), axis=1)
-    best_e = best = None
-    iters = 0
+    best, iters = None, 0
     for sel in _waves(cands.shape[0], ds):
         labels, iterations, _ = _lloyd_stack(ds.points, centers[sel], None)
         iters += int(iterations.sum())
         first = np.flatnonzero(_first_equal_rows(labels) == np.arange(labels.shape[0]))
         st = PartitionStack.from_labels(ds, labels[first], m)
-        i = int(np.argmin(st.total_e))  # first minimum = first candidate
-        if best is None or st.total_e[i] < best_e:
-            best_e, best = st.total_e[i], st.partition(i)
-    return best, iters
+        best = _step_winner(st, best=best)
+    return best[1], iters
 
 
 def kmeans_sequence(ds: Dataset, m_max: int, rng_seed: int = 0) -> PartitionSequence:

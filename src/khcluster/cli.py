@@ -1,12 +1,13 @@
 """Command line front end.
 
 Three subcommands: cluster writes a JSON report of stable partitions for
-one or more methods, compare writes a per-count error table as CSV, and
-segment runs the image pipeline and writes the error curve plus PGM
-approximations. Reports are byte-identical across runs with the same
-inputs and options. Exit codes: 0 success, 2 usage, precondition or an
-output that cannot be written, 3 unreadable input, 4 size guard. A run
-that exits with an error leaves none of the --out directories it created.
+one or more methods and a per-count error table as CSV, compare is cluster
+without the report, and segment runs the image pipeline and writes the
+error curve plus PGM approximations. Reports are byte-identical across
+runs with the same inputs and options. Exit codes: 0 success, 2 usage,
+precondition or an output that cannot be written, 3 unreadable input, 4
+size guard. A run that exits with an error leaves none of the --out
+directories it created.
 """
 
 from __future__ import annotations
@@ -179,37 +180,32 @@ def _write(path: Path, content) -> None:
 
 
 def cmd_cluster(args) -> int:
+    """cluster and compare: run the methods and write comparison.csv;
+    cluster first writes report.json, each record audited for stability."""
     ds = _load_dataset(args)
     methods, policy = _checked_methods(ds, args)
     out = _out_dir(args)
     runs = _run_methods(ds, args, methods, policy)
-    # every record's stability is audited under the run's subset policy
-    by_method = {name: {str(m): _partition_record(p, moves, policy) for m, p, moves in r}
-                 for name, r in runs.items()}
-    report = {
-        "schemaVersion": 1,
-        "command": "cluster",
-        "input": str(args.input),
-        "n": ds.n,
-        "d": ds.d,
-        "seed": args.seed,
-        "mMax": args.m_max,
-        "policy": args.policy,
-        "methods": by_method,
-    }
-    _write(out / "report.json", _report_json(report) + "\n")
-    _write(out / "comparison.csv", _comparison(runs, args.m_max))
-    print(f"wrote {out / 'report.json'} and {out / 'comparison.csv'}")
-    return EXIT_OK
-
-
-def cmd_compare(args) -> int:
-    ds = _load_dataset(args)
-    methods, policy = _checked_methods(ds, args)
-    out = _out_dir(args)
-    runs = _run_methods(ds, args, methods, policy)
-    _write(out / "comparison.csv", _comparison(runs, args.m_max))
-    print(f"wrote {out / 'comparison.csv'}")
+    files = {"comparison.csv": _comparison(runs, args.m_max)}
+    if args.command == "cluster":
+        # every record's stability is audited under the run's subset policy
+        by_method = {name: {str(m): _partition_record(p, moves, policy) for m, p, moves in r}
+                     for name, r in runs.items()}
+        report = {
+            "schemaVersion": 1,
+            "command": "cluster",
+            "input": str(args.input),
+            "n": ds.n,
+            "d": ds.d,
+            "seed": args.seed,
+            "mMax": args.m_max,
+            "policy": args.policy,
+            "methods": by_method,
+        }
+        files = {"report.json": _report_json(report) + "\n", **files}
+    for name, content in files.items():
+        _write(out / name, content)
+    print("wrote " + " and ".join(str(out / name) for name in files))
     return EXIT_OK
 
 
@@ -263,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--m-max", type=int, default=3, dest="m_max")
 
-    for name, fn in (("cluster", cmd_cluster), ("compare", cmd_compare)):
+    for name in ("cluster", "compare"):
         p = sub.add_parser(name)
         common(p)
         p.add_argument("--format", choices=("csv", "pgm"), default="csv")
@@ -272,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list from kmeans,kh,otsu,oracle")
         p.add_argument("--policy", choices=("singletons", "identical", "both"),
                        default="both")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_cluster)
 
     p = sub.add_parser("segment")
     common(p)

@@ -8,7 +8,10 @@ norms) so that moving a k-point subset needs no rescan of the points.
 PartitionStack holds many partitions of one dataset as stacked arrays and
 moves subsets in all of them at once; a Partition is a stack of one.
 Statistics are built from labels in one place, stacked_sums, an offset
-bincount over a stack of labelings that the K-means baseline shares.
+bincount over a stack of labelings that the K-means baseline shares. A
+step that scores a stack of candidates keeps its winner by one rule,
+_step_winner: the lowest (E, tie key), the earlier member on an exact
+tie, within a wave and across waves.
 """
 
 from __future__ import annotations
@@ -269,6 +272,17 @@ def _waves(count: int, ds: Dataset):
     """Slices of count stacked partitions of ds, WAVE_BUDGET cells each:
     at most WAVE_BUDGET // (N (d + 1)) members (at least one)."""
     return _chunks(count, ds.n * (ds.d + 1), WAVE_BUDGET)
+
+
+def _step_winner(st: PartitionStack, tie=None, best=None):
+    """The step winner rule: the member of st with the lowest (E, tie), the
+    earlier member on an exact tie, kept against best, the winner of the
+    earlier waves, which wins an exact tie. Returns the winner as (key,
+    Partition); a member becomes a Partition only when it wins."""
+    e = st.total_e
+    i = int(np.argmin(e) if tie is None else np.lexsort((tie, e))[0])
+    key = (e[i],) if tie is None else (e[i], tie[i])
+    return (key, st.partition(i)) if best is None or key < best[0] else best
 
 
 class Partition:

@@ -13,12 +13,13 @@ every member still moving in a stack of partitions (core.PartitionStack)
 and applies them together, so each member ends bit for bit as if
 corrected alone; the kernel, _best_moves, scores those members
 core.STACK_BUDGET members x rows x clusters at a time, which bounds the
-pass's temporary arrays. merge_step stacks its merged candidates and
-split_step its bisected ones, in waves of at most core.WAVE_BUDGET
-members x rows x (d + 1) cells, the bound the Lloyd waves of the k-means
-baseline share, and corrects each wave with one loop. A step of tens of
-points is one wave, so the later passes, which carry only the few members
-still moving, run once per step, not once per chunk. correct_pairs and
+pass's temporary arrays. merge_step and split_step share one candidate
+loop, _corrected_winner; each only labels its candidates and names its
+tie key. The loop stacks the candidates in waves of at most
+core.WAVE_BUDGET members x rows x (d + 1) cells, the bound the Lloyd
+waves of the k-means baseline share, corrects each wave with one loop
+(a step of tens of points is one wave), and keeps the winner by the step
+winner rule of core._step_winner. correct_pairs and
 correct_tuples are _correct_stack on one partition, a stack of one whose
 moves are Partition.move calls, the latter with a mask of the clusters of
 each tuple (it ends pair-stable too, and nothing in the package calls
@@ -47,8 +48,8 @@ import numpy as np
 from . import reclass
 from .baselines import KMeansConfig, kmeans_sequence, lloyd
 from .core import (Dataset, Partition, PartitionSequence, PartitionStack,
-                   PreconditionError, _chunks, _waves, sq_norms,
-                   squared_distances)
+                   PreconditionError, _chunks, _step_winner, _waves,
+                   sq_norms, squared_distances)
 
 # Exact farthest-pair search is quadratic; larger clusters fall back to the
 # deterministic two-hop approximation.
@@ -355,22 +356,30 @@ def correct_tuples(p: Partition, l: int, policy: SubsetPolicy = BOTH) -> Correct
             return CorrectionResult(q, total_moves)
 
 
-def _occupied_pairs(p: Partition) -> int:
-    """Rows the kernel scores for p: its occupied (cluster, bit group) pairs."""
-    return int(_pair_rows(p.labels[None], p.m, _group_rows(p.ds))[0].size)
+def _corrected_winner(p: Partition, count: int, labelled, m: int,
+                      policy: SubsetPolicy, tie: np.ndarray | None = None) -> Partition:
+    """The candidate loop of merge_step and split_step. labelled(sel) gives
+    the labels (members, N) onto m clusters of the candidates in the slice
+    sel of range(count). They go as one stack, in waves of core.WAVE_BUDGET
+    members x rows x (d + 1) cells, each corrected by one loop sized by the
+    occupied (cluster, bit group) rows of p, which no candidate exceeds;
+    the lowest (E, tie) wins (core._step_winner).
+    """
+    per_member = _pair_rows(p.labels[None], p.m, _group_rows(p.ds))[0].size * m
+    best = None
+    for sel in _waves(count, p.ds):
+        st = PartitionStack.from_labels(p.ds, labelled(sel), m)
+        _correct_stack(st, policy, per_member=per_member)
+        best = _step_winner(st, None if tie is None else tie[sel], best)
+    return best[1]
 
 
 def merge_step(p: Partition, policy: SubsetPolicy = BOTH) -> Partition:
     """Merge the pair whose post-correction error is lowest.
 
-    Every pair is tentatively merged and corrected to pair
-    stability; the candidate with minimal corrected E wins. Exact ties fall
-    back to the smaller raw merge cost, then the lower pair of ids.
-    The candidates are corrected as one stack, in waves of at most
-    core.WAVE_BUDGET members x rows x (d + 1) cells (one wave on small
-    inputs), each wave by one correction loop whose passes score
-    core.STACK_BUDGET members x rows x clusters at a time, sized from the
-    occupied rows of p.
+    Every pair is tentatively merged and corrected to pair stability; the
+    candidate with minimal corrected E wins. Exact ties fall back to the
+    smaller raw merge cost, then the lower pair of ids (_corrected_winner).
     """
     if p.m < 2:
         raise PreconditionError("merging needs at least two clusters")
@@ -380,16 +389,8 @@ def merge_step(p: Partition, policy: SubsetPolicy = BOTH) -> Partition:
     # cluster c of the pair (a, b) becomes c, a, or c - 1 below, at, above b
     relabel = np.arange(p.m) - (np.arange(p.m) > b[:, None])
     relabel[np.arange(a.size), b] = a
-    per_member = _occupied_pairs(p) * (p.m - 1)
-    best_key = best_part = None
-    for sel in _waves(a.size, p.ds):
-        st = PartitionStack.from_labels(p.ds, relabel[sel][:, p.labels], p.m - 1)
-        _correct_stack(st, policy, per_member=per_member)
-        i = np.lexsort((raw[sel], st.total_e))[0]  # first minimum = lowest pair
-        key = (st.total_e[i], raw[sel][i])
-        if best_key is None or key < best_key:
-            best_key, best_part = key, st.partition(i)
-    return best_part
+    return _corrected_winner(p, a.size, lambda sel: relabel[sel][:, p.labels],
+                             p.m - 1, policy, raw)
 
 
 def _farthest_pair(sub: np.ndarray) -> tuple[int, int]:
@@ -416,15 +417,14 @@ def split_step(p: Partition, policy: SubsetPolicy = BOTH) -> Partition:
     """Split the cluster whose bisection gives the lowest post-correction error.
 
     Clusters of identical points have zero internal error and are never
-    candidates. The new cluster takes id m; ties keep the lowest donor id.
-    The bisected candidates are corrected together, as one stack, in waves
-    and chunks as merge_step's are.
+    candidates. The new cluster takes id m; ties keep the lowest donor id
+    (_corrected_winner).
     """
     labels = []
     for c in range(p.m):
         idx = np.flatnonzero(p.labels == c)
         sub = p.ds.points[idx]
-        if np.unique(sub, axis=0).shape[0] < 2:
+        if (sub == sub[0]).all():
             continue
         half = _bisect_labels(sub)
         lbl = p.labels.copy()
@@ -432,15 +432,8 @@ def split_step(p: Partition, policy: SubsetPolicy = BOTH) -> Partition:
         labels.append(lbl)
     if not labels:
         raise PreconditionError("no cluster with two distinct points to split")
-    per_member = _occupied_pairs(p) * (p.m + 1)
-    best_key = best_part = None
-    for sel in _waves(len(labels), p.ds):
-        st = PartitionStack.from_labels(p.ds, np.stack(labels[sel]), p.m + 1)
-        _correct_stack(st, policy, per_member=per_member)
-        i = int(np.argmin(st.total_e))  # first minimum = lowest donor id
-        if best_key is None or st.total_e[i] < best_key:
-            best_key, best_part = st.total_e[i], st.partition(i)
-    return best_part
+    return _corrected_winner(p, len(labels), lambda sel: np.stack(labels[sel]),
+                             p.m + 1, policy)
 
 
 def build_sequence(ds: Dataset, m_max: int, policy: SubsetPolicy = BOTH,

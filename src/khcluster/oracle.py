@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, PreconditionError, SizeGuardError
+from .core import WAVE_BUDGET, Dataset, PreconditionError, SizeGuardError, _chunks
 
 MAX_POINTS = 13
-CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -43,8 +42,8 @@ def _partition_matrix(n: int, m: int) -> np.ndarray:
         rows, mx = rows[keep], mx[keep]
         n_ext = np.minimum(mx + 2, m).astype(np.int64)
         parent = np.repeat(np.arange(rows.shape[0]), n_ext)
-        offs = np.concatenate([np.arange(k, dtype=np.int8) for k in n_ext]) \
-            if rows.shape[0] else np.zeros(0, dtype=np.int8)
+        offs = (np.arange(parent.size)
+                - np.repeat(np.cumsum(n_ext) - n_ext, n_ext)).astype(np.int8)
         rows = np.concatenate([rows[parent], offs[:, None]], axis=1)
         mx = np.maximum(mx[parent], offs)
     return rows[mx == m - 1]
@@ -71,17 +70,15 @@ def global_min(ds: Dataset, m: int) -> OracleResult:
     mat = _partition_matrix(n, m)
     best_e = np.inf
     best_row = None
-    examined = 0
-    for lo in range(0, mat.shape[0], CHUNK):
-        chunk = mat[lo:lo + CHUNK]
+    for sel in _chunks(mat.shape[0], n * m, WAVE_BUDGET):
+        chunk = mat[sel]
         energies = _chunk_energies(ds.points, chunk.astype(np.int64), m)
         k = int(np.argmin(energies))
-        examined += chunk.shape[0]
         if energies[k] < best_e:  # strict: earlier chunks win ties
             best_e = float(energies[k])
             best_row = chunk[k]
     assert best_row is not None
-    return OracleResult(m, best_e, tuple(int(c) for c in best_row), examined)
+    return OracleResult(m, best_e, tuple(int(c) for c in best_row), mat.shape[0])
 
 
 def minimum_curve(ds: Dataset, m_max: int) -> list[OracleResult]:

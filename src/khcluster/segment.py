@@ -23,7 +23,9 @@ the numpy kernels (see SegmentMap). One table of every pixel's
 connectivity lock and the region labeller all read it. One labeller of
 4-connected regions of equal value finds the flat zones (regions of equal
 intensity) and audits connectivity (regions of equal label, one per
-segment).
+segment). A pixel group is the pixels of equal intensity; GrayImage
+stores -0.0 as 0.0, so they have equal bits too. The audit,
+check_consistency, compares the map with a fresh one and changes nothing.
 """
 
 from __future__ import annotations
@@ -42,7 +44,10 @@ from .core import (REFRESH_INTERVAL, InputFormatError,
 
 @dataclass(frozen=True)
 class GrayImage:
-    """Grayscale raster, intensities in [0, 255], row-major flat storage."""
+    """Grayscale raster, intensities in [0, 255], row-major flat storage.
+
+    -0.0 is stored as 0.0, so pixels of equal intensity have equal bits.
+    """
 
     width: int
     height: int
@@ -58,7 +63,7 @@ class GrayImage:
             raise PreconditionError("intensities must be finite")
         if px.min() < 0.0 or px.max() > 255.0:
             raise PreconditionError("intensities must lie in [0, 255]")
-        px = px.copy()
+        px = px + 0.0  # a copy, which stores -0.0 as 0.0
         px.setflags(write=False)
         object.__setattr__(self, "intensities", px)
 
@@ -223,7 +228,6 @@ class SegmentMap:
             raise PreconditionError("labels must be nonnegative integers")
         self._labels: list[int] = ints.tolist()
         self._px: list[float] = img.intensities.tolist()
-        self._bits: list[int] = img.intensities.view(np.int64).tolist()
         self.version = [0] * (int(ints.max()) + 1)
         self._ops = 0
         self._rebuild()
@@ -377,10 +381,10 @@ class SegmentMap:
     def _ranked_moves(self, below: float):
         """Boundary moves predicted to change the error by less than below.
 
-        Candidates are single border pixels and groups (k >= 2) of
-        bit-identical intensity that share donor and acceptor. Yields
-        (delta, donor, acceptor, subset) in (delta, donor, acceptor, lead
-        pixel, k) order. Only pairs that touch a dirty segment are scored:
+        Candidates are single border pixels and groups (k >= 2) of equal
+        intensity that share donor and acceptor. Yields (delta, donor,
+        acceptor, subset) in (delta, donor, acceptor, lead pixel, k)
+        order. Only pairs that touch a dirty segment are scored:
         statistics elsewhere are unchanged since the map was last
         boundary-stable, so a new improving move must take from or give to
         a dirty segment. Each pair (s, t) with s dirty is visited once and
@@ -388,8 +392,7 @@ class SegmentMap:
         a group share one single move delta, so it is computed once per
         group.
         """
-        counts, sums, px, bits, facing = (self.counts, self.sums, self._px,
-                                          self._bits, self.facing)
+        counts, sums, px, facing = self.counts, self.sums, self._px, self.facing
         dirty = self._dirty
         ranked = []
         for s in dirty:
@@ -402,10 +405,10 @@ class SegmentMap:
                         continue
                     n2 = counts[acc]
                     mean_d, mean_a = sums[don] / n1, sums[acc] / n2
-                    groups: dict[int, list[int]] = {}
+                    groups: dict[float, list[int]] = {}
                     for p in border:
-                        if (ps := groups.get(bits[p])) is None:
-                            groups[bits[p]] = [p]
+                        if (ps := groups.get(px[p])) is None:
+                            groups[px[p]] = [p]
                         else:
                             ps.append(p)
                     for ps in groups.values():
@@ -570,22 +573,19 @@ class SegmentMap:
         return GrayImage(self.w, self.h, means[self.labels])
 
     def check_consistency(self) -> None:
-        """Recompute all derived state from the labelling and compare."""
-        snapshot = (list(self.counts), np.array(self.sums),
-                    {s: {t: set(f) for t, f in row.items()} for s, row in self.facing.items()},
-                    {k: set(v) for k, v in self.pixels.items()}, self.total_e)
-        self._rebuild()
-        counts, sums, facing, pixels, e = snapshot
-        if counts != self.counts:
-            raise InternalConsistencyError("segment counts drifted")
-        if pixels != self.pixels:
+        """Compare the live segments with a fresh map of the same labelling;
+        the map itself is left untouched."""
+        fresh = SegmentMap(self.img, self.labels)
+        if self.pixels != fresh.pixels:
             raise InternalConsistencyError("segment membership drifted")
-        if facing != self.facing:
+        live = list(self.pixels)
+        if [self.counts[s] for s in live] != [fresh.counts[s] for s in live]:
+            raise InternalConsistencyError("segment counts drifted")
+        if self.facing != fresh.facing:
             raise InternalConsistencyError("facing sets drifted")
-        fresh = np.array(self.sums)
-        scale = 1e-9 * (1.0 + abs(self.total_e))
-        if abs(e - self.total_e) > scale or \
-                np.abs(sums - fresh).max() > 1e-9 * (1.0 + np.abs(fresh).max()):
+        sums, want = (np.array([sm.sums[s] for s in live]) for sm in (self, fresh))
+        if abs(self.total_e - fresh.total_e) > 1e-9 * (1.0 + abs(fresh.total_e)) or \
+                np.abs(sums - want).max() > 1e-9 * (1.0 + np.abs(want).max()):
             raise InternalConsistencyError("running statistics drifted")
         # each segment is one region of equal label iff the regions number
         # as many as the segments

@@ -525,3 +525,17 @@ def test_equal_label_rows_run_once(monkeypatch, max_iters):
             part, it, conv = _ref_lloyd(ds, m, centers=centers[k])
             assert np.array_equal(labels[k], part.labels)
             assert (iterations[k], converged[k]) == (it, conv)
+
+
+@pytest.mark.parametrize("per_wave", [None, 1, 2])
+def test_growth_winner_rule_on_planted_exact_ties(monkeypatch, per_wave):
+    """A k-means growth step keeps the first run of lowest E, also when the
+    tied runs lie in different waves of per_wave members (one wave when
+    None): on {0, 1, 10, 11}, a new center at 0 or 1 and one at 10 or 11
+    end in the same two clusters, E = 1, in opposite order, and the first
+    candidate, 0, makes its points cluster 1."""
+    ds = Dataset([0.0, 1.0, 10.0, 11.0])
+    if per_wave is not None:
+        monkeypatch.setattr(core, "WAVE_BUDGET", per_wave * ds.n * (ds.d + 1))
+    got = kmeans_sequence(ds, 2).by_cluster_count[2]
+    assert got.labels.tolist() == [1, 1, 0, 0] and got.total_e == 1.0

@@ -576,6 +576,45 @@ def test_stacked_correction_matches_one_candidate_at_a_time(monkeypatch, refresh
         assert all(len(w) == 1 for w in waves)
 
 
+@pytest.mark.parametrize("per_wave", [None, 1, 2])
+def test_step_winner_rule_on_planted_exact_ties(monkeypatch, per_wave):
+    """merge_step and split_step keep the candidate of lowest (corrected E,
+    tie key), the earlier one on an exact tie, also when the tied
+    candidates lie in different waves of per_wave members (all in one wave
+    when None). Cases, each with the winner the rule must give:
+    - four evenly spaced singletons: merging any two neighbours gives
+      E = 50 at raw cost 50, so the first pair (0, 1) wins;
+    - three distinct values in four clusters: every merge corrects to
+      E = 0, so the raw Ward cost decides, and the pair (1, 2) of lowest
+      raw cost wins over the first pair, which ends elsewhere;
+    - two equal two-point clusters: either bisection gives E = 2, so the
+      lower donor id, cluster 0, is split."""
+    loops = []
+    correct = kh_engine._correct_stack
+
+    def counted(st, *args, **kwargs):
+        loops.append(st.labels.shape[0])
+        return correct(st, *args, **kwargs)
+
+    monkeypatch.setattr(kh_engine, "_correct_stack", counted)
+    first_pair = correct_pairs(Partition.from_labels(
+        Dataset([5.0, 4.0, 3.0, 3.0, 3.0, 5.0]), [0, 0, 1, 2, 0, 2])).partition
+    cases = ((merge_step, [0.0, 10.0, 20.0, 30.0], [0, 1, 2, 3], [0, 0, 1, 2]),
+             (merge_step, [5.0, 4.0, 3.0, 3.0, 3.0, 5.0], [0, 1, 2, 3, 1, 3],
+              [0, 1, 2, 2, 2, 0]),
+             (split_step, [0.0, 2.0, 10.0, 12.0], [0, 0, 1, 1], [0, 2, 1, 1]))
+    assert first_pair.labels.tolist() != cases[1][3]
+    for step, points, labels, want in cases:
+        ds = Dataset(points)
+        if per_wave is not None:
+            monkeypatch.setattr(core, "WAVE_BUDGET", per_wave * ds.n * (ds.d + 1))
+        loops.clear()
+        got = step(Partition.from_labels(ds, labels))
+        assert max(loops) == (per_wave or sum(loops))
+        assert got.labels.tolist() == want
+        assert_same_bits(got, correct_pairs(Partition.from_labels(ds, want)).partition)
+
+
 def _blobs(per_blob: int) -> Dataset:
     """Four blobs of per_blob distinct points in 2-D."""
     rng = np.random.default_rng(7)

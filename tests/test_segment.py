@@ -1,7 +1,10 @@
 """Connected segmentation: PGM I/O, merging, boundary correction, curves."""
 
 import hashlib
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +289,47 @@ def test_consistency_audit_raises_on_each_fault():
         fault(sm.facing)
         with pytest.raises(InternalConsistencyError, match="facing"):
             sm.check_consistency()
+
+
+def _workload_image(seed: int, size: int) -> GrayImage:
+    """The benchmark's seeded C9 image (perfbench/workloads.py)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = sys.modules.setdefault("workloads", importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)
+    return GrayImage.from_array(workloads.quadrant_image(np.random.default_rng(seed), size))
+
+
+def test_consistency_audit_changes_nothing():
+    """Auditing a map after every merge-and-correct step leaves the
+    corrected curve bit for bit as it is without the audit; an audit that
+    rebuilt the map in place refreshed its running sums and changed the E
+    bits of later rows."""
+    img = _workload_image(101, 24)
+    curves = []
+    for audit in (False, True):
+        sm = SegmentMap.from_image(img)
+        rows = [sm.total_e]
+        while sm.segment_count > 1:
+            sm.merge_best()
+            sm.correct_boundaries()
+            if audit:
+                sm.check_consistency()
+            rows.append(sm.total_e)
+        curves.append((np.array(rows).view(np.int64), sm.labels))
+    (e_plain, lab_plain), (e_audited, lab_audited) = curves
+    assert np.array_equal(e_audited, e_plain)
+    assert np.array_equal(lab_audited, lab_plain)
+
+
+def test_signed_zero_pixels_group_with_zero_pixels():
+    """GrayImage.from_array stores -0.0 as 0.0, so a -0.0 pixel and a 0.0
+    pixel on one border move together as one same-intensity group."""
+    img = GrayImage.from_array(np.array([[-0.0, 255.0], [0.0, 255.0], [7.0, 255.0]]))
+    assert not np.signbit(img.intensities).any()
+    sm = SegmentMap(img, np.array([0, 1, 0, 1, 0, 1]))
+    subsets = [sub for _, don, _, sub in sm._ranked_moves(np.inf) if don == 0]
+    assert (0, 2) in subsets
 
 
 def test_donor_never_empties():
