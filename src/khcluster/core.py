@@ -84,18 +84,27 @@ def clamped_cluster_energy(sumsq: float, sq_norm_of_sum: float, n: int) -> float
     return e
 
 
+def frozen_floats(values) -> np.ndarray:
+    """A read-only float64 copy of values with -0.0 stored as 0.0, so equal
+    values have equal bits: the one rule for the identity of a value."""
+    a = np.array(values, dtype=np.float64)
+    a += 0.0  # -0.0 + 0.0 is 0.0
+    a.setflags(write=False)
+    return a
+
+
 class Dataset:
     """Immutable N x d matrix of finite real feature vectors, small enough
-    that 4 d (N max|x|)^2 is finite.
+    that 4 d (N max|x|)^2 is finite, stored through frozen_floats.
 
-    Duplicate rows are allowed and meaningful: identical points can be moved
-    between clusters as one subset.
+    Duplicate rows are allowed and meaningful: identical (equal-valued)
+    points can be moved between clusters as one subset.
     """
 
-    __slots__ = ("points", "_bit_ids", "_bit_leads")
+    __slots__ = ("points", "_groups")
 
     def __init__(self, points):
-        pts = np.array(points, dtype=np.float64, copy=True)
+        pts = frozen_floats(points)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
@@ -106,9 +115,8 @@ class Dataset:
         scale = pts.shape[0] * float(np.abs(pts).max())
         if not math.isfinite(4.0 * pts.shape[1] * scale * scale):
             raise PreconditionError("dataset coordinates are too large: squared sums overflow")
-        pts.setflags(write=False)
         self.points = pts
-        self._bit_ids = self._bit_leads = None
+        self._groups = None
 
     @property
     def n(self) -> int:
@@ -118,33 +126,24 @@ class Dataset:
     def d(self) -> int:
         return self.points.shape[1]
 
-    def unique_rows(self) -> np.ndarray:
-        return np.unique(self.points, axis=0)
-
     def identical_group_labels(self) -> np.ndarray:
-        """Label vector putting equal-valued rows into the same cluster.
+        """Ids putting equal rows together, in sorted row order. Computed on
+        first use and kept, with group_leads, read only."""
+        if self._groups is None:
+            _, leads, ids = np.unique(self.points, axis=0, return_index=True,
+                                      return_inverse=True)
+            self._groups = ids.reshape(-1), leads
+            for a in self._groups:
+                a.setflags(write=False)
+        return self._groups[0]
 
-        Rows compare by value, so 0.0 and -0.0 share a cluster.
-        """
-        _, inverse = np.unique(self.points, axis=0, return_inverse=True)
-        return inverse.reshape(-1).astype(np.int64)
+    def group_leads(self) -> np.ndarray:
+        """The first row of each group of equal rows, in id order."""
+        self.identical_group_labels()
+        return self._groups[1]
 
-    def bit_group_ids(self) -> np.ndarray:
-        """Ids putting bit-identical rows together (0.0 and -0.0 differ).
-
-        Computed on first use and kept, with bit_group_leads, since the
-        points never change.
-        """
-        if self._bit_ids is None:
-            _, self._bit_leads, inverse = np.unique(
-                self.points.view(np.int64), axis=0, return_index=True, return_inverse=True)
-            self._bit_ids = inverse.reshape(-1)
-        return self._bit_ids
-
-    def bit_group_leads(self) -> np.ndarray:
-        """The first row of each bit group, in id order."""
-        self.bit_group_ids()
-        return self._bit_leads
+    def unique_rows(self) -> np.ndarray:
+        return self.points[self.group_leads()]
 
 
 @dataclass(frozen=True)

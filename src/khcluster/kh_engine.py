@@ -29,13 +29,15 @@ rounds differently from the same column of a wider one, and computes the
 size factors of the delta (reclass.size_factors) on the shapes they
 depend on, not on every (row, variant, acceptor) cell.
 
-A pass scores one row per occupied (member, cluster, bit group) triple.
-_pair_rows finds these rows without a sort, by one bincount over the key
-space members x clusters x bit groups. Every group occupies some cluster
-of every member, so the key space is no larger than the rows x clusters
-of deltas the pass scores, and the chunks that bound those bound it too.
-The bit groups and their first points are computed once per Dataset, and
-the sums of k points of a group once per _correct_stack call.
+Identical points have equal values, so equal bits (core.frozen_floats);
+the audit, the kernel and the top_down start read one grouping of them,
+made once per Dataset. A pass scores one row per occupied (member,
+cluster, group) triple, which _pair_rows finds without a sort, by one
+bincount over the key space members x clusters x groups. Every group
+occupies some cluster of every member, so the key space is no larger than
+the rows x clusters of deltas the pass scores, and the chunks that bound
+those bound it too. A group's sums of k points are computed once per
+_correct_stack call.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ FARTHEST_PAIR_EXACT_LIMIT = 2048
 @dataclass(frozen=True)
 class SubsetPolicy:
     """Which point subsets may move: single points, maximal groups of
-    bit-identical points, or both."""
+    identical (equal-valued) points, or both."""
 
     mode: str = "both"
 
@@ -100,7 +102,7 @@ def verify_stability(p: Partition, policy: SubsetPolicy = BOTH) -> StabilityRepo
     """Exhaustively test every admissible move; pure, the partition is untouched.
 
     Candidates are single points and, unless the policy is singletons, the
-    maximal groups of bit-identical points of each cluster with k >= 2;
+    maximal groups of identical points of each cluster with k >= 2;
     under the identical policy a point moves alone only when no twin shares
     its cluster. A move into its own cluster, or one that would empty the
     donor, is not admissible. Violations are ranked on (delta, donor,
@@ -112,7 +114,7 @@ def verify_stability(p: Partition, policy: SubsetPolicy = BOTH) -> StabilityRepo
     n, labels, counts = p.n, p.labels, p.counts
     lead = np.arange(n)
     k = np.ones(n, dtype=np.int64)
-    gid = p.ds.bit_group_ids()
+    gid = p.ds.identical_group_labels()
     key = labels * n + gid
     if policy.mode != "singletons" and gid.max() < n - 1:
         _, first, inv, size = np.unique(key, return_index=True,
@@ -142,17 +144,16 @@ def verify_stability(p: Partition, policy: SubsetPolicy = BOTH) -> StabilityRepo
 
 
 def _group_rows(ds: Dataset):
-    """Bit group ids, one point per group (at least two rows: a one-row
-    product is a vector-matrix product, which rounds differently), and
-    those points' squared norms. The ids and each group's first point are
-    the Dataset's, computed once, so this only indexes."""
-    first = ds.bit_group_leads()
-    rep = ds.points[first] if first.size > 1 else ds.points[[0, 0]]
-    return ds.bit_group_ids(), rep, (rep * rep).sum(axis=1)
+    """Ids of the groups of identical points, one point per group (at
+    least two rows: a one-row product is a vector-matrix product, which
+    rounds differently), and those points' squared norms. The ids and
+    first points are the Dataset's, computed once, so this only indexes."""
+    rep = ds.unique_rows() if ds.group_leads().size > 1 else ds.points[[0, 0]]
+    return ds.identical_group_labels(), rep, (rep * rep).sum(axis=1)
 
 
 def _pair_rows(labels: np.ndarray, m: int, groups):
-    """The occupied (member, cluster, bit group) rows of the labelings
+    """The occupied (member, cluster, group) rows of the labelings
     labels (B, N) onto m clusters, found without a sort: exactly
     np.unique(key, return_index=True, return_counts=True) of the keys
     (member * m + label) * n_groups + group id.
@@ -201,17 +202,17 @@ def _chunk_moves(st: PartitionStack, active: np.ndarray, policy: SubsetPolicy,
     """_best_moves of one chunk of members, scored all at once.
 
     Moves are ranked on (delta, donor, acceptor, first index, subset size).
-    A row per occupied (cluster, bit group) pair, led by its first point,
+    A row per occupied (cluster, group) pair, led by its first point,
     carries the single-point move and, when the pair holds two or more
-    points, the whole-group move: bit-identical twins in one cluster have
-    bit-identical deltas, so the pair's first point stands for all of them.
+    points, the whole-group move: identical twins have equal bits, so in
+    one cluster equal deltas, and the pair's first point stands for all.
     The rows come from _pair_rows, whose key space is no larger than the
     rows x clusters of deltas scored here. The size factors of the delta
     are computed on the shapes they depend on, a single point's on
     (members, clusters) and a group's on (rows, clusters) and rows, with
     the operations transfer_deltas applies to them. groups is
     _group_rows(st.ds); group_sums caches by (group, k) the coordinate sum
-    and sum of |x|^2 of k points of a group, which any k bit-identical rows
+    and sum of |x|^2 of k points of a group, which any k identical rows
     give in the same bits; allowed, a mask over clusters, confines donors
     and acceptors.
     """
@@ -362,7 +363,7 @@ def _corrected_winner(p: Partition, count: int, labelled, m: int,
     the labels (members, N) onto m clusters of the candidates in the slice
     sel of range(count). They go as one stack, in waves of core.WAVE_BUDGET
     members x rows x (d + 1) cells, each corrected by one loop sized by the
-    occupied (cluster, bit group) rows of p, which no candidate exceeds;
+    occupied (cluster, group) rows of p, which no candidate exceeds;
     the lowest (E, tie) wins (core._step_winner).
     """
     per_member = _pair_rows(p.labels[None], p.m, _group_rows(p.ds))[0].size * m
@@ -456,8 +457,7 @@ def build_sequence(ds: Dataset, m_max: int, policy: SubsetPolicy = BOTH,
     route stabilizes, kmeans_sequence(ds, m_max) when not given; a caller
     that already has it passes it in.
     """
-    groups = ds.identical_group_labels()
-    v = int(groups.max()) + 1
+    v = ds.group_leads().size
     if not 1 <= m_max <= v:
         raise PreconditionError("m_max must lie between 1 and the distinct point count")
     if kmeans is None:
@@ -479,7 +479,7 @@ def build_sequence(ds: Dataset, m_max: int, policy: SubsetPolicy = BOTH,
         part = split_step(part, policy)
         record(part.m, part, "bottom_up", 0)
 
-    part = Partition.from_labels(ds, groups, v)
+    part = Partition.from_labels(ds, ds.identical_group_labels(), v)
     if v <= m_max:
         record(v, part, "top_down", 0)
     for _ in range(v - 1, 0, -1):

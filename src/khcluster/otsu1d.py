@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, PreconditionError, SizeGuardError, _chunks, sigma
+from .core import (Dataset, PreconditionError, SizeGuardError, _chunks,
+                   frozen_floats, sigma)
 
 MAX_DISTINCT = 4096  # the DP is O(m * V^2); keep V desk-scale
 
@@ -49,13 +50,14 @@ class Histogram:
 
 
 def build_histogram(data) -> Histogram:
-    """Histogram of a 1-D array or a one-dimensional Dataset."""
+    """Histogram of a 1-D array or a one-dimensional Dataset, its values
+    stored as a Dataset stores them (core.frozen_floats)."""
     if isinstance(data, Dataset):
         if data.d != 1:
             raise PreconditionError("thresholding requires one-dimensional data")
         x = data.points[:, 0]
     else:
-        x = np.asarray(data, dtype=np.float64)
+        x = frozen_floats(data)
         if x.ndim != 1:
             raise PreconditionError("expected a flat array of values")
         if x.size == 0:

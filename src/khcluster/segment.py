@@ -23,9 +23,9 @@ the numpy kernels (see SegmentMap). One table of every pixel's
 connectivity lock and the region labeller all read it. One labeller of
 4-connected regions of equal value finds the flat zones (regions of equal
 intensity) and audits connectivity (regions of equal label, one per
-segment). A pixel group is the pixels of equal intensity; GrayImage
-stores -0.0 as 0.0, so they have equal bits too. The audit,
-check_consistency, compares the map with a fresh one and changes nothing.
+segment). A pixel group is the pixels of equal intensity, which have
+equal bits too (core.frozen_floats). The audit, check_consistency,
+compares the map with a fresh one and changes nothing.
 """
 
 from __future__ import annotations
@@ -39,14 +39,14 @@ import numpy as np
 from . import reclass
 from .core import (REFRESH_INTERVAL, InputFormatError,
                    InternalConsistencyError, PreconditionError,
-                   clamped_cluster_energy, sigma)
+                   clamped_cluster_energy, frozen_floats, sigma)
 
 
 @dataclass(frozen=True)
 class GrayImage:
     """Grayscale raster, intensities in [0, 255], row-major flat storage.
 
-    -0.0 is stored as 0.0, so pixels of equal intensity have equal bits.
+    Stored through core.frozen_floats, so equal intensities have equal bits.
     """
 
     width: int
@@ -56,15 +56,13 @@ class GrayImage:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise PreconditionError("image must have positive dimensions")
-        px = np.asarray(self.intensities, dtype=np.float64)
+        px = frozen_floats(self.intensities)
         if px.shape != (self.width * self.height,):
             raise PreconditionError("intensity buffer does not match dimensions")
         if not np.all(np.isfinite(px)):
             raise PreconditionError("intensities must be finite")
         if px.min() < 0.0 or px.max() > 255.0:
             raise PreconditionError("intensities must lie in [0, 255]")
-        px = px + 0.0  # a copy, which stores -0.0 as 0.0
-        px.setflags(write=False)
         object.__setattr__(self, "intensities", px)
 
     @classmethod

@@ -37,10 +37,21 @@ def test_dataset_points_are_frozen():
 
 
 def test_identical_group_labels():
+    """Equal rows share a group, -0.0 is stored as 0.0 and joins the 0.0
+    group, and the grouping is computed once into read-only arrays."""
     ds = Dataset([[1.0], [3.0], [1.0], [2.0]])
     lab = ds.identical_group_labels()
     assert lab[0] == lab[2]
     assert len(set(lab.tolist())) == 3
+    assert not np.signbit(Dataset([[-0.0]]).points).any()
+    ds = Dataset([[0.0, 1.0], [-0.0, 1.0], [2.0, 1.0], [0.0, 1.0]])
+    ids, leads = ds.identical_group_labels(), ds.group_leads()
+    assert ids.tolist() == [0, 0, 1, 0] and leads.tolist() == [0, 2]
+    assert ds.identical_group_labels() is ids and ds.group_leads() is leads
+    for a in (ids, leads, ds.points):
+        with pytest.raises(ValueError):
+            a[0] = 1
+    assert np.array_equal(ds.unique_rows(), [[0.0, 1.0], [2.0, 1.0]])
 
 
 def test_single_cluster_energy():

@@ -1,6 +1,7 @@
 """Reclassification engine: stability, correction loops, merge/split sequences."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +41,21 @@ def test_verify_stability_is_pure():
     before = res.partition.labels.copy()
     verify_stability(res.partition)
     assert np.array_equal(res.partition.labels, before)
+
+
+def test_identical_points_are_equal_values():
+    """0.0 and -0.0 are one point: build_sequence on the oracle12 fixture,
+    which holds both, gives the labels and E bits of the same points with
+    -0.0 written as 0.0, and the audit moves the three zeros of
+    [0, -0, 0 | 5, 6] as one group (which would empty their cluster), so it
+    checks only the 5 single-point moves."""
+    x = np.loadtxt(Path(__file__).parent / "data" / "cluster_oracle12" / "input.csv")
+    assert np.signbit(x).any() and (x == 0.0).sum() > 1
+    got, want = build_sequence(Dataset(x), 4), build_sequence(Dataset(x + 0.0), 4)
+    for m in range(1, 5):
+        assert_same_bits(got.by_cluster_count[m], want.by_cluster_count[m])
+    p = Partition.from_labels(Dataset([[0.0], [-0.0], [0.0], [5.0], [6.0]]), [0, 0, 0, 1, 1])
+    assert verify_stability(p).checked_subsets == 5
 
 
 def _offset_instance():
@@ -688,9 +704,9 @@ def test_correct_tuples_matches_one_move_at_a_time():
 
 def test_pair_rows_match_np_unique():
     """The kernel's row table, built without a sort, is exactly np.unique of
-    its (member, cluster, bit group) keys with first indices and counts, on
+    its (member, cluster, group) keys with first indices and counts, on
     random label stacks over heavily duplicated points, signed zeros (0.0
-    and -0.0 are two groups), a single value and all-distinct points; also
+    and -0.0 are one group), a single value and all-distinct points; also
     for one member and for two clusters."""
     rng = np.random.default_rng(616)
     for kind in ("duplicates", "signed zeros", "one value", "distinct"):
@@ -715,5 +731,5 @@ def test_pair_rows_match_np_unique():
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
     zeros = Dataset([[0.0], [-0.0], [0.0]])
-    assert zeros.bit_group_ids().tolist() == [1, 0, 1]
-    assert zeros.bit_group_leads().tolist() == [1, 0]
+    assert zeros.identical_group_labels().tolist() == [0, 0, 0]
+    assert zeros.group_leads().tolist() == [0]

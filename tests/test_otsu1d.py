@@ -20,6 +20,17 @@ def test_histogram_aggregates_duplicates():
     assert h.counts.tolist() == [3, 1]
 
 
+def test_histogram_values_do_not_depend_on_signed_zero_order():
+    """0.0 and -0.0 are one value, stored as 0.0, whichever comes first, so
+    the histograms and thresholds of both orders have the same bytes."""
+    hists = [build_histogram(np.array(x)) for x in
+             ([-0.0, 0.0, 0.0, 5.0, 6.0], [0.0, -0.0, 0.0, 5.0, 6.0])]
+    assert hists[0].values.tobytes() == hists[1].values.tobytes()
+    assert not np.signbit(hists[0].values).any()
+    cuts = [optimal_thresholds(h, 2)[0] for h in hists]
+    assert cuts[0].tobytes() == cuts[1].tobytes() == np.array([0.0]).tobytes()
+
+
 def test_histogram_from_dataset_requires_1d():
     h = build_histogram(Dataset([0.0, 1.0]))
     assert h.n == 2

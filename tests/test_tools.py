@@ -24,3 +24,50 @@ def test_exact_outputs_writes_every_job_of_a_seed(tmp_path):
     assert len(reports) == 14
     for f in reports:
         json.loads(f.read_text(encoding="utf-8"))
+
+
+def _write_tree(root: Path, kh_e2: float) -> None:
+    """A small exact_outputs tree: one cluster job (report.json and
+    comparison.csv) and one segment job; kh_e2 is kh's E at m = 2."""
+    job = root / "out" / "dup1d" / "101" / "0"
+    job.mkdir(parents=True)
+    methods = {"kh": {"1": {"E": 8.0, "labels": [0, 0, 0]},
+                      "2": {"E": kh_e2, "labels": [0, 0, 1]}},
+               "kmeans": {"1": {"E": 8.0, "labels": [0, 0, 0]},
+                          "2": {"E": 0.5, "labels": [0, 0, 1]}}}
+    (job / "report.json").write_text(json.dumps({"methods": methods}), encoding="utf-8")
+    (job / "comparison.csv").write_text(
+        f"m,E_kmeans,E_kh\n1,8.0,8.0\n2,0.5,{kh_e2!r}\n", encoding="utf-8")
+    seg = root / "out" / "seg32" / "101" / "0"
+    seg.mkdir(parents=True)
+    (seg / "segment_curve.csv").write_text(
+        "count,E,sigma,variant\n2,4.0,1,merge_only\n1,9.0,2,merge_only\n", encoding="utf-8")
+
+
+def test_e_deltas_reports_exactly_the_changed_records(tmp_path):
+    """tools/e_deltas.py reports zeros and exits 0 on two identical trees,
+    and on a tree with one edited E (in report.json and comparison.csv)
+    exactly that record: both files, no label change, one E change up."""
+    for name, e in (("a", 0.5), ("b", 0.5), ("c", 0.75)):
+        _write_tree(tmp_path / name, e)
+
+    def run(other):
+        return subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "e_deltas.py"), str(tmp_path / "a"),
+             str(tmp_path / other)], capture_output=True, text=True, check=False)
+
+    same = run("b")
+    assert same.returncode == 0, same.stderr
+    assert same.stdout.splitlines() == [
+        f"{w}: 0 files differ, 0 records with changed labels, 0 records with changed E "
+        "(max relative dE 0.0e+00, 0 up, 0 down)" for w in ("dup1d", "seg32")]
+    edited = run("c")
+    assert edited.returncode == 1, edited.stderr
+    assert edited.stdout.splitlines() == [
+        "dup1d: 2 files differ, 0 records with changed labels, 1 records with changed E "
+        "(max relative dE 5.0e-01, 1 up, 0 down)",
+        "  file dup1d/101/0/comparison.csv",
+        "  file dup1d/101/0/report.json",
+        "  E dup1d/101/0 kh m=2: 0.5 -> 0.75 (relative 5.0e-01)",
+        "seg32: 0 files differ, 0 records with changed labels, 0 records with changed E "
+        "(max relative dE 0.0e+00, 0 up, 0 down)"]
