@@ -29,6 +29,14 @@ rounds differently from the same column of a wider one, and computes the
 size factors of the delta (reclass.size_factors) on the shapes they
 depend on, not on every (row, variant, acceptor) cell.
 
+build_sequence's top_down route corrects its merges only near the counts
+it records: while the partition has more than CORRECTED_SPAN x m_max
+clusters it merges the pair of lowest raw Ward cost, uncorrected
+(_ward_step; plain Ward agglomeration), and from that count down it runs
+merge_step. merge_step and _ward_step read their pairs, raw costs and
+relabel rows from one helper, _merges, which builds the rows only for
+the pairs asked for: a wave's, or the Ward winner's.
+
 Identical points have equal values, so equal bits (core.frozen_floats);
 the audit, the kernel and the top_down start read one grouping of them,
 made once per Dataset. A pass scores one row per occupied (member,
@@ -56,6 +64,11 @@ from .core import (Dataset, Partition, PartitionSequence, PartitionStack,
 # Exact farthest-pair search is quadratic; larger clusters fall back to the
 # deterministic two-hop approximation.
 FARTHEST_PAIR_EXACT_LIMIT = 2048
+
+# build_sequence's top_down route corrects its merges (merge_step) only
+# from CORRECTED_SPAN x m_max clusters down; above that count, where no
+# level is recorded, it merges by raw Ward cost alone (_ward_step).
+CORRECTED_SPAN = 2
 
 
 @dataclass(frozen=True)
@@ -375,23 +388,47 @@ def _corrected_winner(p: Partition, count: int, labelled, m: int,
     return best[1]
 
 
-def merge_step(p: Partition, policy: SubsetPolicy = BOTH) -> Partition:
-    """Merge the pair whose post-correction error is lowest.
-
-    Every pair is tentatively merged and corrected to pair stability; the
-    candidate with minimal corrected E wins. Exact ties fall back to the
-    smaller raw merge cost, then the lower pair of ids (_corrected_winner).
+def _merges(p: Partition):
+    """The merges of p's cluster pairs (a, b), a < b, in np.triu_indices
+    order: their raw Ward costs (reclass.merge_deltas of the centroids),
+    and relabel(sel), the label maps (pairs in the slice sel, m) of those
+    merges, built only for the pairs asked for. In the merge of (a, b),
+    cluster c becomes c, a, or c - 1 below, at, above b.
     """
     if p.m < 2:
         raise PreconditionError("merging needs at least two clusters")
     a, b = np.triu_indices(p.m, 1)
     cent = p.centroids()
     raw = reclass.merge_deltas(sq_norms(cent[a] - cent[b]), p.counts[a], p.counts[b])
-    # cluster c of the pair (a, b) becomes c, a, or c - 1 below, at, above b
-    relabel = np.arange(p.m) - (np.arange(p.m) > b[:, None])
-    relabel[np.arange(a.size), b] = a
-    return _corrected_winner(p, a.size, lambda sel: relabel[sel][:, p.labels],
+
+    def relabel(sel: slice) -> np.ndarray:
+        rows = np.arange(p.m) - (np.arange(p.m) > b[sel][:, None])
+        rows[np.arange(rows.shape[0]), b[sel]] = a[sel]
+        return rows
+
+    return raw, relabel
+
+
+def merge_step(p: Partition, policy: SubsetPolicy = BOTH) -> Partition:
+    """Merge the pair whose post-correction error is lowest.
+
+    Every pair is tentatively merged and corrected to pair stability; the
+    candidate with minimal corrected E wins. Exact ties fall back to the
+    smaller raw merge cost, then the lower pair of ids (_corrected_winner).
+    The relabel rows are built a wave at a time (_merges).
+    """
+    raw, relabel = _merges(p)
+    return _corrected_winner(p, raw.size, lambda sel: relabel(sel)[:, p.labels],
                              p.m - 1, policy, raw)
+
+
+def _ward_step(p: Partition) -> Partition:
+    """Merge the pair of lowest raw Ward cost, uncorrected, the lower pair
+    of ids on an exact tie (the first minimum in _merges order), with the
+    ids of merge_step; the result's statistics are computed fresh."""
+    raw, relabel = _merges(p)
+    i = int(np.argmin(raw))
+    return Partition.from_labels(p.ds, relabel(slice(i, i + 1))[0][p.labels], p.m - 1)
 
 
 def _farthest_pair(sub: np.ndarray) -> tuple[int, int]:
@@ -444,7 +481,10 @@ def build_sequence(ds: Dataset, m_max: int, policy: SubsetPolicy = BOTH,
     Three routes run: bottom_up splits from the single cluster, top_down
     merges from the partition into groups of identical points (zero error),
     and kmeans stabilizes each incrementally seeded k-means partition with
-    correct_pairs. The lowest error per count is kept, preferring the
+    correct_pairs. top_down merges by raw Ward cost alone (_ward_step)
+    while more than CORRECTED_SPAN x m_max clusters remain, and by
+    merge_step from there, so every partition it records comes from a
+    corrected step. The lowest error per count is kept, preferring the
     routes in that order on exact ties. The k-means route is what
     guarantees the sequence never ends above the k-means baseline; the
     greedy split/merge constructions alone can lose to incremental seeding
@@ -482,7 +522,9 @@ def build_sequence(ds: Dataset, m_max: int, policy: SubsetPolicy = BOTH,
     part = Partition.from_labels(ds, ds.identical_group_labels(), v)
     if v <= m_max:
         record(v, part, "top_down", 0)
-    for _ in range(v - 1, 0, -1):
+    while part.m > CORRECTED_SPAN * m_max:
+        part = _ward_step(part)
+    while part.m > 1:
         part = merge_step(part, policy)
         if part.m <= m_max:
             record(part.m, part, "top_down", 0)

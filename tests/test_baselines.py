@@ -369,7 +369,7 @@ def test_chunks_waves_and_dp_blocks_keep_their_bounds(monkeypatch, budget, wave)
     passes compute distances at most core.STACK_BUDGET members x groups x
     clusters at a time. With the default bounds a growth step of 200
     points in 1-D runs in one wave, one of 100 points in 32-D in two, and
-    the first merge step of 24 points in 2-D in one."""
+    a merge step of 24 singletons in 2-D in one."""
     if budget is not None:
         monkeypatch.setattr(core, "STACK_BUDGET", budget)
     if wave is not None:
@@ -442,12 +442,13 @@ def test_chunks_waves_and_dp_blocks_keep_their_bounds(monkeypatch, budget, wave)
     blobs = Dataset(np.round(rng.normal(0.0, 1.0, (24, 2))
                              + np.repeat([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]], 8, axis=0), 2))
     kh_engine.build_sequence(blobs, 4)
+    kh_engine.merge_step(Partition.from_labels(blobs, np.arange(24)))
     assert tiled and kh_chunks
     assert all(b * n * c <= core.WAVE_BUDGET or b == 1 for b, n, c in tiled)
     assert all(b * n * m <= core.STACK_BUDGET or b == 1 for b, n, m in kh_chunks)
     assert max(b for b, _, _ in tiled) > 1 or core.WAVE_BUDGET < 2 * 24 * 3
     if wave is None:
-        assert max(b for b, _, _ in tiled) == 24 * 23 // 2  # the first merge step
+        assert max(b for b, _, _ in tiled) == 24 * 23 // 2  # the singletons' merge step
 
 
 def test_a_member_whose_error_rises_raises(monkeypatch):

@@ -642,10 +642,11 @@ def _blobs(per_blob: int) -> Dataset:
 
 @pytest.mark.parametrize("waves", [1, 3])
 def test_one_correction_loop_per_step_and_wave(monkeypatch, waves):
-    """build_sequence runs one correction loop per merge or split step and
-    one per record of the kmeans route at the default budgets, on 32 blob
-    points; a wave budget that cuts the first merge step (496 candidates
-    of 32 x 3 cells) into waves of 200 runs it as 3 loops."""
+    """build_sequence runs one correction loop per corrected merge step
+    (from kh_engine.CORRECTED_SPAN x m_max clusters down), per split step
+    and per record of the kmeans route at the default budgets, on 32 blob
+    points; a wave budget that cuts the merge step of the 32 singletons
+    (496 candidates of 32 x 3 cells) into waves of 200 runs it as 3 loops."""
     if waves > 1:
         monkeypatch.setattr(core, "WAVE_BUDGET", 200 * 32 * 3)
     loops = []
@@ -663,7 +664,119 @@ def test_one_correction_loop_per_step_and_wave(monkeypatch, waves):
     if waves == 1:
         loops.clear()
         build_sequence(ds, 6)
-        assert len(loops) == (ds.n - 1) + (6 - 1) + 6
+        assert len(loops) == (2 * 6 - 1) + (6 - 1) + 6
+
+
+def _top_down_reference_sets():
+    """Blob sets of 24, 28 and 32 distinct points in 2-D, 60 points on 14
+    values in 1-D, and 28 uniform points in 2-D."""
+    rng = np.random.default_rng(2202)
+    sets = []
+    for per_blob in (6, 7, 8):
+        pts = np.repeat([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0], [8.0, 8.0]], per_blob, axis=0)
+        sets.append(Dataset(np.round(pts + rng.normal(0.0, 1.5, pts.shape), 2)))
+    sets.append(Dataset(rng.choice(np.arange(14.0), 60, p=np.arange(1.0, 15.0) / 105)))
+    sets.append(Dataset(np.round(rng.uniform(0.0, 10.0, (28, 2)), 2)))
+    return sets
+
+
+def _same_clusters(a: np.ndarray, b: np.ndarray) -> bool:
+    """Two labelings hold the same clusters, whatever their ids."""
+    pairs = np.unique(np.stack([a, b]), axis=1)
+    return pairs.shape[1] == np.unique(a).size == np.unique(b).size
+
+
+def test_ward_levels_keep_the_full_search(monkeypatch):
+    """The top_down route's uncorrected Ward levels above
+    CORRECTED_SPAN x m_max clusters change no recorded partition: on
+    _top_down_reference_sets, for m_max 2 to 6, build_sequence and its
+    top_down route (the merge steps at m <= m_max) give the clusters (up to
+    their ids) of the full search, in which every merge level is corrected,
+    and E within 1e-12 relative. The full search is prefix-consistent in
+    m_max (every route is), so it runs once, at 6."""
+    wards, steps = [], []
+    ward_step, step = kh_engine._ward_step, kh_engine.merge_step
+
+    def recorded(p, policy=BOTH):
+        steps.append(step(p, policy))
+        return steps[-1]
+
+    monkeypatch.setattr(kh_engine, "_ward_step", lambda p: wards.append(p.m) or ward_step(p))
+    monkeypatch.setattr(kh_engine, "merge_step", recorded)
+    for ds in _top_down_reference_sets():
+        with monkeypatch.context() as full:
+            full.setattr(kh_engine, "CORRECTED_SPAN", ds.n)
+            ref = build_sequence(ds, 6)
+        assert not wards
+        ref_steps = {q.m: q for q in steps}
+        for m_max in range(2, 7):
+            steps.clear()
+            seq = build_sequence(ds, m_max)
+            route = {q.m: q for q in steps}
+            for m in range(1, m_max + 1):
+                for got, want in ((seq.by_cluster_count[m], ref.by_cluster_count[m]),
+                                  (route[m], ref_steps[m])):
+                    assert _same_clusters(got.labels, want.labels), (ds.n, m_max, m)
+                    assert got.total_e == pytest.approx(want.total_e, rel=1e-12, abs=0.0)
+        assert min(wards) == 2 * 2 + 1 and max(wards) == ds.unique_rows().shape[0]
+        wards.clear()
+        steps.clear()
+
+
+def test_recorded_top_down_partitions_are_stable(monkeypatch):
+    """Every top_down partition build_sequence records comes from a
+    corrected merge step, so it verifies stable, at every m_max: the Ward
+    levels stop above m_max clusters."""
+    steps = []
+    step = kh_engine.merge_step
+
+    def recorded(p, policy=BOTH):
+        steps.append(step(p, policy))
+        return steps[-1]
+
+    monkeypatch.setattr(kh_engine, "merge_step", recorded)
+    for ds in _top_down_reference_sets():
+        for m_max in (2, 4, 6):
+            steps.clear()
+            build_sequence(ds, m_max)
+            assert [q.m for q in steps] == list(range(2 * m_max - 1, 0, -1))
+            for q in steps[-m_max:]:
+                assert verify_stability(q).stable
+
+
+def test_ward_step_takes_the_lower_pair_on_a_tied_raw_cost():
+    """Merging the singletons 1 and 3 and merging the twin pairs 2 and 4
+    both cost exactly 1 (2 x 1/2 and 1 x 2 x 2/4). The Ward step merges the
+    lower pair, (1, 3): 3 joins 1 and 4 becomes 3, as in merge_step, which
+    picks the same pair (equal corrected E, no move, equal raw cost)."""
+    ds = Dataset([[100.0, 100.0], [0.0, 0.0], [50.0, 0.0], [50.0, 0.0], [1.0, 1.0],
+                  [51.0, 0.0], [51.0, 0.0]])
+    p = Partition.from_labels(ds, [0, 1, 2, 2, 3, 4, 4])
+    raw, _ = kh_engine._merges(p)
+    assert np.sort(raw)[:2].tolist() == [1.0, 1.0]
+    q = kh_engine._ward_step(p)
+    assert q.labels.tolist() == [0, 1, 2, 2, 1, 3, 3]
+    assert_same_bits(q, Partition.from_labels(ds, q.labels, 4))
+    r = merge_step(p)
+    assert r.labels.tolist() == q.labels.tolist() and r.total_e == q.total_e == 1.0
+
+
+def test_merge_relabel_rows_by_the_slice():
+    """The relabel rows of a slice of merges are the full matrix's rows
+    for that slice, and row (a, b) maps b to a and every id above b one
+    down."""
+    rng = np.random.default_rng(22)
+    ds = random_dataset(rng, 30, 2)
+    p = Partition.from_labels(ds, random_labels(rng, 30, 7))
+    raw, relabel = kh_engine._merges(p)
+    full = relabel(slice(None))
+    a, b = np.triu_indices(7, 1)
+    assert full.shape == (raw.size, 7) == (21, 7)
+    for i in range(21):
+        want = [a[i] if c == b[i] else c - (c > b[i]) for c in range(7)]
+        assert full[i].tolist() == want
+    for sel in (slice(0, 1), slice(5, 13), slice(20, 21), slice(17, 40)):
+        assert np.array_equal(relabel(sel), full[sel])
 
 
 def _tuples_one_move_at_a_time(p, l, policy):

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -26,13 +28,14 @@ def test_exact_outputs_writes_every_job_of_a_seed(tmp_path):
         json.loads(f.read_text(encoding="utf-8"))
 
 
-def _write_tree(root: Path, kh_e2: float) -> None:
+def _write_tree(root: Path, kh_e2: float, kh_labels2=(0, 0, 1)) -> None:
     """A small exact_outputs tree: one cluster job (report.json and
-    comparison.csv) and one segment job; kh_e2 is kh's E at m = 2."""
+    comparison.csv) and one segment job; kh_e2 and kh_labels2 are kh's E
+    and labels at m = 2."""
     job = root / "out" / "dup1d" / "101" / "0"
     job.mkdir(parents=True)
     methods = {"kh": {"1": {"E": 8.0, "labels": [0, 0, 0]},
-                      "2": {"E": kh_e2, "labels": [0, 0, 1]}},
+                      "2": {"E": kh_e2, "labels": list(kh_labels2)}},
                "kmeans": {"1": {"E": 8.0, "labels": [0, 0, 0]},
                           "2": {"E": 0.5, "labels": [0, 0, 1]}}}
     (job / "report.json").write_text(json.dumps({"methods": methods}), encoding="utf-8")
@@ -69,5 +72,27 @@ def test_e_deltas_reports_exactly_the_changed_records(tmp_path):
         "  file dup1d/101/0/comparison.csv",
         "  file dup1d/101/0/report.json",
         "  E dup1d/101/0 kh m=2: 0.5 -> 0.75 (relative 5.0e-01)",
+        "seg32: 0 files differ, 0 records with changed labels, 0 records with changed E "
+        "(max relative dE 0.0e+00, 0 up, 0 down)"]
+
+
+@pytest.mark.parametrize("labels, kind, split", [
+    ((1, 1, 0), "relabelled", "1 relabelled, 0 repartitioned"),
+    ((0, 1, 1), "repartitioned", "0 relabelled, 1 repartitioned")])
+def test_e_deltas_tells_relabelled_from_repartitioned(tmp_path, labels, kind, split):
+    """tools/e_deltas.py calls a record whose labels changed relabelled when
+    it holds the same clusters under other ids ([0, 0, 1] -> [1, 1, 0]),
+    and repartitioned otherwise ([0, 0, 1] -> [0, 1, 1])."""
+    _write_tree(tmp_path / "a", 0.5)
+    _write_tree(tmp_path / "b", 0.5, labels)
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "e_deltas.py"), str(tmp_path / "a"),
+         str(tmp_path / "b")], capture_output=True, text=True, check=False)
+    assert res.returncode == 1, res.stderr
+    assert res.stdout.splitlines() == [
+        f"dup1d: 1 files differ, 1 records with changed labels ({split}), "
+        "0 records with changed E (max relative dE 0.0e+00, 0 up, 0 down)",
+        "  file dup1d/101/0/report.json",
+        f"  {kind} dup1d/101/0 kh m=2",
         "seg32: 0 files differ, 0 records with changed labels, 0 records with changed E "
         "(max relative dE 0.0e+00, 0 up, 0 down)"]

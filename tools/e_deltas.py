@@ -4,11 +4,13 @@ Usage: python3 tools/e_deltas.py OUT1 OUT2
 
 For each workload under OUT1/out and OUT2/out it prints the files whose
 bytes differ (or that only one tree has), the records whose labels
-changed, and the records whose E changed, with the largest relative
-change |E2 - E1| / |E1| and how many went up or down. A record is one
-(method, m) of a cluster or compare job, read from its report.json and,
-for methods the report lacks, its comparison.csv, or one (variant,
-count) of a segment job's segment_curve.csv; it is named
+changed, each either relabelled (the same clusters under other ids) or
+repartitioned, with how many of each when any changed, and the records
+whose E changed, with the largest relative change |E2 - E1| / |E1| and
+how many went up or down. A record is one (method, m) of a cluster or
+compare job, read from its report.json and, for methods the report
+lacks, its comparison.csv, or one (variant, count) of a segment job's
+segment_curve.csv; it is named
 <workload>/<seed>/<input number> <method or variant> m=<count>.
 Exits 0 when the trees are byte-identical, 1 when they differ, 2 on bad
 usage.
@@ -45,14 +47,23 @@ def job_records(job: Path) -> dict[tuple[str, int], tuple[float, list | None]]:
     return records
 
 
+def same_clusters(lab1: list, lab2: list) -> bool:
+    """Two labelings hold the same clusters, whatever their ids: each id
+    of one pairs with exactly one id of the other."""
+    pairs = set(zip(lab1, lab2))
+    return len(lab1) == len(lab2) and len(pairs) == len(set(lab1)) == len(set(lab2))
+
+
 def compare(out1: Path, out2: Path) -> dict[str, dict[str, list]]:
-    """Per workload: the differing files, the records whose labels changed,
-    and (record, E1, E2) of the records whose E changed."""
+    """Per workload: the differing files, the records whose labels changed
+    (relabelled or repartitioned), and (record, E1, E2) of the records
+    whose E changed."""
     files1 = {p.relative_to(out1) for p in out1.rglob("*") if p.is_file()}
     files2 = {p.relative_to(out2) for p in out2.rglob("*") if p.is_file()}
     result = {}
     for workload in sorted({f.parts[0] for f in files1 | files2}):
-        found = result[workload] = {"files": [], "labels": [], "e": []}
+        found = result[workload] = {"files": [], "relabelled": [], "repartitioned": [],
+                                    "e": []}
         jobs = set()
         for f in sorted(f for f in files1 | files2 if f.parts[0] == workload):
             if f not in files1 or f not in files2 or \
@@ -65,7 +76,8 @@ def compare(out1: Path, out2: Path) -> dict[str, dict[str, list]]:
                 (e1, lab1), (e2, lab2) = rec1[key], rec2[key]
                 name = f"{job.as_posix()} {key[0]} m={key[1]}"
                 if lab1 != lab2:
-                    found["labels"].append(name)
+                    kind = "relabelled" if same_clusters(lab1, lab2) else "repartitioned"
+                    found[kind].append(name)
                 if e1 != e2:
                     found["e"].append((name, e1, e2))
     return result
@@ -85,17 +97,21 @@ def main(argv: list[str]) -> int:
         return 2
     result = compare(*outs)
     for workload, found in result.items():
-        e = found["e"]
+        e, relabelled, repartitioned = found["e"], found["relabelled"], found["repartitioned"]
         up = sum(e2 > e1 for _, e1, e2 in e)
         worst = max((relative(e1, e2) for _, e1, e2 in e), default=0.0)
+        labels = len(relabelled) + len(repartitioned)
+        split = f" ({len(relabelled)} relabelled, {len(repartitioned)} repartitioned)" \
+            if labels else ""
         print(f"{workload}: {len(found['files'])} files differ, "
-              f"{len(found['labels'])} records with changed labels, "
+              f"{labels} records with changed labels{split}, "
               f"{len(e)} records with changed E (max relative dE {worst:.1e}, "
               f"{up} up, {len(e) - up} down)")
         for f in found["files"]:
             print(f"  file {f}")
-        for name in found["labels"]:
-            print(f"  labels {name}")
+        for kind in ("relabelled", "repartitioned"):
+            for name in found[kind]:
+                print(f"  {kind} {name}")
         for name, e1, e2 in e:
             print(f"  E {name}: {e1!r} -> {e2!r} (relative {relative(e1, e2):.1e})")
     return 1 if any(found["files"] for found in result.values()) else 0
