@@ -5,13 +5,15 @@ together, each member bit for bit as if run alone. Members whose label
 rows are equal after an assignment have the same future, so each distinct
 trajectory runs once. A growth step of kmeans_sequence runs its candidate
 placements in waves of at most core.WAVE_BUDGET members x rows x (d + 1)
-cells, one wave on small inputs, with distances and assignments at most
-core.STACK_BUDGET members x rows x clusters at a time; lloyd is a stack
-of one. The wave has a bound of its own, since each wave pays the fixed
-costs of every iteration again. The first run of lowest error wins, by
-kh's step winner rule (core._step_winner). The means of every member
-come from core.stacked_sums, the builder of the partitions' statistics;
-the loop needs no sums of squares.
+cells, one wave on small inputs. A wave's first assignment comes from one
+matrix of distances to the kept centroids and the wave's candidates; later
+distances and assignments go at most core.STACK_BUDGET members x rows x
+clusters at a time. lloyd is a stack of one. The wave has a bound of its
+own, since each wave pays the fixed costs of every iteration again. The
+first run of lowest error wins, by kh's step winner rule
+(core._step_winner). The means of every member come from
+core.stacked_sums, the builder of the partitions' statistics; the loop
+needs no sums of squares.
 """
 
 from __future__ import annotations
@@ -111,16 +113,19 @@ def _first_equal_rows(rows: np.ndarray) -> np.ndarray:
     return np.array([first.setdefault(row.tobytes(), k) for k, row in enumerate(rows)])
 
 
-def _lloyd_stack(points: np.ndarray, centers: np.ndarray, labels: np.ndarray | None):
+def _lloyd_stack(points: np.ndarray, centers: np.ndarray, labels: np.ndarray | None,
+                 first: np.ndarray | None = None):
     """Lloyd runs from a stack of B center sets (B, m, d), each member bit
     for bit as if run alone.
 
     labels (B, N) are the members' current labels, or None before the first
-    assignment. A member stops when its labels repeat, or after MAX_ITERS
-    iterations; until then its total error must not increase. Distances and
-    assignments go core.STACK_BUDGET members x rows x clusters at a time.
-    Returns the final labels (B, N), each member's iteration count and
-    whether it converged.
+    assignment. first (B, N), when given, is the first assignment to the
+    centers, made by the caller (_grow_one scores a wave's from one
+    matrix); it counts as the first iteration. A member stops when its
+    labels repeat, or after MAX_ITERS iterations; until then its total
+    error must not increase. Distances and assignments go core.STACK_BUDGET
+    members x rows x clusters at a time. Returns the final labels (B, N),
+    each member's iteration count and whether it converged.
 
     Once assigned, a member's future (means, repair, next assignment, stop)
     depends on its labels alone, so live members with equal label rows run
@@ -138,9 +143,12 @@ def _lloyd_stack(points: np.ndarray, centers: np.ndarray, labels: np.ndarray | N
     live = np.arange(b)
     prev_e = np.full(b, np.inf)
     for it in range(1, MAX_ITERS + 1):
-        new = np.concatenate([_assign(squared_distances(points, centers[sel]),
-                                      None if labels is None else labels[sel])
-                              for sel in _chunks(live.size, n * m)])
+        if it == 1 and first is not None:
+            new = first
+        else:
+            new = np.concatenate([_assign(squared_distances(points, centers[sel]),
+                                          None if labels is None else labels[sel])
+                                  for sel in _chunks(live.size, n * m)])
         if labels is not None:
             done = (new == labels).all(axis=1)
             if done.any():
@@ -209,23 +217,41 @@ def _candidate_rows(ds: Dataset, rng_seed: int) -> np.ndarray:
     return cands
 
 
+def _first_labels(points: np.ndarray, kept: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """The first assignment (B, N) of the center sets kept + one row of
+    cands (B, d), from one (N, m - 1 + B) matrix of squared distances.
+
+    A point joins the new center, id m - 1, exactly when its distance to
+    it is strictly below its kept minimum: the first minimum argmin takes
+    on the member's own row, whose columns (core.squared_distances) have
+    the bits of this matrix's.
+    """
+    d2 = squared_distances(points, np.concatenate((kept, cands)))
+    m1 = kept.shape[0]
+    near = d2[:, :m1].argmin(axis=1)
+    return np.where(d2[:, m1:].T < d2[np.arange(points.shape[0]), near], m1, near)
+
+
 def _grow_one(ds: Dataset, prev: Partition, rng_seed: int):
     """Best Lloyd run over all candidate placements of one extra center.
 
     The runs go as one stack, in waves of core.WAVE_BUDGET members x rows x
-    (d + 1) cells (runs with equal label rows go once); the first run
-    that attains the lowest error wins (core._step_winner), and only it
-    becomes a Partition. Only the first of each distinct final label row
-    gets statistics: equal rows have equal error bits, so the first
-    minimum is always such a first row.
+    (d + 1) cells (runs with equal label rows go once), each wave's first
+    assignment from one matrix (_first_labels); the first run that attains
+    the lowest error wins (core._step_winner), and only it becomes a
+    Partition. Only the first of each distinct final label row gets
+    statistics: equal rows have equal error bits, so the first minimum is
+    always such a first row.
     """
     cands = _candidate_rows(ds, rng_seed)
     m = prev.m + 1
-    base = np.broadcast_to(prev.centroids(), (cands.shape[0], prev.m, ds.d))
+    kept = prev.centroids()
+    base = np.broadcast_to(kept, (cands.shape[0], prev.m, ds.d))
     centers = np.concatenate((base, cands[:, None, :]), axis=1)
     best, iters = None, 0
     for sel in _waves(cands.shape[0], ds):
-        labels, iterations, _ = _lloyd_stack(ds.points, centers[sel], None)
+        labels, iterations, _ = _lloyd_stack(ds.points, centers[sel], None,
+                                             _first_labels(ds.points, kept, cands[sel]))
         iters += int(iterations.sum())
         first = np.flatnonzero(_first_equal_rows(labels) == np.arange(labels.shape[0]))
         st = PartitionStack.from_labels(ds, labels[first], m)

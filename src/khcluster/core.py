@@ -41,7 +41,8 @@ STACK_BUDGET = 8192
 # merge or split candidates of a kh step, or the Lloyd runs of a k-means
 # growth step. A wave holds members x rows x (d + 1) of them, the tiled
 # points and |x|^2 of PartitionStack.from_labels; the tiled points of the
-# means and each point's own center are members x rows x d. A wave holds
+# means and each point's own center are members x rows x d, and a growth
+# step's first distances rows x (kept centroids + members). A wave holds
 # several such arrays of at most 2 MiB each, whatever d; every candidate
 # of 200 points in 1-D goes in one wave. On those points peak memory rose
 # with STACK_BUDGET, not with this bound.
@@ -486,15 +487,19 @@ class PartitionSequence:
 
 def squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances of x (N, d) to centers (m, d),
-    or to each of a stack of them (B, m, d): (N, m) or (B, N, m), clipped at zero.
+    or to each of a stack of them (B, m, d): (N, m) or (B, N, m).
 
-    Built in place in the product's array, with no temporary of the
-    output's size: -2 x.c + |x|^2 + |c|^2 has the bits of
-    |x|^2 - 2 x.c + |c|^2, since doubling and negation are exact and
-    addition commutes."""
-    d2 = x @ centers.swapaxes(-1, -2)
-    d2 *= -2.0
-    d2 += (x * x).sum(axis=1)[:, None]
-    d2 += (centers * centers).sum(axis=-1)[..., None, :]
-    np.maximum(d2, 0.0, out=d2)
+    Summed from coordinate differences, sum_j (x_j - c_j)^2, one coordinate
+    at a time into the output's array, with one temporary of its size when
+    d > 1. Each entry depends only on its own point and center, so a column
+    has the same bits whatever else is computed with it, and translating
+    integer-valued points and centers by an integer keeps the bits while
+    the translated coordinates are exact."""
+    d2 = np.subtract(x[:, None, 0], centers[..., None, :, 0])
+    d2 *= d2
+    diff = np.empty_like(d2) if x.shape[1] > 1 else None
+    for j in range(1, x.shape[1]):
+        np.subtract(x[:, None, j], centers[..., None, :, j], out=diff)
+        diff *= diff
+        d2 += diff
     return d2

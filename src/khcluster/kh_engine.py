@@ -23,11 +23,9 @@ winner rule of core._step_winner. correct_pairs and
 correct_tuples are _correct_stack on one partition, a stack of one whose
 moves are Partition.move calls, the latter with a mask of the clusters of
 each tuple (it ends pair-stable too, and nothing in the package calls
-it). Each pass recomputes d2 to every centroid with one stacked matmul,
-since numpy computes a one-column product as a matrix-vector product that
-rounds differently from the same column of a wider one, and computes the
-size factors of the delta (reclass.size_factors) on the shapes they
-depend on, not on every (row, variant, acceptor) cell.
+it). Each pass recomputes d2 to every centroid (core.squared_distances)
+and computes the size factors of the delta (reclass.size_factors) on the
+shapes they depend on, not on every (row, variant, acceptor) cell.
 
 build_sequence's top_down route corrects its merges only near the counts
 it records: while the partition has more than CORRECTED_SPAN x m_max
@@ -157,11 +155,10 @@ def verify_stability(p: Partition, policy: SubsetPolicy = BOTH) -> StabilityRepo
 
 
 def _group_rows(ds: Dataset):
-    """Ids of the groups of identical points, one point per group (at
-    least two rows: a one-row product is a vector-matrix product, which
-    rounds differently), and those points' squared norms. The ids and
-    first points are the Dataset's, computed once, so this only indexes."""
-    rep = ds.unique_rows() if ds.group_leads().size > 1 else ds.points[[0, 0]]
+    """Ids of the groups of identical points, one point per group, and
+    those points' squared norms. The ids and first points are the
+    Dataset's, computed once, so this only indexes."""
+    rep = ds.unique_rows()
     return ds.identical_group_labels(), rep, (rep * rep).sum(axis=1)
 
 

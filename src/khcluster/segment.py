@@ -197,8 +197,10 @@ class SegmentMap:
     (as numpy squares an array), which keeps every E bit the same as the
     numpy kernels give.
 
-    Segment ids are dense at construction; merging kills ids but never
-    creates them; the live ids are the keys of pixels. The merge heap is
+    Segment ids are dense at construction: the ranks of the given labels,
+    so every comparison of ids keeps its result, and labels maps them back
+    to the given values. Merging kills ids but never creates them; the
+    live ids are the keys of pixels. The merge heap is
     lazily invalidated: every entry carries the version of both endpoints
     and is discarded when either version moved on, which also discards
     every entry of a merged-away id. facing[s][t] is the set of pixels of s
@@ -224,9 +226,10 @@ class SegmentMap:
             ints = lab.astype(np.int64) if lab.dtype.kind in "biuf" else None
         if ints is None or not np.array_equal(ints, lab) or ints.min() < 0:
             raise PreconditionError("labels must be nonnegative integers")
-        self._labels: list[int] = ints.tolist()
+        self._ids, dense = np.unique(ints, return_inverse=True)  # id -> given label
+        self._labels: list[int] = dense.reshape(-1).tolist()
         self._px: list[float] = img.intensities.tolist()
-        self.version = [0] * (int(ints.max()) + 1)
+        self.version = [0] * self._ids.size
         self._ops = 0
         self._rebuild()
 
@@ -244,7 +247,7 @@ class SegmentMap:
     def _rebuild(self) -> None:
         """Recompute every derived structure from the labelling; every
         segment gets a new version, and those that can donate become dirty."""
-        lab = self.labels
+        lab = np.fromiter(self._labels, np.int64, len(self._labels))
         px = self.img.intensities
         cap = len(self.version)
         self.counts: list[int] = np.bincount(lab, minlength=cap).tolist()
@@ -273,8 +276,9 @@ class SegmentMap:
 
     @property
     def labels(self) -> np.ndarray:
-        """The segment id of every pixel, as a read-only copy."""
-        lab = np.fromiter(self._labels, np.int64, len(self._labels))
+        """The label of every pixel's segment, in the values the map was
+        given, as a read-only copy."""
+        lab = self._ids[np.fromiter(self._labels, np.int64, len(self._labels))]
         lab.setflags(write=False)
         return lab
 
@@ -568,20 +572,22 @@ class SegmentMap:
         sums, counts = np.array(self.sums), np.array(self.counts)
         means = np.zeros_like(sums)
         np.divide(sums, counts, out=means, where=counts > 0)
-        return GrayImage(self.w, self.h, means[self.labels])
+        return GrayImage(self.w, self.h, means[self._labels])
 
     def check_consistency(self) -> None:
         """Compare the live segments with a fresh map of the same labelling;
-        the map itself is left untouched."""
+        the map itself is left untouched. The fresh map's ids are the ranks
+        of the live ids, so its id k is the k-th live id here."""
         fresh = SegmentMap(self.img, self.labels)
-        if self.pixels != fresh.pixels:
+        live = sorted(self.pixels)
+        if self.pixels != {live[k]: pix for k, pix in fresh.pixels.items()}:
             raise InternalConsistencyError("segment membership drifted")
-        live = list(self.pixels)
-        if [self.counts[s] for s in live] != [fresh.counts[s] for s in live]:
+        if [self.counts[s] for s in live] != fresh.counts:
             raise InternalConsistencyError("segment counts drifted")
-        if self.facing != fresh.facing:
+        if self.facing != {live[k]: {live[t]: pix for t, pix in row.items()}
+                           for k, row in fresh.facing.items()}:
             raise InternalConsistencyError("facing sets drifted")
-        sums, want = (np.array([sm.sums[s] for s in live]) for sm in (self, fresh))
+        sums, want = np.array([self.sums[s] for s in live]), np.array(fresh.sums)
         if abs(self.total_e - fresh.total_e) > 1e-9 * (1.0 + abs(fresh.total_e)) or \
                 np.abs(sums - want).max() > 1e-9 * (1.0 + np.abs(want).max()):
             raise InternalConsistencyError("running statistics drifted")

@@ -367,26 +367,34 @@ def test_chunks_waves_and_dp_blocks_keep_their_bounds(monkeypatch, budget, wave)
     means and statistics, which have the shape of each point's own center
     too, and the stacks of kh's merge and split steps, whose correction
     passes compute distances at most core.STACK_BUDGET members x groups x
-    clusters at a time. With the default bounds a growth step of 200
-    points in 1-D runs in one wave, one of 100 points in 32-D in two, and
-    a merge step of 24 singletons in 2-D in one."""
+    clusters at a time. A wave's first-assignment matrix holds the rows x
+    kept centroids and at most core.WAVE_BUDGET / (d + 1) cells of
+    candidates (or one candidate). With the default bounds a growth step of
+    200 points in 1-D runs in one wave, one of 100 points in 32-D in two,
+    and a merge step of 24 singletons in 2-D in one."""
     if budget is not None:
         monkeypatch.setattr(core, "STACK_BUDGET", budget)
     if wave is not None:
         monkeypatch.setattr(core, "WAVE_BUDGET", wave)
-    chunks, waves, blocks, tiled = [], [], [], []
+    chunks, waves, blocks, tiled, firsts = [], [], [], [], []
     distances, lloyd_stack = baselines.squared_distances, baselines._lloyd_stack
+    first_labels = baselines._first_labels
     interval_error = otsu1d.Histogram.interval_error
     sums = core.stacked_sums
 
     def recorded_distances(x, centers):
-        chunks.append((centers.shape[0], x.shape[0], centers.shape[1]))
+        if centers.ndim == 3:  # a stack; two dimensions are a first assignment
+            chunks.append((centers.shape[0], x.shape[0], centers.shape[1]))
         return distances(x, centers)
 
-    def recorded_stack(points, centers, labels):
-        out = lloyd_stack(points, centers, labels)
+    def recorded_stack(points, centers, labels, first=None):
+        out = lloyd_stack(points, centers, labels, first)
         waves.append(out[0].shape + (points.shape[1],))
         return out
+
+    def recorded_first(points, kept, cands):
+        firsts.append((points.shape[0], kept.shape[0], cands.shape[0], points.shape[1]))
+        return first_labels(points, kept, cands)
 
     def recorded_block(self, lo, hi):
         shape = np.broadcast_shapes(np.shape(lo), np.shape(hi))
@@ -400,6 +408,7 @@ def test_chunks_waves_and_dp_blocks_keep_their_bounds(monkeypatch, budget, wave)
 
     monkeypatch.setattr(baselines, "squared_distances", recorded_distances)
     monkeypatch.setattr(baselines, "_lloyd_stack", recorded_stack)
+    monkeypatch.setattr(baselines, "_first_labels", recorded_first)
     monkeypatch.setattr(otsu1d.Histogram, "interval_error", recorded_block)
     monkeypatch.setattr(baselines, "stacked_sums", recorded_sums)
     monkeypatch.setattr(core, "stacked_sums", recorded_sums)
@@ -409,9 +418,12 @@ def test_chunks_waves_and_dp_blocks_keep_their_bounds(monkeypatch, budget, wave)
     assert ds.unique_rows().shape[0] == 200
     kmeans_sequence(ds, 6)
     otsu1d.curve(otsu1d.build_histogram(x), 6)
-    assert chunks and waves and blocks and tiled
+    assert chunks and waves and blocks and tiled and firsts
     assert all(b * n * m <= core.STACK_BUDGET or b == 1 for b, n, m in chunks)
     assert all(b * n * (d + 1) <= core.WAVE_BUDGET or b == 1 for b, n, d in waves)
+    assert all(n * (k + b) <= n * k + core.WAVE_BUDGET / (d + 1) or b == 1
+               for n, k, b, d in firsts)
+    assert len(firsts) == len(waves)
     assert all(e * s <= core.STACK_BUDGET or e == 1 for e, s in blocks)
     assert max(b for b, _, _ in chunks) > 1 or core.STACK_BUDGET < 2 * 200 * 2
     assert max(e for e, _ in blocks) > 1 or core.STACK_BUDGET < 2 * 200
@@ -420,10 +432,13 @@ def test_chunks_waves_and_dp_blocks_keep_their_bounds(monkeypatch, budget, wave)
 
     waves.clear()
     tiled.clear()
+    firsts.clear()
     wide = Dataset(rng.normal(0.0, 1.0, (100, 32)))
     kmeans_sequence(wide, 2)
-    assert waves and tiled
+    assert waves and tiled and firsts
     assert all(b * n * (d + 1) <= core.WAVE_BUDGET or b == 1 for b, n, d in waves)
+    assert all(n * (k + b) <= n * k + core.WAVE_BUDGET / (d + 1) or b == 1
+               for n, k, b, d in firsts)
     assert all(b * n * c <= core.WAVE_BUDGET or b == 1 for b, n, c in tiled)
     assert max(c for _, _, c in tiled) == 33  # the statistics' tiled points
     if wave is None:
@@ -454,15 +469,17 @@ def test_chunks_waves_and_dp_blocks_keep_their_bounds(monkeypatch, budget, wave)
 def test_a_member_whose_error_rises_raises(monkeypatch):
     """The monotone-error check is kept per member: scrambling the second
     assignment of one member of a stack of candidates raises, though every
-    other member iterates normally. The second assignment sees one member
-    per distinct first labeling, since equal label rows run once."""
+    other member iterates normally. The first assignment of a growth step
+    comes from one matrix (_first_labels), so _assign first runs for the
+    second, which sees one member per distinct first labeling, since equal
+    label rows run once."""
     assign = baselines._assign
     calls = []
 
     def perturbed(d2, current):
         out = assign(d2, current)
         calls.append(out.shape[0])
-        if len(calls) == 2:
+        if len(calls) == 1:
             out[1] = np.arange(out.shape[1]) % d2.shape[-1]
         return out
 
@@ -477,7 +494,7 @@ def test_a_member_whose_error_rises_raises(monkeypatch):
     monkeypatch.setattr(baselines, "_assign", perturbed)
     with pytest.raises(InternalConsistencyError):
         kmeans_sequence(ds, 3)
-    assert calls == [15, distinct]
+    assert calls == [distinct]
 
 
 @pytest.mark.parametrize("max_iters", [None, 1, 2])
@@ -540,3 +557,26 @@ def test_growth_winner_rule_on_planted_exact_ties(monkeypatch, per_wave):
         monkeypatch.setattr(core, "WAVE_BUDGET", per_wave * ds.n * (ds.d + 1))
     got = kmeans_sequence(ds, 2).by_cluster_count[2]
     assert got.labels.tolist() == [1, 1, 0, 0] and got.total_e == 1.0
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_first_assignment_from_one_matrix(d):
+    """The first assignment of a growth step from one matrix of distances to
+    the kept centroids and every candidate equals _assign on the stacked
+    distances of each candidate's center set, also on duplicate points and
+    for a candidate as far from some points as their nearest kept
+    centroid, where the kept centroid wins."""
+    rng = np.random.default_rng(30 + d)
+    pts = rng.integers(-4, 5, (25, d)).astype(np.float64)[rng.integers(0, 25, 40)]
+    kept = np.array([[0.5] * d, [-2.0] * d, [3.0] * d])
+    tied = np.array([[1.0] + [0.5] * (d - 1)])  # 0.5 from kept[0] and from the last candidate
+    pts = np.vstack((pts, tied, tied))
+    cands = np.vstack((np.unique(pts, axis=0), tied + [[0.5] + [0.0] * (d - 1)]))
+    centers = np.concatenate((np.broadcast_to(kept, (cands.shape[0], 3, d)),
+                              cands[:, None, :]), axis=1)
+    d2 = squared_distances(pts, centers)
+    assert d2[-1, -1, 0] == d2[-1, -1, 3] == d2[-1, -1].min()
+    got = baselines._first_labels(pts, kept, cands)
+    assert np.array_equal(got, baselines._assign(d2, None))
+    assert (got[-1, -2:] == 0).all()
+    assert (got == 3).any() and (got < 3).any()

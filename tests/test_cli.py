@@ -146,11 +146,11 @@ def test_cluster_reports_the_corrected_optimum(tmp_path):
     assert report["methods"]["kh"]["2"]["stable"] is True
 
 
-def test_a_refused_move_is_reported_unstable(tmp_path, monkeypatch):
-    """The same skewed data offset by 1e7: cancellation makes a move look
-    improving that raises E, so the correction loops refuse it and end
-    (a counter fails the test if they cycle), and the audit reports the
-    m = 2 records unstable."""
+def test_offset_records_split_off_the_zero_and_are_stable(tmp_path, monkeypatch):
+    """The same skewed data offset by 1e7 and by 1e9: the correction loops
+    end (a counter fails the test if they cycle), and the m = 2 records of
+    both methods put the 0 alone and the 6 with the tens, the partition of
+    lowest E, and report it stable."""
     move = core.PartitionStack.move
     calls = []
 
@@ -160,15 +160,19 @@ def test_a_refused_move_is_reported_unstable(tmp_path, monkeypatch):
         return move(self, *args, **kwargs)
 
     monkeypatch.setattr(core.PartitionStack, "move", counted)
-    data = tmp_path / "offset.csv"
-    write_csv(data, [[1e7], [1e7 + 6.0]] + [[1e7 + 10.0]] * 100)
-    out = tmp_path / "run"
-    code = main(["cluster", "--input", str(data), "--m-max", "2",
-                 "--methods", "kmeans,kh", "--out", str(out)])
-    assert code == EXIT_OK
-    report = json.loads((out / "report.json").read_text())
-    assert report["methods"]["kmeans"]["2"]["stable"] is False
-    assert report["methods"]["kh"]["2"]["stable"] is False
+    for c in (1e7, 1e9):
+        data = tmp_path / f"offset{c:.0e}.csv"
+        write_csv(data, [[c], [c + 6.0]] + [[c + 10.0]] * 100)
+        out = tmp_path / f"run{c:.0e}"
+        code = main(["cluster", "--input", str(data), "--m-max", "2",
+                     "--methods", "kmeans,kh", "--out", str(out)])
+        assert code == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        for method in ("kmeans", "kh"):
+            record = report["methods"][method]["2"]
+            labels = record["labels"]
+            assert labels[0] not in labels[1:] and len(set(labels[1:])) == 1
+            assert record["stable"] is True
 
 
 def test_one_kmeans_sequence_per_job(tmp_path, monkeypatch):

@@ -273,3 +273,43 @@ def test_random_moves_stay_exact(seed):
         p.move(pick, donor, acceptor)
         assert p.total_e == pytest.approx(
             labeled_energy(ds.points, p.labels), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_distance_column_keeps_its_bits_in_any_call(d):
+    """A column of squared_distances has the same bits from a one-center
+    call, the full matrix, a subset of the rows and a stack of center sets;
+    a matrix product would compute the one-center call as a matrix-vector
+    product, which rounds differently. The distances are those of the
+    points to the centers."""
+    rng = np.random.default_rng(70 + d)
+    x = rng.normal(0.0, 3.0, (37, d))
+    centers = rng.normal(0.0, 3.0, (9, d))
+    full = core.squared_distances(x, centers)
+    assert full.shape == (37, 9)
+    assert np.allclose(full, ((x[:, None, :] - centers[None]) ** 2).sum(axis=-1))
+    rows = np.array([3, 0, 36, 17])
+    stack = core.squared_distances(x, np.stack((centers[::-1], centers)))
+    assert stack.shape == (2, 37, 9)
+    for j in range(centers.shape[0]):
+        want = full[:, j].view(np.int64)
+        assert np.array_equal(core.squared_distances(x, centers[j:j + 1])[:, 0].view(np.int64),
+                              want)
+        assert np.array_equal(core.squared_distances(x[rows], centers)[:, j].view(np.int64),
+                              want[rows])
+        assert np.array_equal(stack[1, :, j].view(np.int64), want)
+        assert np.array_equal(stack[0, :, 8 - j].view(np.int64), want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_integer_offsets_keep_the_distance_bits(d):
+    """Translating integer-valued points and centers by an integer offset,
+    1e7 or 1e9, leaves every squared distance's bits unchanged: the
+    coordinate differences are exact."""
+    rng = np.random.default_rng(80 + d)
+    x = rng.integers(-50, 50, (30, d)).astype(np.float64)
+    centers = rng.integers(-50, 50, (6, d)).astype(np.float64)
+    want = core.squared_distances(x, centers).view(np.int64)
+    for c in (1e7, 1e9):
+        got = core.squared_distances(x + c, centers + c)
+        assert np.array_equal(got.view(np.int64), want)

@@ -58,12 +58,14 @@ def test_identical_points_are_equal_values():
     assert verify_stability(p).checked_subsets == 5
 
 
-def _offset_instance():
-    """{0, 6, 10 x 100} + 1e7 with labels [0, 0, 1 x 100]. Cancellation in
-    the predicted deltas makes the 100-point group move look improving,
-    though it raises E by 84; a loop that trusted the prediction would
-    cycle forever."""
-    ds = Dataset(np.array([0.0, 6.0] + [10.0] * 100) + 1e7)
+def _offset_instance(c=1e9):
+    """{0, 6, 10 x 100} + c, labelled [0, 0, 1 x 100].
+    The true E is 18, and moving the 6 to the tens lowers it to 1600/101.
+    At c = 1e9 cancellation in the energies makes every cluster's E 0.0, so
+    the move is predicted from the distances but its recomputed change of E
+    is not below -move_tolerance(E); a loop that trusted the prediction
+    would not know when to stop."""
+    ds = Dataset(np.array([0.0, 6.0] + [10.0] * 100) + c)
     return Partition.from_labels(ds, np.array([0, 0] + [1] * 100))
 
 
@@ -83,29 +85,63 @@ def _count_moves(monkeypatch, limit=100):
     return calls
 
 
+def _count_proposals(monkeypatch):
+    """The members of every pass's proposed moves (kh_engine._best_moves),
+    made or refused."""
+    proposed = []
+    best_moves = kh_engine._best_moves
+
+    def recorded(*args, **kwargs):
+        found = best_moves(*args, **kwargs)
+        if found is not None:
+            proposed.append(found[0][0].tolist())
+        return found
+
+    monkeypatch.setattr(kh_engine, "_best_moves", recorded)
+    return proposed
+
+
 def test_correction_ends_when_the_predicted_delta_cancels(monkeypatch):
     """A move whose recomputed change of E is not below -move_tolerance(E)
-    is refused, so correct_pairs ends on the offset instance; the moves it
-    reports are the moves it made, and verify_stability still audits the
-    result: the refused move leaves it reported unstable."""
+    is refused, so correct_pairs ends on the offset instance at c = 1e9: the
+    one move it proposes is refused, it reports the moves it made (none),
+    and verify_stability still audits the result: the refused move leaves
+    it reported unstable. At c = 1e7 the distances and energies agree: the
+    6 joins the tens in one move and the result is stable."""
     calls = _count_moves(monkeypatch)
+    proposed = _count_proposals(monkeypatch)
     p = _offset_instance()
     res = correct_pairs(p)
-    assert res.n_moves == len(calls) == 1
+    assert proposed == [[0]]
+    assert res.n_moves == len(calls) == 0
+    assert np.array_equal(res.partition.labels, p.labels)
+    res.partition.check_consistency()
+    assert not verify_stability(res.partition).stable
+
+    calls.clear()
+    proposed.clear()
+    p = _offset_instance(1e7)
+    res = correct_pairs(p)
+    assert res.n_moves == len(calls) == len(proposed) == 1
+    assert res.partition.labels.tolist() == [0] + [1] * 101
     res.partition.check_consistency()
     assert res.partition.total_e < p.total_e
-    assert not verify_stability(res.partition).stable
+    assert verify_stability(res.partition).stable
 
 
 def test_a_refused_member_leaves_the_stack_alone(monkeypatch):
     """In a stack, a member whose move is refused drops out while the others
-    go on: on the offset data one member stops after one move, and in the
+    go on: on the offset data at c = 2e7, with one ten alone in cluster 1,
+    the first member makes one move and its second is refused, and in the
     same pass the other makes its second. Each ends bit for bit as
     correct_pairs ends it alone."""
-    ds = _offset_instance().ds
-    rows = np.array([[0, 0] + [1] * 100, [1, 1] + [0] * 99 + [1]])
+    ds = _offset_instance(2e7).ds
+    rows = np.array([[0, 0] + [0] * 99 + [1], [1, 1] + [0] * 99 + [1]])
     _count_moves(monkeypatch)
+    proposed = _count_proposals(monkeypatch)
     alone = [correct_pairs(Partition.from_labels(ds, row)) for row in rows]
+    assert [res.n_moves for res in alone] == [1, 2]
+    assert len(proposed) == 4  # member 0's move and its refused one, member 1's two
     move = core.PartitionStack.move
     members = []
 
@@ -114,10 +150,12 @@ def test_a_refused_member_leaves_the_stack_alone(monkeypatch):
         return move(self, b, *args, **kwargs)
 
     monkeypatch.setattr(core.PartitionStack, "move", recorded)
+    proposed.clear()
     stack = core.PartitionStack.from_labels(ds, rows.copy(), 2)
     moves = kh_engine._correct_stack(stack, BOTH)
     assert moves.tolist() == [res.n_moves for res in alone] == [1, 2]
-    assert members[:2] == [[0, 1], [1]]
+    assert proposed == [[0, 1], [0, 1]]
+    assert members == [[0, 1], [1]]
     for i, res in enumerate(alone):
         assert_same_bits(stack.partition(i), res.partition)
 

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import itertools
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -386,8 +387,10 @@ def test_ranked_move_deltas_match_applied_change():
         cands = list(sm._ranked_moves(np.inf))
         keys = [(d, dn, ac, sub) for d, dn, ac, sub in cands]
         assert keys == sorted(keys)
+        rank = {s: k for k, s in enumerate(sorted(sm.pixels))}  # a new map's ids
         for delta, don, acc, subset in cands:
             trial = SegmentMap(sm.img, sm.labels)
+            don, acc = rank[don], rank[acc]
             trial._apply_move(subset, don, acc, trial._moved_stats(subset, don, acc))
             actual = labeled_energy(arr.reshape(-1, 1), trial.labels) - e
             assert abs(actual - delta) <= 1e-9 * (1.0 + e)
@@ -682,8 +685,9 @@ def test_dirty_borders_equal_a_filtered_full_rebuild(monkeypatch):
 def test_rebuild_matches_a_brute_force_grid_scan(monkeypatch):
     """On random labellings of every grid up to 6x6, strips included, the
     rebuilt facing sets and merge heap agree with a plain scan of the
-    grid's 4-neighbour pairs by row and column; along corrected curves the
-    facing sets agree with it after every merge and every applied move."""
+    grid's 4-neighbour pairs by row and column, under the map's ids, the
+    ranks of the labels; along corrected curves the facing sets agree with
+    it after every merge and every applied move."""
     rng = np.random.default_rng(61)
     for w in range(1, 7):
         for h in range(1, 7):
@@ -691,6 +695,8 @@ def test_rebuild_matches_a_brute_force_grid_scan(monkeypatch):
                 img = GrayImage.from_array(rng.integers(0, 256, (h, w)).astype(float))
                 lab = rng.integers(0, int(rng.integers(1, 7)), w * h)
                 sm = SegmentMap(img, lab)
+                assert np.array_equal(sm.labels, lab)
+                lab = np.unique(lab, return_inverse=True)[1]
                 facing = _grid_facing(lab.reshape(h, w))
                 assert sm.facing == facing
                 want = sorted(sm._edge(s, t) for s in facing for t in facing[s] if s < t)
@@ -715,3 +721,45 @@ def test_rebuild_matches_a_brute_force_grid_scan(monkeypatch):
         for init in ("pixels", "flat_zones"):
             segment_curve(GrayImage.from_array(arr), init=init)
     assert steps["_merge"] > 300 and steps["_apply_move"] > 30
+
+
+def test_sparse_labels_take_memory_by_segment_count():
+    """A map's per-segment lists are sized by the number of segments, not by
+    the largest label: labels [0, 0, 0, 10**6] on a 2x2 image stay far below
+    the 153 MiB that lists of 10**6 + 1 entries took, and labels gives the
+    given values back."""
+    img = GrayImage.from_array(np.array([[0.0, 1.0], [2.0, 3.0]]))
+    lab = np.array([0, 0, 0, 10**6])
+    tracemalloc.start()
+    try:
+        sm = SegmentMap(img, lab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert sm.segment_count == 2 and sm.labels.tolist() == lab.tolist()
+    sm.check_consistency()
+
+
+def test_sparse_labels_run_as_their_ranks():
+    """On random connected labellings with large, unordered ids, a map of the
+    labels and a map of their ranks (np.unique's inverse) merge and correct
+    alike: the same E bits and moves at every step, and labels that are the
+    given values of the ranks' labels."""
+    rng = np.random.default_rng(52)
+    for _ in range(5):
+        h, w = int(rng.integers(3, 8)), int(rng.integers(3, 8))
+        arr = rng.choice([20.0, 90.0, 150.0, 220.0], size=(h, w)) + rng.integers(0, 2, (h, w))
+        img = GrayImage.from_array(arr)
+        zones = SegmentMap.from_image(img, "flat_zones").labels
+        ids = rng.choice(10**4, int(zones.max()) + 1, replace=False)
+        sparse = ids[zones]
+        ranks = np.unique(sparse, return_inverse=True)[1]
+        a, b = SegmentMap(img, sparse), SegmentMap(img, ranks)
+        while a.segment_count > 1:
+            a.merge_best()
+            b.merge_best()
+            assert a.correct_boundaries() == b.correct_boundaries()
+            assert np.float64(a.total_e).view(np.int64) == np.float64(b.total_e).view(np.int64)
+            assert np.array_equal(a.labels, np.sort(ids)[b.labels])
+        a.check_consistency()
