@@ -1,9 +1,12 @@
 """Lloyd iteration and incremental K-means sequences, the baseline to surpass.
 
 There is one Lloyd loop, a kernel that runs a whole stack of center sets
-together, each member bit for bit as if run alone. Members whose label
-rows are equal after an assignment have the same future, so each distinct
-trajectory runs once. A growth step of kmeans_sequence runs its candidate
+together, each member bit for bit as if run alone. Once assigned, a run's
+future depends on its label row alone, so a member that reaches a row
+another run of the stack reached, at the same iteration or an earlier
+one, follows that run: each distinct trajectory runs once. The check
+that no run's error rises reads each state's error from the next
+assignment. A growth step of kmeans_sequence runs its candidate
 placements in waves of at most core.WAVE_BUDGET members x rows x (d + 1)
 cells, one wave on small inputs. A wave's first assignment comes from one
 matrix of distances to the kept centroids and the wave's candidates; later
@@ -74,18 +77,20 @@ def _means(points: np.ndarray, labels: np.ndarray, m: int):
     return counts, sums
 
 
-def _assign(d2: np.ndarray, current: np.ndarray | None) -> np.ndarray:
-    """Nearest-center labels (B, N) from the stacked d2 (B, N, m)."""
+def _assign(d2: np.ndarray, current: np.ndarray | None):
+    """Nearest-center labels (B, N) from the stacked d2 (B, N, m), and, when
+    current labels (B, N) are given, each member's total error under them:
+    the sum of its points' d2 to their current centers (else None)."""
     # argmin takes the lowest cluster index on exact ties
     best = d2.argmin(axis=-1)
     if current is None:
-        return best
+        return best, None
     flat = d2.reshape(-1)
     at = np.arange(0, flat.size, d2.shape[-1]).reshape(best.shape)
     dmin = flat[at + best]
     dcur = flat[at + current]
     keep = dcur - dmin <= ASSIGN_TIE_REL * (1.0 + dmin)
-    return np.where(keep, current, best).astype(np.int64)
+    return np.where(keep, current, best).astype(np.int64), dcur.sum(axis=-1)
 
 
 def _repair_empty(points: np.ndarray, labels: np.ndarray, m: int) -> np.ndarray:
@@ -107,10 +112,25 @@ def _repair_empty(points: np.ndarray, labels: np.ndarray, m: int) -> np.ndarray:
     return labels
 
 
-def _first_equal_rows(rows: np.ndarray) -> np.ndarray:
-    """For each row of rows (B, N), the index of the first row equal to it."""
+def _row_keys(labels: np.ndarray, m: int) -> list[bytes]:
+    """One bytes key per row of labels (B, N) in 0..m-1: the row in the
+    smallest unsigned dtype that holds m - 1."""
+    packed = labels.astype(np.min_scalar_type(m - 1), order="C")
+    return packed.view(np.dtype((np.void, packed.shape[1] * packed.itemsize))).ravel().tolist()
+
+
+def _first_equal_rows(labels: np.ndarray, m: int) -> np.ndarray:
+    """For each row of labels (B, N) in 0..m-1, the index of the first row
+    equal to it."""
     first: dict[bytes, int] = {}
-    return np.array([first.setdefault(row.tobytes(), k) for k, row in enumerate(rows)])
+    return np.array([first.setdefault(key, k) for k, key in enumerate(_row_keys(labels, m))])
+
+
+def _check_error(e, prev_e) -> None:
+    """Raise where a state's total error e exceeds its previous state's,
+    prev_e, beyond a relative slack of 1e-9."""
+    if np.any(e > prev_e + 1e-9 * (1.0 + prev_e)):
+        raise InternalConsistencyError("total error increased during iteration")
 
 
 def _lloyd_stack(points: np.ndarray, centers: np.ndarray, labels: np.ndarray | None,
@@ -127,28 +147,57 @@ def _lloyd_stack(points: np.ndarray, centers: np.ndarray, labels: np.ndarray | N
     members x rows x clusters at a time. Returns the final labels (B, N),
     each member's iteration count and whether it converged.
 
-    Once assigned, a member's future (means, repair, next assignment, stop)
-    depends on its labels alone, so live members with equal label rows run
-    once, as the first of them; the others take its final labels, iteration
-    count and convergence. The first takes the group's smallest previous
-    error, and the error bound grows with it, so the check fails for it
-    exactly when it would fail for some member of the group.
+    Once assigned, a run's future (repair, means, next assignment, stop)
+    depends on its assigned label row alone. So a member whose new row
+    equals one that a run of the stack reached, at this iteration or an
+    earlier one, stops and follows that run: it takes the run's final
+    labels and convergence, and the run's iteration count plus the shift
+    between the two visits. Where that passes MAX_ITERS it ends there,
+    unconverged, in the state the run had MAX_ITERS - shift iterations in.
+    Each live row makes one key per iteration, its labels in the smallest
+    unsigned dtype that holds m - 1, kept by run and iteration; a stack of
+    one makes none. Members that meet at the same iteration follow the
+    first of them, which takes their smallest previous error, so its error
+    check fails exactly when one of theirs would. A run never follows
+    itself or a run that follows it: a cycle runs on.
+
+    A state's error is read from the next assignment (_assign's sum of
+    each point's d2 to its current center), so the check fires one
+    assignment after the state is made, and the last state of a run cut
+    off at MAX_ITERS is checked after the loop. A member that follows a
+    run checks the error of the run's state against its own previous one,
+    the comparison it would have made itself. At d = 1 the sum has the bits
+    of summing (x - c)^2 over the points; at d >= 2 each point's d2 is
+    summed over its coordinates first, so the checked number may differ in
+    its last bits. It feeds no result, and the check keeps its 1e-9
+    relative slack.
     """
     n = points.shape[0]
     b, m, _ = centers.shape
     final = np.empty((b, n), dtype=np.int64)
     iterations = np.full(b, MAX_ITERS)
     converged = np.zeros(b, dtype=bool)
-    runs_as = np.arange(b)  # the member whose run each member's run repeats
     live = np.arange(b)
-    prev_e = np.full(b, np.inf)
+    prev_e = np.full(b, np.inf)  # the error of each live member's last checked state
+    seen: dict[bytes, tuple[int, int]] = {}  # key -> (run, iteration) of its first visit
+    keys: list[list[bytes]] = [[] for _ in range(b)]  # each run's keys, by iteration
+    errs: list[list[float]] = [[] for _ in range(b)]  # its states' errors, by iteration
+    follows: dict[int, tuple[int, int, int]] = {}  # member -> (run, iteration, shift)
     for it in range(1, MAX_ITERS + 1):
         if it == 1 and first is not None:
-            new = first
+            new, e = first, None
         else:
-            new = np.concatenate([_assign(squared_distances(points, centers[sel]),
-                                          None if labels is None else labels[sel])
-                                  for sel in _chunks(live.size, n * m)])
+            out = [_assign(squared_distances(points, centers[sel]),
+                           None if labels is None else labels[sel])
+                   for sel in _chunks(live.size, n * m)]
+            new = np.concatenate([lab for lab, _ in out])
+            e = None if labels is None or it == 1 else np.concatenate([s for _, s in out])
+        if e is not None:  # the errors of the states of iteration it - 1
+            _check_error(e, prev_e)
+            prev_e = e
+            if b > 1:
+                for r, x in zip(live.tolist(), e.tolist()):
+                    errs[r].append(x)
         if labels is not None:
             done = (new == labels).all(axis=1)
             if done.any():
@@ -158,27 +207,57 @@ def _lloyd_stack(points: np.ndarray, centers: np.ndarray, labels: np.ndarray | N
                 live, new, prev_e = live[~done], new[~done], prev_e[~done]
                 if live.size == 0:
                     break
-        if live.size > 1:
-            rep = _first_equal_rows(new)
-            fold = rep != np.arange(live.size)
-            if fold.any():
-                np.minimum.at(prev_e, rep[fold], prev_e[fold])
-                runs_as[live[fold]] = live[rep[fold]]
-                runs_as = runs_as[runs_as]  # who repeated a folded member repeats its first
-                live, new, prev_e = live[~fold], new[~fold], prev_e[~fold]
+        if b > 1:
+            stay = np.ones(live.size, dtype=bool)
+            here, joined, joined_e = {}, [], []
+            for k, (r, key) in enumerate(zip(live.tolist(), _row_keys(new, m))):
+                here[r] = k
+                keys[r].append(key)
+                run, at = seen.setdefault(key, (r, it))
+                lead = run
+                while lead in follows:
+                    lead = follows[lead][0]
+                if lead == r:  # a new row, or a cycle
+                    continue
+                if at == it:
+                    j = here[run]
+                    prev_e[j] = min(prev_e[j], prev_e[k])
+                else:
+                    joined.append(k)
+                    joined_e.append(errs[run][at - 1])
+                follows[r] = (run, it, it - at)
+                stay[k] = False
+            if joined:
+                _check_error(np.array(joined_e), prev_e[joined])
+            if not stay.all():
+                live, new, prev_e = live[stay], new[stay], prev_e[stay]
+                if live.size == 0:
+                    break
         labels = new
         counts, centers = _means(points, labels, m)
         for i in np.flatnonzero((counts == 0).any(axis=1)):
             labels[i] = _repair_empty(points, labels[i], m)
             centers[i] = _means(points, labels[i][None], m)[1][0]
-        own = centers.reshape(live.size * m, -1)[labels + m * np.arange(live.size)[:, None]]
-        e = ((points - own) ** 2).reshape(live.size, -1).sum(axis=1)
-        if (e > prev_e + 1e-9 * (1.0 + prev_e)).any():
-            raise InternalConsistencyError("total error increased during iteration")
-        prev_e = e
     else:
         final[live] = labels
-    return final[runs_as], iterations[runs_as], converged[runs_as]
+        own = centers.reshape(live.size * m, -1)[labels + m * np.arange(live.size)[:, None]]
+        _check_error(((points - own) ** 2).reshape(live.size, -1).sum(axis=1), prev_e)
+    for r, (run, _, shift) in follows.items():
+        while run in follows:
+            shift += follows[run][2]
+            run = follows[run][0]
+        if iterations[run] + shift <= MAX_ITERS:
+            final[r] = final[run]
+            iterations[r] = iterations[run] + shift
+            converged[r] = converged[run]
+            continue
+        at, lead = MAX_ITERS, r  # cut off: the state its leaders had at MAX_ITERS - shift
+        while lead in follows and at >= follows[lead][1]:
+            at -= follows[lead][2]
+            lead = follows[lead][0]
+        row = np.frombuffer(keys[lead][at - 1], dtype=np.min_scalar_type(m - 1))
+        final[r] = _repair_empty(points, row.astype(np.int64), m)
+    return final, iterations, converged
 
 
 def lloyd(ds: Dataset, cfg: KMeansConfig) -> LloydResult:
@@ -253,7 +332,7 @@ def _grow_one(ds: Dataset, prev: Partition, rng_seed: int):
         labels, iterations, _ = _lloyd_stack(ds.points, centers[sel], None,
                                              _first_labels(ds.points, kept, cands[sel]))
         iters += int(iterations.sum())
-        first = np.flatnonzero(_first_equal_rows(labels) == np.arange(labels.shape[0]))
+        first = np.flatnonzero(_first_equal_rows(labels, m) == np.arange(labels.shape[0]))
         st = PartitionStack.from_labels(ds, labels[first], m)
         best = _step_winner(st, best=best)
     return best[1], iters
@@ -289,4 +368,4 @@ def kmeans_sequence(ds: Dataset, m_max: int, rng_seed: int = 0) -> PartitionSequ
 def is_lloyd_fixed_point(p: Partition) -> bool:
     """True iff one Lloyd assignment, with its tie rule, keeps every label."""
     d2 = squared_distances(p.ds.points, p.centroids())
-    return bool((_assign(d2[None], p.labels[None]) == p.labels).all())
+    return bool((_assign(d2[None], p.labels[None])[0] == p.labels).all())

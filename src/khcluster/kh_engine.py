@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reclass
-from .baselines import KMeansConfig, kmeans_sequence, lloyd
+from .baselines import _lloyd_stack, kmeans_sequence
 from .core import (Dataset, Partition, PartitionSequence, PartitionStack,
                    PreconditionError, _chunks, _step_winner, _waves,
                    sq_norms, squared_distances)
@@ -441,11 +441,10 @@ def _farthest_pair(sub: np.ndarray) -> tuple[int, int]:
 
 
 def _bisect_labels(sub: np.ndarray) -> np.ndarray:
-    """0/1 labels of a two-means split seeded by the farthest pair."""
+    """0/1 labels of a two-means split seeded by the farthest pair: a Lloyd
+    run of one member on rows of a Dataset's points."""
     i, j = _farthest_pair(sub)
-    seeds = sub[[i, j]]
-    res = lloyd(Dataset(sub), KMeansConfig(m=2, init_centers=seeds))
-    return res.partition.labels
+    return _lloyd_stack(sub, sub[[i, j]][None], None)[0][0]
 
 
 def split_step(p: Partition, policy: SubsetPolicy = BOTH) -> Partition:

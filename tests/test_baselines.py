@@ -295,6 +295,7 @@ def _kmeans_reference_sets(rng):
     pytest.param(None, None, None, False, id="None-None-False"),
     pytest.param(1, None, None, False, id="1-None-False"),
     pytest.param(2, None, None, False, id="2-None-False"),
+    pytest.param(3, None, None, False, id="3-None-False"),
     pytest.param(None, 1, 1, False, id="None-1-False"),
     pytest.param(None, 700, 200, False, id="None-700-False"),
     pytest.param(None, None, None, True, id="None-None-True"),
@@ -472,16 +473,19 @@ def test_a_member_whose_error_rises_raises(monkeypatch):
     other member iterates normally. The first assignment of a growth step
     comes from one matrix (_first_labels), so _assign first runs for the
     second, which sees one member per distinct first labeling, since equal
-    label rows run once."""
+    label rows run once. A state's error is read from the next assignment,
+    so the raise comes at the third, which sees the scrambled member alone:
+    every other member converged at its second assignment or reached a row
+    that another run had at its first, and follows that run."""
     assign = baselines._assign
     calls = []
 
     def perturbed(d2, current):
-        out = assign(d2, current)
+        out, e = assign(d2, current)
         calls.append(out.shape[0])
         if len(calls) == 1:
             out[1] = np.arange(out.shape[1]) % d2.shape[-1]
-        return out
+        return out, e
 
     ds = Dataset(np.repeat([0.0, 10.0, 20.0], 5) + np.tile(np.arange(5) * 0.1, 3))
     cands = ds.unique_rows()
@@ -494,17 +498,17 @@ def test_a_member_whose_error_rises_raises(monkeypatch):
     monkeypatch.setattr(baselines, "_assign", perturbed)
     with pytest.raises(InternalConsistencyError):
         kmeans_sequence(ds, 3)
-    assert calls == [distinct]
+    assert calls == [distinct, 1]
 
 
-@pytest.mark.parametrize("max_iters", [None, 1, 2])
+@pytest.mark.parametrize("max_iters", [None, 1, 2, 3])
 def test_equal_label_rows_run_once(monkeypatch, max_iters):
     """Members whose label rows agree run once: on mostly distinct 1-D
     points the kernel assigns fewer members than the runs' summed
     iterations, yet every member matches its run alone in labels, total_e
     bits, iteration count and convergence, also when runs are cut off
-    after one or two iterations; a growth step builds statistics only for
-    pairwise distinct final label rows."""
+    after one, two or three iterations; a growth step builds statistics
+    only for pairwise distinct final label rows."""
     if max_iters is not None:
         monkeypatch.setattr(baselines, "MAX_ITERS", max_iters)
     assign = baselines._assign
@@ -545,6 +549,136 @@ def test_equal_label_rows_run_once(monkeypatch, max_iters):
             assert (iterations[k], converged[k]) == (it, conv)
 
 
+def _states_after(monkeypatch, ds, m, centers, its):
+    """The partitions of the run alone from centers after each of the
+    iterations its, each a run cut off there."""
+    default, rows = baselines.MAX_ITERS, []
+    for it in its:
+        monkeypatch.setattr(baselines, "MAX_ITERS", it)
+        rows.append(_ref_lloyd(ds, m, centers=centers)[0])
+    monkeypatch.setattr(baselines, "MAX_ITERS", default)
+    return rows
+
+
+@pytest.mark.parametrize("max_iters", [None, 3, 9])
+def test_a_run_follows_one_that_reached_its_row_earlier(monkeypatch, max_iters):
+    """A member that reaches, at iteration t, the row another run had at
+    iteration t - 2 follows that run: it matches its run alone in labels,
+    iteration count and convergence, also when the shifted end passes
+    MAX_ITERS (3 and 9, where it ends unconverged in its leader's state of
+    iteration MAX_ITERS - 2). The kernel assigns fewer member-rows than the
+    runs' summed iterations, except at MAX_ITERS 3, where the follower
+    joins at the last iteration."""
+    ds = Dataset(np.round(np.random.default_rng(4).normal(0.0, 5.0, 24), 2))
+    late = np.sort(ds.points, axis=0)[:3]  # a run of ten iterations
+    r2, r3 = _states_after(monkeypatch, ds, 3, late, (2, 3))
+    early = r2.centroids()  # starts where the late run is after two iterations
+    (a1,) = _states_after(monkeypatch, ds, 3, early, (1,))
+    assert np.array_equal(a1.labels, r3.labels)
+    if max_iters is not None:
+        monkeypatch.setattr(baselines, "MAX_ITERS", max_iters)
+    refs = [_ref_lloyd(ds, 3, centers=c) for c in (early, late)]
+    if max_iters is None:
+        assert [ref[1] for ref in refs] == [8, 10]
+    assign = baselines._assign
+    assigned = []
+
+    def counted(d2, current):
+        assigned.append(d2.shape[0])
+        return assign(d2, current)
+
+    monkeypatch.setattr(baselines, "_assign", counted)
+    labels, iterations, converged = baselines._lloyd_stack(
+        ds.points, np.stack((early, late)), None)
+    for k, (part, it, conv) in enumerate(refs):
+        assert np.array_equal(labels[k], part.labels)
+        assert (iterations[k], converged[k]) == (it, conv)
+    assert sum(assigned) == refs[0][1] + 3
+    assert sum(assigned) < sum(ref[1] for ref in refs) or max_iters == 3
+    assert converged[1] == (max_iters is None)
+
+
+@pytest.mark.parametrize("forced, max_iters, calls", [
+    pytest.param("r1", None, [2, 2], id="follows-a-later-run"),
+    pytest.param("r2", None, [2, 2, 1], id="meets-at-once"),
+    pytest.param("scrambled", 2, [2, 2], id="last-state")])
+def test_a_rise_raises_wherever_its_state_is_checked(monkeypatch, forced, max_iters,
+                                                    calls):
+    """A state's error is checked even where no later assignment of its
+    own reads it. Of two runs, one from far off the optimum, one from its
+    third state, the second's second assignment is forced to a labeling
+    of higher error than its first state: the first run's first labeling,
+    which it then follows (the error of the state it joins is checked); the
+    first run's second labeling, reached by both at once (the first run
+    runs on for both, against the smaller previous error); or, with
+    MAX_ITERS 2, a scrambled labeling (checked after the loop)."""
+    ds = Dataset(np.round(np.random.default_rng(4).normal(0.0, 5.0, 24), 2))
+    late = np.sort(ds.points, axis=0)[:3]
+    r1, r2 = _states_after(monkeypatch, ds, 3, late, (1, 2))
+    row = {"r1": r1.labels, "r2": r2.labels, "scrambled": np.arange(ds.n) % 3}[forced]
+    if max_iters is not None:
+        monkeypatch.setattr(baselines, "MAX_ITERS", max_iters)
+    assign = baselines._assign
+    seen = []
+
+    def forcing(d2, current):
+        out, e = assign(d2, current)
+        seen.append(out.shape[0])
+        if len(seen) == 2:
+            out[1] = row
+        return out, e
+
+    monkeypatch.setattr(baselines, "_assign", forcing)
+    with pytest.raises(InternalConsistencyError):
+        baselines._lloyd_stack(ds.points, np.stack((late, r2.centroids())), None)
+    assert seen == calls
+
+
+@pytest.mark.parametrize("period", [2, 3])
+@pytest.mark.parametrize("max_iters", [None, 7])
+def test_cycles_run_to_max_iters(monkeypatch, max_iters, period):
+    """With an assignment forced to turn two or three labelings of one
+    partition (equal errors) into one another in a cycle, every member
+    matches its run alone, a stack of one: the member that enters the cycle
+    first meets its own row a period on and runs on, to MAX_ITERS,
+    unconverged, in its row of iteration MAX_ITERS. In the three-cycle the
+    member that enters one iteration later follows it, and the first, on
+    reaching a row that member had before, does not follow back. The stack
+    assigns fewer member-rows than the runs alone."""
+    if max_iters is not None:
+        monkeypatch.setattr(baselines, "MAX_ITERS", max_iters)
+    ds = Dataset([0.0, 1.0, 2.0, 8.0, 9.0, 10.0, 20.0, 21.0])
+    cycle = np.array([[0, 0, 0, 1, 1, 1, 2, 2], [1, 1, 1, 2, 2, 2, 0, 0],
+                      [2, 2, 2, 0, 0, 0, 1, 1]])[:period]
+    assign = baselines._assign
+    assigned = []
+
+    def cycling(d2, current):
+        out, e = assign(d2, current)
+        assigned.append(out.shape[0])
+        for k, row in enumerate([] if current is None else current):
+            at = np.flatnonzero((cycle == row).all(axis=1))
+            if at.size:
+                out[k] = cycle[(at[0] + 1) % period]
+        return out, e
+
+    monkeypatch.setattr(baselines, "_assign", cycling)
+    # first rows: the first labeling, the third, the first, and one that is
+    # none of them
+    centers = np.array([[1.0, 9.0, 20.5], [9.0, 20.5, 1.0], [0.0, 10.0, 21.0],
+                        [0.0, 1.0, 2.0]])[..., None]
+    alone = [baselines._lloyd_stack(ds.points, c[None], None) for c in centers]
+    runs = len(assigned)
+    labels, iterations, converged = baselines._lloyd_stack(ds.points, centers, None)
+    for k, (lab, it, conv) in enumerate(alone):
+        assert np.array_equal(labels[k], lab[0])
+        assert (iterations[k], converged[k]) == (it[0], conv[0])
+    assert (iterations[0], converged[0]) == (baselines.MAX_ITERS, False)
+    assert np.array_equal(labels[0], cycle[(baselines.MAX_ITERS - 1) % period])
+    assert converged[1] == (period == 2)
+    assert sum(assigned[runs:]) < sum(assigned[:runs])
+
+
 @pytest.mark.parametrize("per_wave", [None, 1, 2])
 def test_growth_winner_rule_on_planted_exact_ties(monkeypatch, per_wave):
     """A k-means growth step keeps the first run of lowest E, also when the
@@ -577,6 +711,6 @@ def test_first_assignment_from_one_matrix(d):
     d2 = squared_distances(pts, centers)
     assert d2[-1, -1, 0] == d2[-1, -1, 3] == d2[-1, -1].min()
     got = baselines._first_labels(pts, kept, cands)
-    assert np.array_equal(got, baselines._assign(d2, None))
+    assert np.array_equal(got, baselines._assign(d2, None)[0])
     assert (got[-1, -2:] == 0).all()
     assert (got == 3).any() and (got < 3).any()

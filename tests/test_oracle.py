@@ -1,6 +1,7 @@
 """Exhaustive minimum-error search, cross-checked by a second enumeration."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import labeled_energy, random_dataset
+from khcluster import core, oracle
 from khcluster.core import Dataset, PreconditionError, SizeGuardError
 from khcluster.kh_engine import verify_stability
 from khcluster.core import Partition
@@ -123,3 +125,63 @@ def test_argmin_is_stable(seed):
     r = global_min(ds, m)
     p = Partition.from_labels(ds, np.array(r.best_labels), m)
     assert verify_stability(p).stable
+
+
+def _whole_matrix(n, m):
+    """Every restricted growth string of length n with exactly m labels at
+    once, in lex order, grown as the search did before it went chunk by
+    chunk."""
+    rows = np.zeros((1, 1), dtype=np.int8)
+    mx = np.zeros(1, dtype=np.int8)
+    for i in range(1, n):
+        keep = mx + 1 + (n - i) >= m
+        rows, mx = rows[keep], mx[keep]
+        n_ext = np.minimum(mx + 2, m).astype(np.int64)
+        parent = np.repeat(np.arange(rows.shape[0]), n_ext)
+        offs = (np.arange(parent.size)
+                - np.repeat(np.cumsum(n_ext) - n_ext, n_ext)).astype(np.int8)
+        rows = np.concatenate([rows[parent], offs[:, None]], axis=1)
+        mx = np.maximum(mx[parent], offs)
+    return rows[mx == m - 1]
+
+
+@pytest.mark.parametrize("budget", [1, 40, 300, None])
+def test_chunks_concatenate_to_the_whole_matrix(monkeypatch, budget):
+    """The chunks hold at most WAVE_BUDGET // (n m) rows each (at least
+    one) and, concatenated, are the whole matrix in its order, for random
+    (n, m) and at m = 1 and m = n; global_min keeps its E bits, labels and
+    count, the first minimum in lex order."""
+    if budget is not None:
+        monkeypatch.setattr(core, "WAVE_BUDGET", budget)
+    rng = np.random.default_rng(17)
+    cases = [(1, 1), (2, 1), (2, 2), (8, 1), (8, 8)]
+    cases += [(int(n), int(rng.integers(2, n))) for n in rng.integers(4, 10, 10)]
+    split = 0
+    for n, m in cases:
+        chunks = list(oracle._partition_chunks(n, m))
+        split += len(chunks) > 1
+        cap = max(1, core.WAVE_BUDGET // (n * m))
+        assert all(1 <= c.shape[0] <= cap and c.dtype == np.int8 for c in chunks)
+        whole = _whole_matrix(n, m)
+        assert np.array_equal(np.concatenate(chunks), whole)
+        ds = Dataset(np.round(rng.normal(0.0, 2.0, (n, 2)), 0))  # ties
+        energies = oracle._chunk_energies(ds.points, whole.astype(np.int64), m)
+        k = int(np.argmin(energies))
+        r = global_min(ds, m)
+        assert np.float64(r.best_e).tobytes() == energies[k].tobytes()
+        assert r.best_labels == tuple(whole[k].tolist())
+        assert r.partitions_examined == whole.shape[0]
+    assert split >= 6 or budget is None
+
+
+def test_the_strings_take_memory_by_the_chunk():
+    """Generating the 611,501 strings of 12 points in 4 labels, whose
+    whole matrix alone takes 7.3 MB, peaks under 1 MiB of traced memory."""
+    tracemalloc.start()
+    try:
+        rows = sum(c.shape[0] for c in oracle._partition_chunks(12, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == stirling2(12, 4)
+    assert peak < 2**20
