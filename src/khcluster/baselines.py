@@ -2,21 +2,20 @@
 
 There is one Lloyd loop, a kernel that runs a whole stack of center sets
 together, each member bit for bit as if run alone. Once assigned, a run's
-future depends on its label row alone, so a member that reaches a row
-another run of the stack reached, at the same iteration or an earlier
-one, follows that run: each distinct trajectory runs once. The check
-that no run's error rises reads each state's error from the next
-assignment. A growth step of kmeans_sequence runs its candidate
-placements in waves of at most core.WAVE_BUDGET members x rows x (d + 1)
-cells, one wave on small inputs. A wave's first assignment comes from one
-matrix of distances to the kept centroids and the wave's candidates; later
-distances and assignments go at most core.STACK_BUDGET members x rows x
-clusters at a time. lloyd is a stack of one. The wave has a bound of its
-own, since each wave pays the fixed costs of every iteration again. The
-first run of lowest error wins, by kh's step winner rule
-(core._step_winner). The means of every member come from
-core.stacked_sums, the builder of the partitions' statistics; the loop
-needs no sums of squares.
+future depends on its labels alone, so the runs of a stack walk one graph
+of label states: each distinct state is assigned once, and every member
+steps along its own path through the graph. The check that no run's error
+rises reads each state's error from its assignment. A growth step of
+kmeans_sequence runs its candidate placements in waves of at most
+core.WAVE_BUDGET members x rows x (d + 1) cells, one wave on small inputs.
+A wave's first assignment comes from one matrix of distances to the kept
+centroids and the wave's candidates; later distances and assignments go
+at most core.STACK_BUDGET members x rows x clusters at a time. lloyd is a
+stack of one. The wave has a bound of its own, since each wave pays the
+fixed costs of every iteration again. The first run of lowest error wins,
+by kh's step winner rule (core._step_winner). The means of every member
+come from core.stacked_sums, the builder of the partitions' statistics;
+the loop needs no sums of squares.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ import numpy as np
 
 from .core import (Dataset, InternalConsistencyError, Partition,
                    PartitionSequence, PartitionStack, PreconditionError,
-                   _chunks, _step_winner, _waves, squared_distances,
-                   stacked_sums)
+                   _chunks, _integer_labels, _step_winner, _waves,
+                   squared_distances, stacked_sums)
 
 # Relative tolerance for assignment ties; a point keeps its current cluster
 # when the best alternative is not closer than this.
@@ -129,8 +128,28 @@ def _first_equal_rows(labels: np.ndarray, m: int) -> np.ndarray:
 def _check_error(e, prev_e) -> None:
     """Raise where a state's total error e exceeds its previous state's,
     prev_e, beyond a relative slack of 1e-9."""
-    if np.any(e > prev_e + 1e-9 * (1.0 + prev_e)):
+    if (e > prev_e + 1e-9 * (1.0 + prev_e)).any():
         raise InternalConsistencyError("total error increased during iteration")
+
+
+def _assign_stack(points: np.ndarray, centers: np.ndarray, current: np.ndarray | None):
+    """_assign on the distances to a stack of center sets (B, m, d), taken
+    core.STACK_BUDGET members x rows x clusters at a time."""
+    n, m = points.shape[0], centers.shape[1]
+    out = [_assign(squared_distances(points, centers[sel]),
+                   None if current is None else current[sel])
+           for sel in _chunks(centers.shape[0], n * m)]
+    if len(out) == 1:
+        return out[0]
+    rows = np.concatenate([r for r, _ in out])
+    return rows, None if current is None else np.concatenate([e for _, e in out])
+
+
+def _grown(a: np.ndarray, size: int, fill) -> np.ndarray:
+    """A copy of a with room for 2 size rows, the new ones set to fill."""
+    out = np.full((2 * size,) + a.shape[1:], fill, dtype=a.dtype)
+    out[:a.shape[0]] = a
+    return out
 
 
 def _lloyd_stack(points: np.ndarray, centers: np.ndarray, labels: np.ndarray | None,
@@ -147,116 +166,106 @@ def _lloyd_stack(points: np.ndarray, centers: np.ndarray, labels: np.ndarray | N
     members x rows x clusters at a time. Returns the final labels (B, N),
     each member's iteration count and whether it converged.
 
-    Once assigned, a run's future (repair, means, next assignment, stop)
-    depends on its assigned label row alone. So a member whose new row
-    equals one that a run of the stack reached, at this iteration or an
-    earlier one, stops and follows that run: it takes the run's final
-    labels and convergence, and the run's iteration count plus the shift
-    between the two visits. Where that passes MAX_ITERS it ends there,
-    unconverged, in the state the run had MAX_ITERS - shift iterations in.
-    Each live row makes one key per iteration, its labels in the smallest
-    unsigned dtype that holds m - 1, kept by run and iteration; a stack of
-    one makes none. Members that meet at the same iteration follow the
-    first of them, which takes their smallest previous error, so its error
-    check fails exactly when one of theirs would. A run never follows
-    itself or a run that follows it: a cycle runs on.
-
-    A state's error is read from the next assignment (_assign's sum of
-    each point's d2 to its current center), so the check fires one
-    assignment after the state is made, and the last state of a run cut
-    off at MAX_ITERS is checked after the loop. A member that follows a
-    run checks the error of the run's state against its own previous one,
-    the comparison it would have made itself. At d = 1 the sum has the bits
-    of summing (x - c)^2 over the points; at d >= 2 each point's d2 is
-    summed over its coordinates first, so the checked number may differ in
-    its last bits. It feeds no result, and the check keeps its 1e-9
-    relative slack.
+    Once assigned, a run's future depends on its labels after repair alone,
+    so the runs walk one graph of label states. States 0..B-1 are the
+    members' starts; every other state is a distinct repaired labeling
+    that an assignment reached, kept in the smallest unsigned dtype that
+    holds m - 1. (A stack of one makes no row keys: each of its rows is a
+    new state.) Each state is assigned once, which gives its error (the sum
+    of each point's d2 to its own center) and its successor, or that it
+    kept its labels. Only the states the last round made, the frontier, are
+    unassigned; their labels and means are kept apart. Every round assigns
+    the frontier, then moves each member one state on (cur = succ[cur]), so
+    its iteration count, convergence and cut-off at MAX_ITERS are those of
+    its own path. No state may have more error than one that steps to it
+    (a start's error counts as infinite): each such edge is checked in the
+    round that makes it, and again in the next, once its end is assigned;
+    these are the checks of every run alone. A frontier cut off at
+    MAX_ITERS takes its errors from its means.
+    At d = 1 an error has the bits of summing (x - c)^2 over the points; at
+    d >= 2 it may differ in its last bits. It feeds no result, and the
+    check keeps its 1e-9 relative slack.
     """
     n = points.shape[0]
     b, m, _ = centers.shape
     final = np.empty((b, n), dtype=np.int64)
     iterations = np.full(b, MAX_ITERS)
     converged = np.zeros(b, dtype=bool)
-    live = np.arange(b)
-    prev_e = np.full(b, np.inf)  # the error of each live member's last checked state
-    seen: dict[bytes, tuple[int, int]] = {}  # key -> (run, iteration) of its first visit
-    keys: list[list[bytes]] = [[] for _ in range(b)]  # each run's keys, by iteration
-    errs: list[list[float]] = [[] for _ in range(b)]  # its states' errors, by iteration
-    follows: dict[int, tuple[int, int, int]] = {}  # member -> (run, iteration, shift)
+    room = 2 * b + 16  # rows of the state tables, doubled when full; the last holds no state
+    lab = np.zeros((room, n), dtype=np.min_scalar_type(m - 1))  # each state's labels
+    if labels is not None:
+        lab[:b] = labels
+    # each state's successor, or -1 where it kept its labels: err[-1] is -inf
+    succ = np.empty(room, dtype=np.int64)
+    err = np.full(room, -np.inf)  # each state's error, -inf (passes every check) until known
+    err[:b] = np.inf  # a start's: its edges pass every check
+    ids: dict = {}  # row key -> state
+    size, checked = b, b  # states made; every edge from below checked is checked
+    live = cur = front = np.arange(b)  # members, their states, the unassigned states
+    flab, fmeans = labels, centers  # the labels and means of the unassigned states
     for it in range(1, MAX_ITERS + 1):
-        if it == 1 and first is not None:
-            new, e = first, None
-        else:
-            out = [_assign(squared_distances(points, centers[sel]),
-                           None if labels is None else labels[sel])
-                   for sel in _chunks(live.size, n * m)]
-            new = np.concatenate([lab for lab, _ in out])
-            e = None if labels is None or it == 1 else np.concatenate([s for _, s in out])
-        if e is not None:  # the errors of the states of iteration it - 1
-            _check_error(e, prev_e)
-            prev_e = e
-            if b > 1:
-                for r, x in zip(live.tolist(), e.tolist()):
-                    errs[r].append(x)
-        if labels is not None:
-            done = (new == labels).all(axis=1)
-            if done.any():
-                final[live[done]] = labels[done]
-                iterations[live[done]] = it
-                converged[live[done]] = True
-                live, new, prev_e = live[~done], new[~done], prev_e[~done]
-                if live.size == 0:
-                    break
-        if b > 1:
-            stay = np.ones(live.size, dtype=bool)
-            here, joined, joined_e = {}, [], []
-            for k, (r, key) in enumerate(zip(live.tolist(), _row_keys(new, m))):
-                here[r] = k
-                keys[r].append(key)
-                run, at = seen.setdefault(key, (r, it))
-                lead = run
-                while lead in follows:
-                    lead = follows[lead][0]
-                if lead == r:  # a new row, or a cycle
-                    continue
-                if at == it:
-                    j = here[run]
-                    prev_e[j] = min(prev_e[j], prev_e[k])
-                else:
-                    joined.append(k)
-                    joined_e.append(errs[run][at - 1])
-                follows[r] = (run, it, it - at)
-                stay[k] = False
-            if joined:
-                _check_error(np.array(joined_e), prev_e[joined])
-            if not stay.all():
-                live, new, prev_e = live[stay], new[stay], prev_e[stay]
-                if live.size == 0:
-                    break
-        labels = new
-        counts, centers = _means(points, labels, m)
-        for i in np.flatnonzero((counts == 0).any(axis=1)):
-            labels[i] = _repair_empty(points, labels[i], m)
-            centers[i] = _means(points, labels[i][None], m)[1][0]
+        if front.size:
+            start, end = size - front.size, size  # the frontier: the states made last
+            if it == 1 and first is not None:
+                rows = first
+            else:
+                rows, e = _assign_stack(points, fmeans, flab)
+                if it > 1:
+                    err[start:end] = e
+            if flab is not None:  # a state that keeps its labels ends its runs
+                kept = (rows == flab).all(axis=1)
+                if kept.any():
+                    succ[front[kept]] = -1
+                    front, rows = front[~kept], rows[~kept]
+        if front.size:  # the frontier's successors
+            # a stack of one makes no row keys: its states are keyed by their ids
+            keys = _row_keys(rows, m) if b > 1 else range(size, size + len(rows))
+            new: dict = {}  # each row key not seen before -> its first row
+            made = []
+            for k, key in enumerate(keys):
+                if key not in ids:
+                    new.setdefault(key, k)
+            if new:
+                flab = rows[list(new.values())]
+                counts, fmeans = _means(points, flab, m)
+                skeys = list(new)  # each new row's state key: that of its labels after repair
+                for i in np.flatnonzero((counts == 0).any(axis=1)):
+                    flab[i] = _repair_empty(points, flab[i], m)
+                    fmeans[i] = _means(points, flab[i][None], m)[1][0]
+                    if b > 1:
+                        skeys[i] = _row_keys(flab[i][None], m)[0]
+                for i, (key, skey) in enumerate(zip(new, skeys)):
+                    ids[key] = ids.setdefault(skey, size + len(made))
+                    if ids[key] == size + len(made):
+                        made.append(i)
+                if len(made) < len(new):
+                    flab, fmeans = flab[made], fmeans[made]
+            succ[front] = [ids[key] for key in keys]
+            front = np.arange(size, size + len(made))
+            if made:
+                size += len(made)
+                if size >= succ.shape[0]:
+                    lab, succ, err = (_grown(lab, size, 0), _grown(succ, size, -1),
+                                      _grown(err, size, -np.inf))
+                lab[end:size] = flab
+                if it == MAX_ITERS:  # cut off: no assignment reads these errors
+                    own = np.take_along_axis(fmeans, flab[..., None], axis=1)
+                    err[end:size] = ((points - own) ** 2).sum(axis=(1, 2))
+        if checked < end:  # each edge once made, and again once its end is assigned
+            _check_error(err[succ[checked:end]], err[checked:end])
+            checked = start if size > end else end
+        nxt = succ[cur]
+        done = nxt < 0
+        if done.any():
+            final[live[done]] = lab[cur[done]]
+            iterations[live[done]] = it
+            converged[live[done]] = True
+            live, nxt = live[~done], nxt[~done]
+            if live.size == 0:
+                break
+        cur = nxt
     else:
-        final[live] = labels
-        own = centers.reshape(live.size * m, -1)[labels + m * np.arange(live.size)[:, None]]
-        _check_error(((points - own) ** 2).reshape(live.size, -1).sum(axis=1), prev_e)
-    for r, (run, _, shift) in follows.items():
-        while run in follows:
-            shift += follows[run][2]
-            run = follows[run][0]
-        if iterations[run] + shift <= MAX_ITERS:
-            final[r] = final[run]
-            iterations[r] = iterations[run] + shift
-            converged[r] = converged[run]
-            continue
-        at, lead = MAX_ITERS, r  # cut off: the state its leaders had at MAX_ITERS - shift
-        while lead in follows and at >= follows[lead][1]:
-            at -= follows[lead][2]
-            lead = follows[lead][0]
-        row = np.frombuffer(keys[lead][at - 1], dtype=np.min_scalar_type(m - 1))
-        final[r] = _repair_empty(points, row.astype(np.int64), m)
+        final[live] = lab[cur]
     return final, iterations, converged
 
 
@@ -274,9 +283,11 @@ def lloyd(ds: Dataset, cfg: KMeansConfig) -> LloydResult:
         centers = np.atleast_2d(np.asarray(cfg.init_centers, dtype=np.float64))
         if centers.shape != (cfg.m, ds.d):
             raise PreconditionError("init_centers must have shape (m, d)")
+        if not np.isfinite(centers).all():
+            raise PreconditionError("init_centers must be finite")
         centers, labels = centers[None], None
     else:
-        labels = np.asarray(cfg.init_labels, dtype=np.int64).reshape(-1)
+        labels = _integer_labels(cfg.init_labels).reshape(-1)
         if labels.shape[0] != ds.n or labels.min() < 0 or labels.max() >= cfg.m:
             raise PreconditionError("init_labels must map every point to 0..m-1")
         labels = _repair_empty(points, labels, cfg.m)[None]

@@ -181,9 +181,22 @@ class ClusterStats:
         return ClusterStats(self.n - other.n, self.sum - other.sum, self.sumsq - other.sumsq)
 
 
+def _integer_labels(labels) -> np.ndarray:
+    """The labels as a new int64 array: of an integer or bool dtype as they
+    are, floats only when every one is finite and integral (others raise)."""
+    lab = np.asarray(labels)
+    if lab.dtype.kind in "biu":
+        return lab.astype(np.int64)
+    with np.errstate(invalid="ignore"):  # nan and inf fail the comparison
+        ints = lab.astype(np.int64) if lab.dtype.kind == "f" else None
+    if ints is None or not np.array_equal(ints, lab):
+        raise PreconditionError("labels must be integers")
+    return ints
+
+
 def _validated_labels(ds: Dataset, labels, m: int | None) -> tuple[np.ndarray, int]:
     """A checked copy of the labels, never the caller's array, and m."""
-    lab = np.array(labels, dtype=np.int64).reshape(-1)
+    lab = _integer_labels(labels).reshape(-1)
     if lab.shape[0] != ds.n:
         raise PreconditionError("labels must assign every point")
     if lab.size and lab.min() < 0:

@@ -39,7 +39,7 @@ import numpy as np
 from . import reclass
 from .core import (REFRESH_INTERVAL, InputFormatError,
                    InternalConsistencyError, PreconditionError,
-                   clamped_cluster_energy, frozen_floats, sigma)
+                   _integer_labels, clamped_cluster_energy, frozen_floats, sigma)
 
 
 @dataclass(frozen=True)
@@ -219,12 +219,10 @@ class SegmentMap:
         self.img = img
         self.w, self.h = img.width, img.height
         self._nbrs = _neighbor_table(self.w, self.h)
-        lab = np.asarray(labels)
-        if lab.shape != (img.n_pixels,):
+        if np.shape(labels) != (img.n_pixels,):
             raise PreconditionError("label buffer does not match the image")
-        with np.errstate(invalid="ignore"):  # nan and inf fail the comparison
-            ints = lab.astype(np.int64) if lab.dtype.kind in "biuf" else None
-        if ints is None or not np.array_equal(ints, lab) or ints.min() < 0:
+        ints = _integer_labels(labels)
+        if ints.min() < 0:
             raise PreconditionError("labels must be nonnegative integers")
         self._ids, dense = np.unique(ints, return_inverse=True)  # id -> given label
         self._labels: list[int] = dense.reshape(-1).tolist()

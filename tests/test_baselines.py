@@ -69,6 +69,20 @@ def test_lloyd_validation():
         KMeansConfig(m=0)
 
 
+@pytest.mark.parametrize("seeding", [
+    pytest.param({"init_labels": [0.7, 1.2, 1.9, 0.0]}, id="fractional-labels"),
+    pytest.param({"init_labels": [0.0, 1.0, np.nan, 0.0]}, id="nan-label"),
+    pytest.param({"init_centers": [[np.nan], [5.0]]}, id="nan-center"),
+    pytest.param({"init_centers": [[0.0], [np.inf]]}, id="inf-center")])
+def test_lloyd_rejects_seeds_that_are_not_integers_or_finite(seeding):
+    """Lloyd refuses init_labels that are not integers (the fractional ones
+    ran as [0, 1, 1, 0]) and init_centers that are not finite, as
+    precondition errors."""
+    ds = Dataset([0.0, 1.0, 9.0, 10.0])
+    with pytest.raises(PreconditionError):
+        lloyd(ds, KMeansConfig(m=2, **seeding))
+
+
 def test_candidate_subsample_above_the_limit(monkeypatch):
     """Above SUBSAMPLE_ABOVE distinct points the candidate centers are a
     sorted SUBSAMPLE_SIZE-row subset of unique_rows(), fixed by rng_seed."""
@@ -677,6 +691,50 @@ def test_cycles_run_to_max_iters(monkeypatch, max_iters, period):
     assert np.array_equal(labels[0], cycle[(baselines.MAX_ITERS - 1) % period])
     assert converged[1] == (period == 2)
     assert sum(assigned[runs:]) < sum(assigned[:runs])
+
+
+@pytest.mark.parametrize("max_iters", [None, 2, 3])
+def test_each_state_is_assigned_once_per_stack(monkeypatch, max_iters):
+    """No call of the Lloyd kernel on a stack of more than one member
+    assigns a label row twice: not in the growth steps of the reference data
+    sets, also cut off after two or three iterations, nor in the forced two-
+    and three-cycles of test_cycles_run_to_max_iters, where a run that
+    meets its own row again walks on through the states already assigned.
+    (A stack of one makes no row keys, so a cycle alone assigns its rows
+    again.)"""
+    if max_iters is not None:
+        monkeypatch.setattr(baselines, "MAX_ITERS", max_iters)
+    stack, assign = baselines._lloyd_stack, baselines._assign
+    calls, cycle = [], None
+
+    def recorded_stack(points, centers, labels, first=None):
+        calls.append((centers.shape[0], []))
+        return stack(points, centers, labels, first)
+
+    def recorded_assign(d2, current):
+        out, e = assign(d2, current)
+        for k, row in enumerate([] if current is None else current):
+            calls[-1][1].append(row.tobytes())
+            at = [] if cycle is None else np.flatnonzero((cycle == row).all(axis=1))
+            if len(at):
+                out[k] = cycle[(at[0] + 1) % cycle.shape[0]]
+        return out, e
+
+    monkeypatch.setattr(baselines, "_lloyd_stack", recorded_stack)
+    monkeypatch.setattr(baselines, "_assign", recorded_assign)
+    for ds in _kmeans_reference_sets(np.random.default_rng(909)):
+        kmeans_sequence(ds, min(5, ds.unique_rows().shape[0]), rng_seed=3)
+    ds = Dataset([0.0, 1.0, 2.0, 8.0, 9.0, 10.0, 20.0, 21.0])
+    centers = np.array([[1.0, 9.0, 20.5], [9.0, 20.5, 1.0], [0.0, 10.0, 21.0],
+                        [0.0, 1.0, 2.0]])[..., None]
+    for period in (2, 3):
+        cycle = np.array([[0, 0, 0, 1, 1, 1, 2, 2], [1, 1, 1, 2, 2, 2, 0, 0],
+                          [2, 2, 2, 0, 0, 0, 1, 1]])[:period]
+        converged = baselines._lloyd_stack(ds.points, centers, None)[2]
+        assert not converged[0]
+    stacks = [rows for b, rows in calls if b > 1]
+    assert len(stacks) > 20 and sum(map(len, stacks)) > 300
+    assert all(len(set(rows)) == len(rows) for rows in stacks)
 
 
 @pytest.mark.parametrize("per_wave", [None, 1, 2])

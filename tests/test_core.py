@@ -176,6 +176,25 @@ def test_move_on_a_copy_leaves_source_untouched():
     _assert_same_state(_state(q), before)
 
 
+@pytest.mark.parametrize("labels", [
+    pytest.param([0.9, 0.2, 1.5, 1.0], id="fractional"),
+    pytest.param([0.0, 0.0, 1.0, np.nan], id="nan"),
+    pytest.param([0.0, 0.0, 1.0, np.inf], id="inf"),
+    pytest.param([0.0, 0.0, 1.0, 1e300], id="beyond-int64"),
+    pytest.param(["0", "0", "1", "1"], id="strings")])
+def test_labels_that_are_not_integers_are_rejected(labels):
+    """A label that is not an integer is a precondition error, not
+    truncated (the fractional labels ran as [0, 0, 1, 1], E 1.0) nor
+    numpy's ValueError; integral floats are taken as ids."""
+    ds = Dataset([0.0, 1.0, 5.0, 6.0])
+    with pytest.raises(PreconditionError, match="integers"):
+        Partition.from_labels(ds, labels)
+    with pytest.raises(PreconditionError, match="integers"):
+        partition_energy(ds, labels)
+    whole = Partition.from_labels(ds, np.array([0.0, 0.0, 1.0, 1.0]))
+    assert whole.labels.dtype == np.int64 and whole.labels.tolist() == [0, 0, 1, 1]
+
+
 def test_from_labels_copies_the_callers_labels():
     """Moving points in a partition leaves the labels it was built from as
     they were."""

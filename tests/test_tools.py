@@ -1,5 +1,6 @@
 """The repository's tools, run as their users run them."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -96,3 +97,38 @@ def test_e_deltas_tells_relabelled_from_repartitioned(tmp_path, labels, kind, sp
         f"  {kind} dup1d/101/0 kh m=2",
         "seg32: 0 files differ, 0 records with changed labels, 0 records with changed E "
         "(max relative dE 0.0e+00, 0 up, 0 down)"]
+
+
+def _paired_runs():
+    """tools/paired_runs.py as a module; tools/ is not a package."""
+    spec = importlib.util.spec_from_file_location("paired_runs",
+                                                  ROOT / "tools" / "paired_runs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_paired_runs_summary_on_fixed_numbers():
+    """The summary of tools/paired_runs.py, without running the benchmark:
+    medians and inclusive quartiles per side, the parent's interquartile
+    range, and wins and losses in the metric's direction (a tie is
+    neither), on five pairs of fixed numbers; one pair has no spread."""
+    tool = _paired_runs()
+    parent = [0.040, 0.030, 0.050, 0.045, 0.035]
+    change = [0.030, 0.031, 0.040, 0.045, 0.020]
+    pairs = [{"parent": {"job_s": p, "pass_frac": 1.0}, "change": {"job_s": c, "pass_frac": f}}
+             for p, c, f in zip(parent, change, (1.0, 0.5, 1.0, 1.0, 1.0))]
+    s = tool.summarize(pairs, {"job_s": "lower", "pass_frac": "higher"})
+    job = s["job_s"]
+    assert job["parent"]["runs"] == parent and job["change"]["runs"] == change
+    assert job["parent"]["median"] == 0.040 and job["change"]["median"] == 0.031
+    assert job["parent"]["q1"] == pytest.approx(0.035) and job["parent"]["q3"] == 0.045
+    assert job["parent_iqr"] == pytest.approx(0.010)
+    assert (job["change_wins"], job["change_losses"]) == (3, 1)
+    assert job["median_change_rel"] == pytest.approx(-0.225)
+    frac = s["pass_frac"]
+    assert (frac["change_wins"], frac["change_losses"]) == (0, 1)
+    assert frac["parent_iqr"] == 0.0 and frac["median_change_rel"] == 0.0
+    one = tool.summarize(pairs[:1], {"job_s": "lower"})["job_s"]
+    assert one["parent"] == {"q1": 0.040, "median": 0.040, "q3": 0.040, "runs": [0.040]}
+    assert one["parent_iqr"] == 0.0 and one["change_wins"] == 1
