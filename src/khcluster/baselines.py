@@ -339,7 +339,7 @@ def _grow_one(ds: Dataset, prev: Partition, rng_seed: int):
     base = np.broadcast_to(kept, (cands.shape[0], prev.m, ds.d))
     centers = np.concatenate((base, cands[:, None, :]), axis=1)
     best, iters = None, 0
-    for sel in _waves(cands.shape[0], ds):
+    for sel in _waves(cands.shape[0], ds.n * (ds.d + 1)):
         labels, iterations, _ = _lloyd_stack(ds.points, centers[sel], None,
                                              _first_labels(ds.points, kept, cands[sel]))
         iters += int(iterations.sum())

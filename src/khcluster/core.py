@@ -30,21 +30,26 @@ REFRESH_INTERVAL = 1024
 ENERGY_CLAMP_REL = 1e-9
 
 # Cells that a blocked kernel works on in one chunk: members x rows x
-# clusters in the correction passes of kh_engine and the Lloyd distances
-# and assignments of baselines, ends x starts in a block of the Otsu DP.
-# It bounds the kernels' temporary arrays, not the stacks they score: a
-# correction pass or a Lloyd iteration goes over its stack a chunk at a
-# time, so the work that runs once per pass is not repeated per chunk.
+# clusters in the Lloyd distances and assignments of baselines, ends x
+# starts in a block of the Otsu DP. It bounds those kernels' temporary
+# arrays, not the stacks they score: a Lloyd iteration goes over its stack
+# a chunk at a time, so the work that runs once per iteration is not
+# repeated per chunk. kh's correction kernel has no chunks; its waves
+# bound it (WAVE_BUDGET).
 STACK_BUDGET = 8192
 
 # Cells in the largest arrays of one wave, a stack that runs as one: the
 # merge or split candidates of a kh step, or the Lloyd runs of a k-means
-# growth step. A wave holds members x rows x (d + 1) of them, the tiled
-# points and |x|^2 of PartitionStack.from_labels; the tiled points of the
-# means and each point's own center are members x rows x d, and a growth
-# step's first distances rows x (kept centroids + members). A wave holds
-# several such arrays of at most 2 MiB each, whatever d; every candidate
-# of 200 points in 1-D goes in one wave. On those points peak memory rose
+# growth step. _waves sizes a wave by the cells one member adds to its
+# largest array. A Lloyd run adds rows x (d + 1), the tiled points and
+# |x|^2 of PartitionStack.from_labels; the tiled points of the means and
+# each point's own center are members x rows x d, and a growth step's first
+# distances rows x (kept centroids + members). A kh candidate adds the
+# larger of rows x (d + 1) and 2 x (cluster, group) rows x clusters, the
+# single and whole-group variants of the correction kernel's delta, which
+# each pass scores for all members still moving at once. A wave holds
+# several such arrays of at most 2 MiB each, whatever d; every Lloyd run of
+# 200 points in 1-D goes in one wave. On those points peak memory rose
 # with STACK_BUDGET, not with this bound.
 WAVE_BUDGET = 262144
 
@@ -281,10 +286,11 @@ def _chunks(count: int, per_member: int, budget: int | None = None):
     return (slice(lo, lo + size) for lo in range(0, count, size))
 
 
-def _waves(count: int, ds: Dataset):
-    """Slices of count stacked partitions of ds, WAVE_BUDGET cells each:
-    at most WAVE_BUDGET // (N (d + 1)) members (at least one)."""
-    return _chunks(count, ds.n * (ds.d + 1), WAVE_BUDGET)
+def _waves(count: int, per_member: int):
+    """Slices of count stacked members, WAVE_BUDGET cells each, per_member
+    cells to a member: at most WAVE_BUDGET // per_member members (at least
+    one)."""
+    return _chunks(count, per_member, WAVE_BUDGET)
 
 
 def _step_winner(st: PartitionStack, tie=None, best=None):

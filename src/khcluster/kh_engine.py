@@ -9,23 +9,23 @@ is made only when its change of E, recomputed from the statistics, lies
 below -move_tolerance(E).
 
 That loop is _correct_stack. Each of its passes finds the best move of
-every member still moving in a stack of partitions (core.PartitionStack)
-and applies them together, so each member ends bit for bit as if
-corrected alone; the kernel, _best_moves, scores those members
-core.STACK_BUDGET members x rows x clusters at a time, which bounds the
-pass's temporary arrays. merge_step and split_step share one candidate
-loop, _corrected_winner; each only labels its candidates and names its
-tie key. The loop stacks the candidates in waves of at most
-core.WAVE_BUDGET members x rows x (d + 1) cells, the bound the Lloyd
-waves of the k-means baseline share, corrects each wave with one loop
-(a step of tens of points is one wave), and keeps the winner by the step
-winner rule of core._step_winner. correct_pairs and
-correct_tuples are _correct_stack on one partition, a stack of one whose
-moves are Partition.move calls, the latter with a mask of the clusters of
-each tuple (it ends pair-stable too, and nothing in the package calls
-it). Each pass recomputes d2 to every centroid (core.squared_distances)
-and computes the size factors of the delta (reclass.size_factors) on the
-shapes they depend on, not on every (row, variant, acceptor) cell.
+every member still moving in a stack of partitions (core.PartitionStack),
+all of them in one call of the kernel, _best_moves, and applies them
+together, so each member ends bit for bit as if corrected alone.
+merge_step and split_step share one candidate loop, _corrected_winner;
+each only labels its candidates and names its tie key. The loop stacks
+the candidates in waves of at most core.WAVE_BUDGET cells, a candidate
+counting the cells it adds to the wave's largest array, the kernel's
+included; so the waves alone bound every pass's arrays. It corrects each
+wave with one loop (a build_sequence step on tens of points is one
+wave), and keeps the winner by the step winner rule of core._step_winner.
+correct_pairs and correct_tuples are _correct_stack on one partition, a
+stack of one whose moves are Partition.move calls, the latter with a mask
+of the clusters of each tuple (it ends pair-stable too, and nothing in
+the package calls it). Each pass recomputes d2 to every centroid
+(core.squared_distances) and computes the size factors of the delta
+(reclass.size_factors) on the shapes they depend on, not on every (row,
+variant, acceptor) cell.
 
 build_sequence's top_down route corrects its merges only near the counts
 it records: while the partition has more than CORRECTED_SPAN x m_max
@@ -41,7 +41,7 @@ made once per Dataset. A pass scores one row per occupied (member,
 cluster, group) triple, which _pair_rows finds without a sort, by one
 bincount over the key space members x clusters x groups. Every group
 occupies some cluster of every member, so the key space is no larger than
-the rows x clusters of deltas the pass scores, and the chunks that bound
+the rows x clusters of deltas the pass scores, and the waves that bound
 those bound it too. A group's sums of k points are computed once per
 _correct_stack call.
 """
@@ -56,7 +56,7 @@ import numpy as np
 from . import reclass
 from .baselines import _lloyd_stack, kmeans_sequence
 from .core import (Dataset, Partition, PartitionSequence, PartitionStack,
-                   PreconditionError, _chunks, _step_winner, _waves,
+                   PreconditionError, _step_winner, _waves,
                    sq_norms, squared_distances)
 
 # Exact farthest-pair search is quadratic; larger clusters fall back to the
@@ -184,34 +184,15 @@ def _pair_rows(labels: np.ndarray, m: int, groups):
     return pair, first[pair], size[pair]
 
 
-def _best_moves(st: PartitionStack, active: np.ndarray, per_member: int,
-                policy: SubsetPolicy, groups, group_sums: dict,
-                allowed: np.ndarray | None = None):
+def _best_moves(st: PartitionStack, active: np.ndarray, policy: SubsetPolicy,
+                groups, group_sums: dict, allowed: np.ndarray | None = None):
     """The best admissible move of every member in active that beats
-    -move_tolerance(E), scored core.STACK_BUDGET cells at a time: chunks of
-    at most STACK_BUDGET // per_member members, per_member being the rows
-    x clusters one member adds.
+    -move_tolerance(E), all members scored at once.
 
     Returns (members, donor, acceptor, moved, sub_sum, sub_sq) for
-    PartitionStack.move and each member's -move_tolerance(E), the chunks'
-    moves concatenated, or None when no member has such a move.
-    """
-    if st.counts.shape[1] < 2:
-        return None
-    found = [f for sel in _chunks(active.size, per_member)
-             if (f := _chunk_moves(st, active[sel], policy, groups, group_sums,
-                                   allowed)) is not None]
-    if len(found) < 2:
-        return found[0] if found else None
-    best = tuple(np.concatenate(a) for a in zip(*(f[0] for f in found)))
-    return best, np.concatenate([f[1] for f in found])
-
-
-def _chunk_moves(st: PartitionStack, active: np.ndarray, policy: SubsetPolicy,
-                 groups, group_sums: dict, allowed: np.ndarray | None):
-    """_best_moves of one chunk of members, scored all at once.
-
-    Moves are ranked on (delta, donor, acceptor, first index, subset size).
+    PartitionStack.move and each member's -move_tolerance(E), or None when
+    no member has such a move. Moves are ranked on (delta, donor, acceptor,
+    first index, subset size).
     A row per occupied (cluster, group) pair, led by its first point,
     carries the single-point move and, when the pair holds two or more
     points, the whole-group move: identical twins have equal bits, so in
@@ -226,6 +207,8 @@ def _chunk_moves(st: PartitionStack, active: np.ndarray, policy: SubsetPolicy,
     give in the same bits; allowed, a mask over clusters, confines donors
     and acceptors.
     """
+    if st.counts.shape[1] < 2:
+        return None
     gid, rep, rep_sq = groups
     n_groups, n, m = rep.shape[0], st.labels.shape[1], st.counts.shape[1]
     pair, at, size = _pair_rows(st.labels[active], m, groups)
@@ -283,14 +266,14 @@ def _chunk_moves(st: PartitionStack, active: np.ndarray, policy: SubsetPolicy,
 
 
 def _correct_stack(st: PartitionStack | Partition, policy: SubsetPolicy,
-                   allowed: np.ndarray | None = None, per_member: int = 1) -> np.ndarray:
+                   allowed: np.ndarray | None = None) -> np.ndarray:
     """Correct every member of st in place, each bit for bit as alone, and
     return each member's moves; a member drops out of the passes when it
     has no improving move. allowed, a mask over clusters, confines donors
-    and acceptors. Each pass scores the members still moving in chunks of
-    core.STACK_BUDGET cells, per_member (rows x clusters) to a member
-    (_best_moves), then checks and applies all their moves together; a
-    stack of one is one chunk.
+    and acceptors. Each pass scores all the members still moving with one
+    kernel call (_best_moves), then checks and applies their moves
+    together; the stack's size bounds the pass's arrays (_corrected_winner
+    sizes its waves by them).
 
     The loop ends by construction: a move is made only when its change of
     E, recomputed from the donor and acceptor energies as the move applies
@@ -310,8 +293,8 @@ def _correct_stack(st: PartitionStack | Partition, policy: SubsetPolicy,
     groups, group_sums = _group_rows(stack.ds), {}
     moves = np.zeros(stack.labels.shape[0], dtype=np.int64)
     active = np.arange(moves.size)
-    while (found := _best_moves(stack, active, per_member, policy, groups,
-                                group_sums, allowed)) is not None:
+    while (found := _best_moves(stack, active, policy, groups, group_sums,
+                                allowed)) is not None:
         best, below = found
         members, donor, acceptor, moved, sub_sum, sub_sq = best
         stats = stack.moved_stats(members, donor, acceptor, moved.sum(axis=1),
@@ -372,15 +355,17 @@ def _corrected_winner(p: Partition, count: int, labelled, m: int,
     """The candidate loop of merge_step and split_step. labelled(sel) gives
     the labels (members, N) onto m clusters of the candidates in the slice
     sel of range(count). They go as one stack, in waves of core.WAVE_BUDGET
-    members x rows x (d + 1) cells, each corrected by one loop sized by the
-    occupied (cluster, group) rows of p, which no candidate exceeds;
-    the lowest (E, tie) wins (core._step_winner).
+    cells, each corrected by one loop. A candidate adds the larger of
+    N x (d + 1) cells, the points a stack tiles for its statistics, and
+    2 x rows x m, the two variants of the kernel's delta over the occupied
+    (cluster, group) rows of p, which no candidate exceeds; the lowest
+    (E, tie) wins (core._step_winner).
     """
-    per_member = _pair_rows(p.labels[None], p.m, _group_rows(p.ds))[0].size * m
+    rows = _pair_rows(p.labels[None], p.m, _group_rows(p.ds))[0].size
     best = None
-    for sel in _waves(count, p.ds):
+    for sel in _waves(count, max(p.ds.n * (p.ds.d + 1), 2 * rows * m)):
         st = PartitionStack.from_labels(p.ds, labelled(sel), m)
-        _correct_stack(st, policy, per_member=per_member)
+        _correct_stack(st, policy)
         best = _step_winner(st, None if tie is None else tie[sel], best)
     return best[1]
 

@@ -36,9 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import reclass
-from .core import (REFRESH_INTERVAL, InputFormatError,
-                   InternalConsistencyError, PreconditionError,
+from . import core, reclass
+from .core import (InputFormatError, InternalConsistencyError, PreconditionError,
                    _integer_labels, clamped_cluster_energy, frozen_floats, sigma)
 
 
@@ -312,7 +311,7 @@ class SegmentMap:
 
     def _tick(self) -> None:
         self._ops += 1
-        if self._ops % REFRESH_INTERVAL == 0:
+        if self._ops % core.REFRESH_INTERVAL == 0:
             self._rebuild()
 
     @property

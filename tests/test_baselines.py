@@ -381,12 +381,13 @@ def test_chunks_waves_and_dp_blocks_keep_their_bounds(monkeypatch, budget, wave)
     rows x (d + 1) (or one member). So do the points a wave tiles for its
     means and statistics, which have the shape of each point's own center
     too, and the stacks of kh's merge and split steps, whose correction
-    passes compute distances at most core.STACK_BUDGET members x groups x
-    clusters at a time. A wave's first-assignment matrix holds the rows x
-    kept centroids and at most core.WAVE_BUDGET / (d + 1) cells of
-    candidates (or one candidate). With the default bounds a growth step of
-    200 points in 1-D runs in one wave, one of 100 points in 32-D in two,
-    and a merge step of 24 singletons in 2-D in one."""
+    passes compute distances at most core.WAVE_BUDGET / 2 members x groups
+    x clusters (or one member), half a wave for the two variants of the
+    delta. A wave's first-assignment matrix holds the rows x kept centroids
+    and at most core.WAVE_BUDGET / (d + 1) cells of candidates (or one
+    candidate). With the default bounds a growth step of 200 points in 1-D
+    runs in one wave, one of 100 points in 32-D in two, and a merge step of
+    24 singletons in 2-D in two."""
     if budget is not None:
         monkeypatch.setattr(core, "STACK_BUDGET", budget)
     if wave is not None:
@@ -472,25 +473,28 @@ def test_chunks_waves_and_dp_blocks_keep_their_bounds(monkeypatch, budget, wave)
     blobs = Dataset(np.round(rng.normal(0.0, 1.0, (24, 2))
                              + np.repeat([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]], 8, axis=0), 2))
     kh_engine.build_sequence(blobs, 4)
-    kh_engine.merge_step(Partition.from_labels(blobs, np.arange(24)))
+    singletons = Partition.from_labels(blobs, np.arange(24))
+    start = len(tiled)
+    kh_engine.merge_step(singletons)
     assert tiled and kh_chunks
     assert all(b * n * c <= core.WAVE_BUDGET or b == 1 for b, n, c in tiled)
-    assert all(b * n * m <= core.STACK_BUDGET or b == 1 for b, n, m in kh_chunks)
+    assert all(b * n * m <= core.WAVE_BUDGET / 2 or b == 1 for b, n, m in kh_chunks)
     assert max(b for b, _, _ in tiled) > 1 or core.WAVE_BUDGET < 2 * 24 * 3
-    if wave is None:
-        assert max(b for b, _, _ in tiled) == 24 * 23 // 2  # the singletons' merge step
+    if wave is None:  # the singletons' merge step, 2 x 24 x 23 cells a candidate
+        assert [b for b, _, _ in tiled[start:]] == [237, 24 * 23 // 2 - 237]
 
 
 def test_a_member_whose_error_rises_raises(monkeypatch):
     """The monotone-error check is kept per member: scrambling the second
     assignment of one member of a stack of candidates raises, though every
     other member iterates normally. The first assignment of a growth step
-    comes from one matrix (_first_labels), so _assign first runs for the
-    second, which sees one member per distinct first labeling, since equal
-    label rows run once. A state's error is read from the next assignment,
-    so the raise comes at the third, which sees the scrambled member alone:
-    every other member converged at its second assignment or reached a row
-    that another run had at its first, and follows that run."""
+    comes from one matrix (_first_labels), and equal label rows are one
+    state, so the first _assign call assigns one state per distinct first
+    labeling; the scrambled row it returns becomes a new state. A state's
+    error is read from its own assignment, so the edge into the scrambled
+    state is checked once the second call has assigned it, and that call
+    assigns it alone: every other state of the first call kept its labels
+    or has as succ a state already in the graph."""
     assign = baselines._assign
     calls = []
 
@@ -576,13 +580,14 @@ def _states_after(monkeypatch, ds, m, centers, its):
 
 @pytest.mark.parametrize("max_iters", [None, 3, 9])
 def test_a_run_follows_one_that_reached_its_row_earlier(monkeypatch, max_iters):
-    """A member that reaches, at iteration t, the row another run had at
-    iteration t - 2 follows that run: it matches its run alone in labels,
-    iteration count and convergence, also when the shifted end passes
-    MAX_ITERS (3 and 9, where it ends unconverged in its leader's state of
-    iteration MAX_ITERS - 2). The kernel assigns fewer member-rows than the
-    runs' summed iterations, except at MAX_ITERS 3, where the follower
-    joins at the last iteration."""
+    """A member that steps, at iteration t, onto the state another member
+    was in at iteration t - 2 walks on along succ through states already
+    assigned: it matches its run alone in labels, iteration count and
+    convergence, also when its path is cut off at MAX_ITERS (3 and 9,
+    where it ends unconverged in the state the other member was in at
+    iteration MAX_ITERS - 2). Each state is assigned once, so the kernel
+    assigns fewer member-rows than the runs' summed iterations, except at
+    MAX_ITERS 3, where the shared state is reached at the last iteration."""
     ds = Dataset(np.round(np.random.default_rng(4).normal(0.0, 5.0, 24), 2))
     late = np.sort(ds.points, axis=0)[:3]  # a run of ten iterations
     r2, r3 = _states_after(monkeypatch, ds, 3, late, (2, 3))
@@ -618,14 +623,18 @@ def test_a_run_follows_one_that_reached_its_row_earlier(monkeypatch, max_iters):
     pytest.param("scrambled", 2, [2, 2], id="last-state")])
 def test_a_rise_raises_wherever_its_state_is_checked(monkeypatch, forced, max_iters,
                                                     calls):
-    """A state's error is checked even where no later assignment of its
-    own reads it. Of two runs, one from far off the optimum, one from its
-    third state, the second's second assignment is forced to a labeling
-    of higher error than its first state: the first run's first labeling,
-    which it then follows (the error of the state it joins is checked); the
-    first run's second labeling, reached by both at once (the first run
-    runs on for both, against the smaller previous error); or, with
-    MAX_ITERS 2, a scrambled labeling (checked after the loop)."""
+    """An edge of the state graph is checked once both its states' errors
+    are known, wherever that is. Of two runs, one from far off the
+    optimum, one from its third state, the second's second assignment is
+    forced to a labeling of higher error than its first state: the first
+    run's first labeling, a state already assigned, so the edge is checked
+    before the next assignment (follows-a-later-run); the first run's
+    second labeling, the state the first run steps to in the same
+    assignment, so both edges into it are checked once the third
+    assignment has given its error, the second's against the smaller error
+    (meets-at-once); or, with MAX_ITERS 2, a scrambled labeling, a frontier
+    state cut off at MAX_ITERS whose error comes from its means, checked
+    after the loop (last-state)."""
     ds = Dataset(np.round(np.random.default_rng(4).normal(0.0, 5.0, 24), 2))
     late = np.sort(ds.points, axis=0)[:3]
     r1, r2 = _states_after(monkeypatch, ds, 3, late, (1, 2))
@@ -653,12 +662,14 @@ def test_a_rise_raises_wherever_its_state_is_checked(monkeypatch, forced, max_it
 def test_cycles_run_to_max_iters(monkeypatch, max_iters, period):
     """With an assignment forced to turn two or three labelings of one
     partition (equal errors) into one another in a cycle, every member
-    matches its run alone, a stack of one: the member that enters the cycle
-    first meets its own row a period on and runs on, to MAX_ITERS,
-    unconverged, in its row of iteration MAX_ITERS. In the three-cycle the
-    member that enters one iteration later follows it, and the first, on
-    reaching a row that member had before, does not follow back. The stack
-    assigns fewer member-rows than the runs alone."""
+    matches its run alone, a stack of one: the cycle's states form a loop
+    of succ, and the member that enters it first walks round it to
+    MAX_ITERS, unconverged, in its state of iteration MAX_ITERS. In the
+    three-cycle a second member starts on the loop's third state and walks
+    the same states one iteration behind the first; neither path changes
+    the other. Each
+    state is assigned once, so the stack assigns fewer member-rows than the
+    runs alone, which assign the cycle's rows again on every lap."""
     if max_iters is not None:
         monkeypatch.setattr(baselines, "MAX_ITERS", max_iters)
     ds = Dataset([0.0, 1.0, 2.0, 8.0, 9.0, 10.0, 20.0, 21.0])

@@ -1,6 +1,7 @@
 """Reclassification engine: stability, correction loops, merge/split sequences."""
 
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -562,39 +563,29 @@ def _reference_sets(rng, d):
     yield Dataset(own.integers(-20, 21, (6, d))[group] * 0.1), lab
 
 
-@pytest.mark.parametrize("refresh, budget, wave", [
-    pytest.param(None, None, None, id="None-None"),
-    pytest.param(None, 150, None, id="None-150"),
-    pytest.param(2, None, None, id="2-None"),
-    pytest.param(None, 150, 250, id="None-150-wave-250")])
-def test_stacked_correction_matches_one_candidate_at_a_time(monkeypatch, refresh,
-                                                            budget, wave):
+@pytest.mark.parametrize("refresh, wave", [
+    pytest.param(None, None, id="None-None"),
+    pytest.param(2, None, id="2-None"),
+    pytest.param(None, 500, id="None-wave-500")])
+def test_stacked_correction_matches_one_candidate_at_a_time(monkeypatch, refresh, wave):
     """The stacked kernel reproduces, bit for bit, correct_pairs as one move
     at a time, and merge_step and split_step as one candidate at a time
     from both the case's labels and their correction, on every
-    _reference_sets case under every policy; also with the members of a
-    pass scored over several chunks (budget), with a step's candidates
-    split into several waves of several chunks each (wave), and with
+    _reference_sets case under every policy; also with a step's candidates
+    split into several waves of several members each (wave), and with
     statistics rebuilt from the labels every second move (refresh)."""
     if refresh is not None:
         monkeypatch.setattr(core, "REFRESH_INTERVAL", refresh)
-    if budget is not None:
-        monkeypatch.setattr(core, "STACK_BUDGET", budget)
     if wave is not None:
         monkeypatch.setattr(core, "WAVE_BUDGET", wave)
-    stacks, chunked, waves = [], [], []
-    correct, best_moves = kh_engine._correct_stack, kh_engine._best_moves
+    stacks, waves = [], []
+    correct = kh_engine._correct_stack
 
     def recorded_correct(st, *args, **kwargs):
         stacks.append(st.labels.shape[0])
         return correct(st, *args, **kwargs)
 
-    def recorded_best(st, active, per_member, *args):
-        chunked.append(-(-active.size // max(1, core.STACK_BUDGET // per_member)))
-        return best_moves(st, active, per_member, *args)
-
     monkeypatch.setattr(kh_engine, "_correct_stack", recorded_correct)
-    monkeypatch.setattr(kh_engine, "_best_moves", recorded_best)
     rng = np.random.default_rng(808)
     moved = group_moves = large_moves = refreshed = 0
     for d in (1, 2, 3):
@@ -622,8 +613,6 @@ def test_stacked_correction_matches_one_candidate_at_a_time(monkeypatch, refresh
                         assert_same_bits(stepped, one_at_a_time(q, policy))
     assert moved > 10 and group_moves > 0 and large_moves > 0
     assert refreshed > 0 or refresh is None
-    if budget is not None:
-        assert max(chunked) > 1  # a pass of several chunks
     if wave is not None:  # a step in several waves of several members
         assert any(len(w) > 1 and w[0] > 1 for w in waves)
     else:
@@ -660,8 +649,11 @@ def test_step_winner_rule_on_planted_exact_ties(monkeypatch, per_wave):
     assert first_pair.labels.tolist() != cases[1][3]
     for step, points, labels, want in cases:
         ds = Dataset(points)
-        if per_wave is not None:
-            monkeypatch.setattr(core, "WAVE_BUDGET", per_wave * ds.n * (ds.d + 1))
+        if per_wave is not None:  # a candidate's cells, as _corrected_winner counts them
+            rows = len(set(zip(labels, ds.identical_group_labels().tolist())))
+            m = len(set(labels)) + (1 if step is split_step else -1)
+            monkeypatch.setattr(core, "WAVE_BUDGET",
+                                per_wave * max(ds.n * (ds.d + 1), 2 * rows * m))
         loops.clear()
         got = step(Partition.from_labels(ds, labels))
         assert max(loops) == (per_wave or sum(loops))
@@ -678,15 +670,17 @@ def _blobs(per_blob: int) -> Dataset:
     return ds
 
 
-@pytest.mark.parametrize("waves", [1, 3])
+@pytest.mark.parametrize("waves", [4, 3])
 def test_one_correction_loop_per_step_and_wave(monkeypatch, waves):
     """build_sequence runs one correction loop per corrected merge step
     (from kh_engine.CORRECTED_SPAN x m_max clusters down), per split step
     and per record of the kmeans route at the default budgets, on 32 blob
-    points; a wave budget that cuts the merge step of the 32 singletons
-    (496 candidates of 32 x 3 cells) into waves of 200 runs it as 3 loops."""
-    if waves > 1:
-        monkeypatch.setattr(core, "WAVE_BUDGET", 200 * 32 * 3)
+    points. The merge step of the 32 singletons has 496 candidates of
+    2 x 32 rows x 31 clusters cells each, the kernel's delta: the default
+    wave budget runs it as 4 loops of at most 132 candidates, and a budget
+    of 200 candidates as 3."""
+    if waves == 3:
+        monkeypatch.setattr(core, "WAVE_BUDGET", 200 * 2 * 32 * 31)
     loops = []
     correct = kh_engine._correct_stack
 
@@ -698,11 +692,54 @@ def test_one_correction_loop_per_step_and_wave(monkeypatch, waves):
     ds = _blobs(8)
     p = Partition.from_labels(ds, np.arange(ds.n))
     merge_step(p)
-    assert loops == ([496] if waves == 1 else [200, 200, 96])
-    if waves == 1:
+    assert loops == ([132, 132, 132, 100] if waves == 4 else [200, 200, 96])
+    if waves == 4:
         loops.clear()
         build_sequence(ds, 6)
         assert len(loops) == (2 * 6 - 1) + (6 - 1) + 6
+
+
+def test_a_step_takes_memory_by_the_wave(monkeypatch):
+    """A merge step of 64 distinct 2-D points as singletons (2,016
+    candidates of 2 x 64 rows x 63 clusters cells each) peaks under
+    5.5 MiB of traced memory: its waves bound every array of a correction
+    pass, the kernel's included. Waves sized by the tiled points alone,
+    with each pass scored in member chunks, peaked at 7.6 MiB here. Each
+    pass scores all the members still moving in one kernel call: the
+    first call of a wave gets every member, each later one the members
+    the pass before moved, and the last finds no move."""
+    ds = _blobs(16)
+    p = Partition.from_labels(ds, np.arange(ds.n))
+    tracemalloc.start()
+    try:
+        merge_step(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 2**20
+
+    calls, stats = [], []
+    best_moves, moved_stats = kh_engine._best_moves, core.PartitionStack.moved_stats
+
+    def recorded(st, active, *args):
+        found = best_moves(st, active, *args)
+        calls.append((st, active.tolist(), None if found is None else found[0][0].tolist()))
+        return found
+
+    def counted(self, *args):
+        stats.append(self)
+        return moved_stats(self, *args)
+
+    monkeypatch.setattr(kh_engine, "_best_moves", recorded)
+    monkeypatch.setattr(core.PartitionStack, "moved_stats", counted)
+    merge_step(p)
+    stacks = list(dict.fromkeys(st for st, _, _ in calls))
+    assert len(stacks) == 63 and len(calls) == len(stats) + len(stacks)
+    for st in stacks:
+        mine = [(active, members) for s, active, members in calls if s is st]
+        assert mine[0][0] == list(range(st.labels.shape[0])) and mine[-1][1] is None
+        assert all(members is not None for _, members in mine[:-1])
+        assert all(nxt[0] == cur[1] for cur, nxt in zip(mine, mine[1:]))
 
 
 def _top_down_reference_sets():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import labeled_energy
-from khcluster import reclass
+from khcluster import core, reclass
 from khcluster.core import (ClusterStats, Dataset, InputFormatError,
                             InternalConsistencyError, PreconditionError, sigma)
 from khcluster.kh_engine import build_sequence
@@ -321,6 +321,38 @@ def test_consistency_audit_changes_nothing():
     (e_plain, lab_plain), (e_audited, lab_audited) = curves
     assert np.array_equal(e_audited, e_plain)
     assert np.array_equal(lab_audited, lab_plain)
+
+
+def test_a_short_refresh_interval_keeps_the_curve(monkeypatch):
+    """With core.REFRESH_INTERVAL at 5, a map rebuilds itself every five
+    operations: the corrected curve of a 12x12 C9 image passes the audit
+    after every merge-and-correct step, its rows stay within 1e-9 relative
+    of the curve at the default interval, and it ends on the same labels."""
+    img = _workload_image(101, 12)
+    plain = segment_curve(img)
+    rebuilds = []
+    rebuild, correct = SegmentMap._rebuild, SegmentMap.correct_boundaries
+
+    def counted(self):
+        rebuilds.append(self._ops)
+        return rebuild(self)
+
+    def audited(self):
+        out = correct(self)
+        self.check_consistency()
+        return out
+
+    monkeypatch.setattr(core, "REFRESH_INTERVAL", 5)
+    monkeypatch.setattr(SegmentMap, "_rebuild", counted)
+    monkeypatch.setattr(SegmentMap, "correct_boundaries", audited)
+    short = segment_curve(img)
+    assert len(short.corrected) == len(plain.corrected) == 144
+    assert [r.count for r in short.corrected] == [r.count for r in plain.corrected]
+    assert np.allclose([r.error for r in short.corrected],
+                       [r.error for r in plain.corrected],
+                       rtol=1e-9, atol=0.0)
+    assert np.array_equal(short.final_corrected.labels, plain.final_corrected.labels)
+    assert len([ops for ops in rebuilds if ops > 0]) > 40  # besides each map's first
 
 
 def test_signed_zero_pixels_group_with_zero_pixels():

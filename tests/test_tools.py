@@ -99,13 +99,16 @@ def test_e_deltas_tells_relabelled_from_repartitioned(tmp_path, labels, kind, sp
         "(max relative dE 0.0e+00, 0 up, 0 down)"]
 
 
-def _paired_runs():
-    """tools/paired_runs.py as a module; tools/ is not a package."""
-    spec = importlib.util.spec_from_file_location("paired_runs",
-                                                  ROOT / "tools" / "paired_runs.py")
+def _tool(name):
+    """tools/<name>.py as a module; tools/ is not a package."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _paired_runs():
+    return _tool("paired_runs")
 
 
 def test_paired_runs_summary_on_fixed_numbers():
@@ -132,3 +135,27 @@ def test_paired_runs_summary_on_fixed_numbers():
     one = tool.summarize(pairs[:1], {"job_s": "lower"})["job_s"]
     assert one["parent"] == {"q1": 0.040, "median": 0.040, "q3": 0.040, "runs": [0.040]}
     assert one["parent_iqr"] == 0.0 and one["change_wins"] == 1
+
+
+def test_target_sizes_summary_on_fixed_numbers():
+    """The summary of tools/target_sizes.py, without timing anything: per
+    side the min, median and inclusive quartiles of the seconds, the
+    change's wins and losses over the rounds (a tie is neither), the traced
+    peaks in MiB, and whether every run of both sides gave the same E bits,
+    on five rounds of fixed numbers."""
+    tool = _tool("target_sizes")
+    parent = [3.3, 3.2, 3.5, 3.4, 3.0]
+    change = [2.9, 3.0, 3.6, 2.8, 3.0]
+    rounds = [{"parent": p, "change": c} for p, c in zip(parent, change)]
+    bits = [["0x1.8p+1", "0x1.0p+0"] for _ in range(12)]
+    s = tool.summarize(rounds, {"parent": 3 * 2**20, "change": 2**19}, bits)
+    assert s["parent"]["runs"] == parent and s["change"]["runs"] == change
+    assert (s["parent"]["min"], s["parent"]["median"]) == (3.0, 3.3)
+    assert s["parent"]["q1"] == pytest.approx(3.2) and s["parent"]["q3"] == pytest.approx(3.4)
+    assert (s["change"]["min"], s["change"]["median"]) == (2.8, 3.0)
+    assert s["change"]["q1"] == pytest.approx(2.9) and s["change"]["q3"] == 3.0
+    assert (s["change_wins"], s["change_losses"]) == (3, 1)
+    assert s["peak_mib"] == {"parent": 3.0, "change": 0.5}
+    assert s["same_e_bits"]
+    bits[7] = ["0x1.8p+1", "0x1.0000000000001p+0"]
+    assert not tool.summarize(rounds, {"parent": 1, "change": 1}, bits)["same_e_bits"]
