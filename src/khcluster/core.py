@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # A mutated partition refreshes its statistics from scratch after this many
-# accepted moves, which bounds floating-point drift.
+# accepted moves, which bounds floating-point drift. A segment.SegmentMap
+# counts merges and moves alike, and rechecks before it rebuilds: when the
+# fresh statistics have the bits of the running ones, it keeps its state.
 REFRESH_INTERVAL = 1024
 
 # Cluster energies are clamped to zero when they come out negative within

@@ -11,7 +11,9 @@ strict sharpening of the nearest-centroid rule that plain K-means uses.
 Merging two clusters costs Ward's |Ia - Ib|^2 * na*nb / (na + nb).
 merge_deltas is the one place that factor is written; like
 transfer_deltas, it takes the squared centroid distance, so the engine's
-arrays and segment's Python numbers share it.
+arrays and segment's Python numbers share it. Segment scores every
+boundary move, so it writes transfer_deltas' closed form out on Python
+numbers in its scoring loop, with the same bits.
 """
 
 from __future__ import annotations
@@ -54,16 +56,6 @@ def transfer_deltas(home_sq, away_sq, k, n1, n2):
     return np.where(k < n1, away_sq * away - home_sq * home, np.inf)
 
 
-def transfer_delta(home_sq: float, away_sq: float, k: int, n1: int, n2: int) -> float:
-    """transfer_deltas of one move, on Python floats and ints, bit for bit:
-    an int quotient rounds once, as numpy's quotient of two exact doubles.
-    The closed form is written out here, with no call, since the image
-    pipeline scores every boundary move with it."""
-    if k < n1:
-        return away_sq * (k * n2 / (k + n2)) - home_sq * (k * n1 / (n1 - k))
-    return math.inf
-
-
 def _require_cluster(stats: ClusterStats, name: str) -> None:
     if stats.n < 1:
         raise PreconditionError(f"{name} cluster must be nonempty")
@@ -83,7 +75,8 @@ def delta_e_merge(a: ClusterStats, b: ClusterStats) -> float:
 def merge_deltas(d_sq, na, nb):
     """delta_e_merge from the squared centroid distance and the sizes, the
     one place Ward's factor is written. Broadcasts over numpy arrays; on
-    Python numbers it gives the same bits, as transfer_delta does."""
+    Python numbers it gives the same bits, since the int quotient rounds
+    once, as numpy's quotient of two exact doubles."""
     return d_sq * (na * nb / (na + nb))
 
 

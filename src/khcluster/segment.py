@@ -10,7 +10,10 @@ when its error delta is favorable. The lock is exact, with no window
 heuristics: searches from the donor pixels next to the moved ones run in
 turn and stop at the smaller side of a cut. Every segment carries a
 version, bumped whenever its pixels change; it keys the heap entries and
-the lock cache. The segments changed since the map was last
+the lock's passes. A lock refusal is keyed by the piece its search cut
+off instead, and holds until a pixel of that piece, next to it or of the
+moved subset changes label, so a merge or move elsewhere in the donor
+leaves it cached. The segments changed since the map was last
 boundary-stable form a dirty set. One structure holds the borders, the
 facing sets: for adjacent segments s and t, the pixels of s with a
 4-neighbour in t. Kept exact, they give the adjacency graph (their keys)
@@ -208,10 +211,26 @@ class SegmentMap:
     the moved pixels and their neighbours out and puts them back by the
     new labelling, and a set that empties is deleted with its key.
     _dirty holds the live segments changed since the map was last
-    boundary-stable; after a rebuild, every segment that can donate (two or
+    boundary-stable; after a refresh, every segment that can donate (two or
     more pixels). Every admissible move has such a donor, and the facing
     sets of a dirty segment hold all its moves, so the moves found are
     those of a map with every segment dirty.
+
+    Every core.REFRESH_INTERVAL merges and moves, a refresh recomputes the
+    statistics from the labelling. When they have the bits of the running
+    ones (on 8-bit images, whose sums stay exact), it only sets total_e to
+    the fresh sum of the segment energies, marks every donor dirty, empties
+    the lock caches and drops the heap's stale entries: a rebuild would
+    change nothing else, since the heap holds one valid entry per edge,
+    costed from the same statistics, and valid entries pop in the order of
+    their (cost, ids). Otherwise (drift, as on float images) it rebuilds.
+
+    The lock caches a pass against the donor's version, and a refusal
+    against the piece C of the donor minus the subset that its search
+    walked: the refusal holds while no pixel of C, next to C or of the
+    subset has changed label and the donor holds pixels outside the
+    subset and C. Each of those pixels watches the refusal, and a label
+    change drops the refusals its pixel watches.
     """
 
     def __init__(self, img: GrayImage, labels: np.ndarray):
@@ -241,16 +260,22 @@ class SegmentMap:
                                      img.intensities))
         raise PreconditionError(f"unknown init {init!r}")
 
-    def _rebuild(self) -> None:
-        """Recompute every derived structure from the labelling; every
-        segment gets a new version, and those that can donate become dirty."""
+    def _fresh_stats(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The count, sum and sum of squares of every segment id, recomputed
+        from the labelling."""
         lab = np.fromiter(self._labels, np.int64, len(self._labels))
         px = self.img.intensities
         cap = len(self.version)
-        self.counts: list[int] = np.bincount(lab, minlength=cap).tolist()
-        self.sums: list[float] = np.bincount(lab, weights=px, minlength=cap).tolist()
-        self.sumsqs: list[float] = np.bincount(lab, weights=px * px,
-                                               minlength=cap).tolist()
+        return (np.bincount(lab, minlength=cap), np.bincount(lab, weights=px, minlength=cap),
+                np.bincount(lab, weights=px * px, minlength=cap))
+
+    def _rebuild(self) -> None:
+        """Recompute every derived structure from the labelling; every
+        segment gets a new version, and those that can donate become dirty."""
+        counts, sums, sumsqs = self._fresh_stats()
+        self.counts: list[int] = counts.tolist()
+        self.sums: list[float] = sums.tolist()
+        self.sumsqs: list[float] = sumsqs.tolist()
         pixels: dict[int, set[int]] = {}
         for p, s in enumerate(self._labels):
             if s in pixels:
@@ -260,14 +285,36 @@ class SegmentMap:
         self.pixels = pixels
         self.facing: dict[int, dict[int, set[int]]] = {s: {} for s in pixels}
         self._file(range(len(self._labels)))
-        self.total_e = float(sum(self._seg_energy(s) for s in range(cap)
-                                 if self.counts[s]))
         self.version = [v + 1 for v in self.version]
+        self.heap: list[tuple] = []
+        for u, row in self.facing.items():
+            self._push_edges(u, [v for v in row if u < v])
+        self._restart()
+
+    def _restart(self) -> None:
+        """Restart from fresh statistics: total_e becomes the fresh sum of
+        the segment energies, every segment that can donate becomes dirty,
+        and the lock caches empty."""
+        self.total_e = float(sum(self._seg_energy(s) for s in range(len(self.counts))
+                                 if self.counts[s]))
         self._dirty = {s for s in self.pixels if self.counts[s] >= 2}
-        self._lock_cache: dict[tuple[int, tuple[int, ...]], tuple[int, bool]] = {}
-        self.heap = [self._edge(u, v) for u, row in self.facing.items()
-                     for v in row if u < v]
-        heapq.heapify(self.heap)
+        self._passes: dict[tuple[int, tuple[int, ...]], int] = {}  # -> donor version
+        self._refusals: dict[tuple[int, tuple[int, ...]], int] = {}  # -> piece size
+        self._watchers: dict[int, list[tuple[int, tuple[int, ...]]]] = {}  # pixel -> keys
+
+    def _refresh(self) -> None:
+        """Rebuild, unless the fresh statistics have the bits of the running
+        ones; then a rebuild would change nothing but what _restart sets,
+        and the heap keeps its valid entries only."""
+        fresh = self._fresh_stats()
+        if all(f.tobytes() == np.array(run, f.dtype).tobytes()
+               for f, run in zip(fresh, (self.counts, self.sums, self.sumsqs))):
+            v = self.version
+            self.heap = [e for e in self.heap if e[3] == v[e[1]] and e[4] == v[e[2]]]
+            heapq.heapify(self.heap)
+            self._restart()
+        else:
+            self._rebuild()
 
     # -- bookkeeping primitives
 
@@ -282,14 +329,19 @@ class SegmentMap:
     def _seg_energy(self, s: int) -> float:
         return clamped_cluster_energy(self.sumsqs[s], self.sums[s] ** 2, self.counts[s])
 
-    def _edge(self, a: int, b: int) -> tuple:
-        """The heap entry of the merge of a and b, a < b."""
-        na, nb = self.counts[a], self.counts[b]
-        d = self.sums[a] / na - self.sums[b] / nb
-        return reclass.merge_deltas(d * d, na, nb), a, b, self.version[a], self.version[b]
-
-    def _push_edge(self, a: int, b: int) -> None:
-        heapq.heappush(self.heap, self._edge(a, b) if a < b else self._edge(b, a))
+    def _push_edges(self, s: int, ts) -> None:
+        """Push the heap entry of the merge of s with each segment of ts:
+        (cost, lower id, higher id, their versions). The centroid
+        difference is negated when s is the higher id, which keeps its
+        square's bits."""
+        counts, sums, version, heap = self.counts, self.sums, self.version, self.heap
+        n, mean, v = counts[s], sums[s] / counts[s], version[s]
+        for t in ts:
+            m = counts[t]
+            d = mean - sums[t] / m
+            cost = reclass.merge_deltas(d * d, n, m)
+            heapq.heappush(heap, (cost, s, t, v, version[t]) if s < t
+                           else (cost, t, s, version[t], v))
 
     def _file(self, ps) -> None:
         """Put each pixel of ps into facing[s][t], s its segment, for every
@@ -312,7 +364,7 @@ class SegmentMap:
     def _tick(self) -> None:
         self._ops += 1
         if self._ops % core.REFRESH_INTERVAL == 0:
-            self._rebuild()
+            self._refresh()
 
     @property
     def segment_count(self) -> int:
@@ -343,10 +395,11 @@ class SegmentMap:
             a, b = b, a
         # a survives, b dies
         e_before = self._seg_energy(a) + self._seg_energy(b)
-        lab = self._labels
-        for p in self.pixels[b]:
+        lab, moved = self._labels, self.pixels.pop(b)
+        for p in moved:
             lab[p] = a
-        self.pixels[a] |= self.pixels.pop(b)
+        self._forget_refusals(moved)
+        self.pixels[a] |= moved
         counts[a] += counts[b]
         self.sums[a] += self.sums[b]
         self.sumsqs[a] += self.sumsqs[b]
@@ -370,8 +423,7 @@ class SegmentMap:
         self.version[b] += 1
         self._dirty.discard(b)
         self._dirty.add(a)
-        for t in row_a:
-            self._push_edge(a, t)
+        self._push_edges(a, row_a)
         self._tick()
         return a, b
 
@@ -389,7 +441,13 @@ class SegmentMap:
         a dirty segment. Each pair (s, t) with s dirty is visited once and
         scored both ways, from facing[s][t] and facing[t][s]. The pixels of
         a group share one single move delta, so it is computed once per
-        group.
+        group, and the single move's size factors once per direction.
+
+        The delta is the closed form of reclass.transfer_deltas, written
+        out on Python numbers with the same bits: each size factor is an
+        int quotient, which rounds once, as numpy's quotient of two exact
+        doubles does. A move that would empty its donor (k = n1) is not
+        scored; transfer_deltas gives it +inf.
         """
         counts, sums, px, facing = self.counts, self.sums, self._px, self.facing
         dirty = self._dirty
@@ -404,6 +462,7 @@ class SegmentMap:
                         continue
                     n2 = counts[acc]
                     mean_d, mean_a = sums[don] / n1, sums[acc] / n2
+                    away, home = n2 / (1 + n2), n1 / (n1 - 1)  # k = 1
                     groups: dict[float, list[int]] = {}
                     for p in border:
                         if (ps := groups.get(px[p])) is None:
@@ -415,12 +474,12 @@ class SegmentMap:
                         h = x - mean_d
                         g = x - mean_a
                         hh, gg = h * h, g * g
-                        delta = reclass.transfer_delta(hh, gg, 1, n1, n2)
+                        delta = gg * away - hh * home
                         if delta < below:
                             ranked += [(delta, don, acc, p, 1, (p,)) for p in ps]
                         k = len(ps)
-                        if k >= 2:
-                            delta = reclass.transfer_delta(hh, gg, k, n1, n2)
+                        if 2 <= k < n1:
+                            delta = gg * (k * n2 / (k + n2)) - hh * (k * n1 / (n1 - k))
                             if delta < below:
                                 ps.sort()
                                 ranked.append((delta, don, acc, ps[0], k, tuple(ps)))
@@ -438,18 +497,43 @@ class SegmentMap:
         search runs dry while others remain, i.e. it has walked a whole
         piece that holds no other seed. A refusal thus costs about
         (seeds) x (size of the smallest piece), not the whole donor.
-        Results are cached against the donor's version: a verdict stays
-        valid until the donor's pixel set changes.
+        A pass is cached against the donor's version, a refusal against
+        the piece it walked (see SegmentMap).
         """
         key = (don, subset)
-        hit = self._lock_cache.get(key)
-        if hit is not None and hit[0] == self.version[don]:
-            return hit[1]
-        ok = self._donor_survives_uncached(subset, don)
-        self._lock_cache[key] = (self.version[don], ok)
-        return ok
+        size = self._refusals.get(key)
+        if size is not None and self.counts[don] > len(subset) + size:
+            return False
+        if self._passes.get(key) == self.version[don]:
+            return True
+        piece = self._cut_piece(subset, don)
+        if piece is None:
+            self._passes[key] = self.version[don]
+            return True
+        self._refusals[key] = len(piece)
+        watchers, nbrs = self._watchers, self._nbrs
+        for p in {q for p in piece for q in nbrs[p]}.union(piece, subset):
+            watchers.setdefault(p, []).append(key)
+        return False
+
+    def _forget_refusals(self, ps) -> None:
+        """Drop the cached refusals that a pixel of ps watches; ps change label."""
+        watchers, refusals = self._watchers, self._refusals
+        if not watchers:
+            return
+        for p in ps:
+            for key in watchers.pop(p, ()):
+                refusals.pop(key, None)
 
     def _donor_survives_uncached(self, subset: tuple[int, ...], don: int) -> bool:
+        """The lock's verdict, searched afresh."""
+        return self._cut_piece(subset, don) is None
+
+    def _cut_piece(self, subset: tuple[int, ...], don: int) -> list[int] | None:
+        """None when removing the subset keeps the donor 4-connected, else
+        the pixels of the piece whose search ran dry: a whole 4-connected
+        piece of the donor minus the subset, with other donor pixels
+        outside it."""
         pix = self.pixels[don]
         moved = set(subset)
         seeds = sorted({q for p in subset for q in self._neighbors(p)
@@ -457,17 +541,24 @@ class SegmentMap:
         if len(seeds) <= 1:
             # nothing to reconnect; the rest of the donor was not touching
             # the subset, so its connectivity is unchanged
-            return True
+            return None
         owner = dict(zip(seeds, range(len(seeds))))  # pixel -> search that took it
         parent = list(range(len(seeds)))
         stacks = [[q] for q in seeds]
         live = len(seeds)
+
+        def root(j: int) -> int:
+            while parent[j] != j:
+                j = parent[j]
+            return j
+
         while True:
             for i, stack in enumerate(stacks):
                 if parent[i] != i:
                     continue
                 if not stack:
-                    return False
+                    mine = {j for j in range(len(seeds)) if root(j) == i}
+                    return [q for q, j in owner.items() if j in mine]
                 for q in self._neighbors(stack.pop()):
                     if q not in pix or q in moved:
                         continue
@@ -484,7 +575,7 @@ class SegmentMap:
                         stacks[j] = []
                         live -= 1
                         if live == 1:
-                            return True
+                            return None
 
     def _moved_stats(self, subset: tuple[int, ...], don: int, acc: int):
         """The count, sum and sum of squares of the donor and of the
@@ -521,6 +612,7 @@ class SegmentMap:
             lab[p] = acc
             self.pixels[don].discard(p)
             self.pixels[acc].add(p)
+        self._forget_refusals(subset)
         self._file(touched)
         for s in (don, acc):
             for t in [t for t, f in facing[s].items() if not f]:
@@ -531,11 +623,8 @@ class SegmentMap:
         self.version[don] += 1
         self.version[acc] += 1
         self._dirty.update((don, acc))
-        for t in facing[don]:
-            self._push_edge(don, t)
-        for t in facing[acc]:
-            if t != don:
-                self._push_edge(acc, t)
+        self._push_edges(don, facing[don])
+        self._push_edges(acc, [t for t in facing[acc] if t != don])
         self._tick()
 
     def correct_boundaries(self) -> int:

@@ -163,13 +163,14 @@ def test_merge_many_matches_recomputation(seed):
 
 
 def test_scalar_transfer_delta_matches_the_array_form_bit_for_bit():
-    """transfer_delta on Python numbers gives the bits transfer_deltas gives
-    on numpy arrays, +inf included where the move would empty the donor."""
+    """transfer_deltas on Python numbers, one move per call as
+    delta_e_transfer calls it, gives the bits of the same call on numpy
+    arrays, +inf included where the move would empty the donor."""
     rng = np.random.default_rng(3)
     home, away = rng.uniform(0.0, 1e4, (2, 2000))
     k, n1, n2 = rng.integers(1, 60, (3, 2000))
     want = reclass.transfer_deltas(home, away, k, n1, n2)
-    got = np.array([reclass.transfer_delta(*args) for args in zip(
+    got = np.array([float(reclass.transfer_deltas(*args)) for args in zip(
         home.tolist(), away.tolist(), k.tolist(), n1.tolist(), n2.tolist())])
     assert np.isinf(want).any() and np.isfinite(want).any()
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -179,8 +180,8 @@ def test_size_factors_give_the_bits_of_transfer_deltas():
     """The delta formed from size_factors computed on the shapes they
     depend on, the acceptor factor of one point on (members, clusters) and
     the donor factor on (rows, variants), as the correction kernel forms
-    it, has the bits of transfer_deltas on the full broadcast and of the
-    scalar transfer_delta, +inf where k >= n1 included."""
+    it, has the bits of transfer_deltas on the full broadcast, +inf where
+    k >= n1 included."""
     rng = np.random.default_rng(9)
     members, clusters, rows = 5, 4, 60
     counts = rng.integers(1, 30, (members, clusters))
@@ -199,12 +200,8 @@ def test_size_factors_give_the_bits_of_transfer_deltas():
 
     want = reclass.transfer_deltas(home_sq[:, None, None], d2[:, None, :], k[:, :, None],
                                    n1[:, None, None], n2[:, None, :])
-    scalar = np.array([[[reclass.transfer_delta(float(home_sq[r]), float(d2[r, c]),
-                                                 int(k[r, v]), int(n1[r]), int(n2[r, c]))
-                         for c in range(clusters)] for v in range(2)] for r in range(rows)])
     assert np.isinf(want).any() and np.isfinite(want).any()
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    assert np.array_equal(scalar.view(np.int64), want.view(np.int64))
 
 
 def test_merge_deltas_on_python_numbers_matches_the_array_form():

@@ -1,5 +1,6 @@
 """Connected segmentation: PGM I/O, merging, boundary correction, curves."""
 
+import copy
 import hashlib
 import importlib.util
 import itertools
@@ -218,7 +219,7 @@ def test_boundary_correction_fixes_horizontal_split():
 
 
 def test_a_move_the_recomputed_energies_deny_is_refused(monkeypatch):
-    """When transfer_delta promises a gain that the donor and acceptor
+    """When the ranking promises a gain that the donor and acceptor
     energies, recomputed as the move would apply them, deny, the candidate
     is refused like a lock refusal: nothing moves, E keeps its bits and the
     audit passes. Applying a move fails the test instead of looping."""
@@ -228,6 +229,7 @@ def test_a_move_the_recomputed_energies_deny_is_refused(monkeypatch):
     for _ in range(3):
         arr = rng.choice([20.0, 120.0, 220.0], size=(5, 6)) + rng.integers(0, 3, (5, 6))
         maps.append(SegmentMap.from_image(GrayImage.from_array(arr)))
+    groups = 0
     for sm in maps:
         while sm.segment_count > 3:
             sm.merge_best()
@@ -235,11 +237,15 @@ def test_a_move_the_recomputed_energies_deny_is_refused(monkeypatch):
         sm = SegmentMap(sm.img, sm.labels)  # every segment dirty again
         labels, e = sm.labels, sm.total_e
         with monkeypatch.context() as patch:
-            # a gain for every move that keeps its donor nonempty
-            patch.setattr(reclass, "transfer_delta",
-                          lambda hh, gg, k, n1, n2: -1.0 if k < n1 else np.inf)
+            ranked_moves, moved_stats = SegmentMap._ranked_moves, SegmentMap._moved_stats
+
+            def promised(self, below):
+                # a gain for every single and group move that keeps its
+                # donor nonempty, in the order of equal deltas
+                return iter(sorted((-1.0, dn, ac, sub)
+                                   for _, dn, ac, sub in ranked_moves(self, np.inf)))
+
             refused = []
-            moved_stats = SegmentMap._moved_stats
 
             def recomputed(self, subset, don, acc):
                 refused.append(subset)
@@ -248,12 +254,15 @@ def test_a_move_the_recomputed_energies_deny_is_refused(monkeypatch):
             def applied(self, *args):
                 raise AssertionError("a move the energies deny was applied")
 
+            patch.setattr(SegmentMap, "_ranked_moves", promised)
             patch.setattr(SegmentMap, "_moved_stats", recomputed)
             patch.setattr(SegmentMap, "_apply_move", applied)
             assert sm.correct_boundaries() == 0
         assert refused
+        groups += any(len(subset) > 1 for subset in refused)
         assert np.array_equal(sm.labels, labels) and sm.total_e == e
         sm.check_consistency()
+    assert groups > 0
 
 
 def test_articulation_pixel_is_locked():
@@ -324,18 +333,18 @@ def test_consistency_audit_changes_nothing():
 
 
 def test_a_short_refresh_interval_keeps_the_curve(monkeypatch):
-    """With core.REFRESH_INTERVAL at 5, a map rebuilds itself every five
+    """With core.REFRESH_INTERVAL at 5, a map refreshes itself every five
     operations: the corrected curve of a 12x12 C9 image passes the audit
     after every merge-and-correct step, its rows stay within 1e-9 relative
     of the curve at the default interval, and it ends on the same labels."""
     img = _workload_image(101, 12)
     plain = segment_curve(img)
-    rebuilds = []
-    rebuild, correct = SegmentMap._rebuild, SegmentMap.correct_boundaries
+    refreshes = []
+    refresh, correct = SegmentMap._refresh, SegmentMap.correct_boundaries
 
     def counted(self):
-        rebuilds.append(self._ops)
-        return rebuild(self)
+        refreshes.append(self._ops)
+        return refresh(self)
 
     def audited(self):
         out = correct(self)
@@ -343,7 +352,7 @@ def test_a_short_refresh_interval_keeps_the_curve(monkeypatch):
         return out
 
     monkeypatch.setattr(core, "REFRESH_INTERVAL", 5)
-    monkeypatch.setattr(SegmentMap, "_rebuild", counted)
+    monkeypatch.setattr(SegmentMap, "_refresh", counted)
     monkeypatch.setattr(SegmentMap, "correct_boundaries", audited)
     short = segment_curve(img)
     assert len(short.corrected) == len(plain.corrected) == 144
@@ -352,7 +361,67 @@ def test_a_short_refresh_interval_keeps_the_curve(monkeypatch):
                        [r.error for r in plain.corrected],
                        rtol=1e-9, atol=0.0)
     assert np.array_equal(short.final_corrected.labels, plain.final_corrected.labels)
-    assert len([ops for ops in rebuilds if ops > 0]) > 40  # besides each map's first
+    assert len(refreshes) > 40
+
+
+def _valid_entries(sm):
+    """The heap entries whose versions are current, as (cost bits, ids)."""
+    return sorted((cost.hex(), a, b) for cost, a, b, va, vb in sm.heap
+                  if va == sm.version[a] and vb == sm.version[b])
+
+
+def test_a_refresh_of_exact_sums_equals_a_rebuild():
+    """Along the corrected curve of a 16x16 C9 image, whose sums stay
+    exact, a refresh keeps the versions, and leaves total_e's bits, the
+    pixel and facing sets, the dirty set and the heap's valid entries as a
+    rebuild of a copy leaves them."""
+    sm = SegmentMap.from_image(_workload_image(101, 16))
+    checked = 0
+    while sm.segment_count > 1:
+        sm.merge_best()
+        sm.correct_boundaries()
+        if sm.segment_count % 16:
+            continue
+        twin = copy.deepcopy(sm)
+        versions = list(sm.version)
+        sm._refresh()
+        twin._rebuild()
+        assert sm.version == versions and twin.version != versions
+        assert sm.total_e.hex() == twin.total_e.hex()
+        assert sm.pixels == twin.pixels and sm.facing == twin.facing
+        assert sm._dirty == twin._dirty
+        assert _valid_entries(sm) == _valid_entries(twin)
+        assert len(sm.heap) == len(_valid_entries(sm))
+        checked += 1
+    assert checked == 15
+
+
+def test_a_refresh_rebuilds_drifted_sums(monkeypatch):
+    """On float images, a refresh whose fresh sums differ from the running
+    ones, here by a perturbation of one segment's sum, rebuilds the map,
+    which then passes the audit."""
+    rebuilds = []
+    rebuild = SegmentMap._rebuild
+
+    def counted(self):
+        rebuilds.append(self._ops)
+        rebuild(self)
+
+    monkeypatch.setattr(SegmentMap, "_rebuild", counted)
+    rng = np.random.default_rng(29)
+    for _ in range(4):
+        sm = SegmentMap.from_image(GrayImage.from_array(rng.uniform(0, 255, (7, 8))))
+        while sm.segment_count > 20:
+            sm.merge_best()
+            sm.correct_boundaries()
+        live = min(sm.pixels)
+        sm.sums[live] += 0.5
+        with pytest.raises(InternalConsistencyError, match="statistics"):
+            sm.check_consistency()
+        del rebuilds[:]
+        sm._refresh()
+        assert rebuilds == [sm._ops]
+        sm.check_consistency()
 
 
 def test_signed_zero_pixels_group_with_zero_pixels():
@@ -434,7 +503,8 @@ def test_ranked_deltas_have_the_bits_of_the_array_kernel():
     """Along merge curves of float images, every ranked delta has the bits
     reclass.transfer_deltas gives on numpy arrays, whose `** 2` squares as
     `x * x`; C pow, which a Python float's `** 2` calls, differs in about
-    one square in a thousand."""
+    one square in a thousand. No ranked move would empty its donor, where
+    transfer_deltas gives +inf."""
     rng = np.random.default_rng(17)
     checked = 0
     for _ in range(4):
@@ -450,6 +520,7 @@ def test_ranked_deltas_have_the_bits_of_the_array_kernel():
             want = reclass.transfer_deltas((x - sums[don] / n1) ** 2,
                                            (x - sums[acc] / n2) ** 2, k, n1, n2)
             got = np.array([delta for delta, _, _, _ in cands])
+            assert np.isfinite(want).all()
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
             checked += len(cands)
     assert checked > 10000
@@ -584,6 +655,62 @@ def test_lock_is_exact_on_random_images():
     assert min(verdicts.values()) > 100
 
 
+def test_piece_cache_verdicts_are_exact(monkeypatch):
+    """Along corrected curves of random images, every verdict of the cached
+    lock equals a plain search over the donor minus the subset. Some
+    refusals are answered from the piece cache, some of them after a merge
+    into the donor since the refusal was cached, where a cache keyed on the
+    donor's version would search again. Every refresh leaves the lock
+    caches empty."""
+    survives, merge, refresh = (SegmentMap._donor_survives, SegmentMap._merge,
+                                SegmentMap._refresh)
+    cached_at, merged_at = {}, {}  # refusal -> ops when cached; survivor -> ops at merge
+    hits = {"piece": 0, "after_merge": 0}
+    refreshes = []
+
+    def checked(self, subset, don):
+        key = (don, subset)
+        size = self._refusals.get(key)
+        from_piece = size is not None and self.counts[don] > len(subset) + size
+        ok = survives(self, subset, don)
+        assert ok == _stays_connected(self, subset, don)
+        if from_piece:
+            assert not ok
+            hits["piece"] += 1
+            hits["after_merge"] += merged_at.get(don, -1) > cached_at[key]
+        elif not ok:
+            cached_at[key] = self._ops
+        return ok
+
+    def merged(self, a, b):
+        kept, gone = merge(self, a, b)
+        merged_at[kept] = self._ops
+        return kept, gone
+
+    def refreshed(self):
+        refresh(self)
+        assert not (self._passes or self._refusals or self._watchers)
+        refreshes.append(self._ops)
+
+    monkeypatch.setattr(core, "REFRESH_INTERVAL", 32)
+    monkeypatch.setattr(SegmentMap, "_donor_survives", checked)
+    monkeypatch.setattr(SegmentMap, "_merge", merged)
+    monkeypatch.setattr(SegmentMap, "_refresh", refreshed)
+    rng = np.random.default_rng(37)
+    for _ in range(14):
+        h, w = int(rng.integers(3, 13)), int(rng.integers(3, 13))
+        arr = (rng.choice([20.0, 90.0, 150.0, 220.0], size=(h, w))
+               + rng.integers(0, 2, size=(h, w)))
+        cached_at.clear()
+        merged_at.clear()
+        sm = SegmentMap.from_image(GrayImage.from_array(arr))
+        while sm.segment_count > 1:
+            sm.merge_best()
+            sm.correct_boundaries()
+    assert hits["piece"] > 100 and hits["after_merge"] > 40
+    assert len(refreshes) > 10
+
+
 @pytest.mark.parametrize("rows, subset, expect", [
     # ring: the pixel's two neighbours meet only the long way round
     (["000000000",
@@ -649,6 +776,22 @@ def test_lock_refusal_costs_the_short_side(monkeypatch):
     assert len(calls) <= 20
 
 
+def test_a_cached_refusal_lapses_with_the_rest_of_the_donor():
+    """A refusal cached against the piece it cut off no longer answers once
+    the donor holds only the subset and that piece: cutting a 1-px path at
+    column 2 walks the 2-pixel piece on the left; after the right part
+    moves away, away from that piece, the cut leaves the donor connected."""
+    lab = np.repeat([[0], [1], [2]], 7, axis=1)
+    sm = SegmentMap(GrayImage.from_array(lab * 50.0), lab.reshape(-1))
+    cut = (9,)  # row 1, column 2
+    assert not sm._donor_survives(cut, 1)
+    assert sm._refusals[(1, cut)] == 2
+    for p in (13, 12, 11, 10):
+        sm._apply_move((p,), 1, 0, sm._moved_stats((p,), 1, 0))
+        assert sm._donor_survives(cut, 1) == (p == 10)
+    sm.check_consistency()
+
+
 def _grid_facing(lab: np.ndarray) -> dict[int, dict[int, set[int]]]:
     """facing[s][t] by a plain scan of the grid's 4-neighbour pairs, by row
     and column, for the (h, w) labelling lab."""
@@ -672,7 +815,7 @@ def test_dirty_borders_equal_a_filtered_full_rebuild(monkeypatch):
     since the map was last boundary-stable): every pixel with a 4-neighbour
     in another segment, single and grouped by bit-identical intensity per
     donor and acceptor, the donor dirty or the acceptor dirty and the donor
-    left nonempty, with the delta of reclass.transfer_delta, in the same
+    left nonempty, with the bits of reclass.transfer_deltas, in the same
     order."""
     real = SegmentMap._ranked_moves
     seen = {True: 0, False: 0}
@@ -694,7 +837,7 @@ def test_dirty_borders_equal_a_filtered_full_rebuild(monkeypatch):
             h = float(x[ps[0]]) - self.sums[don] / n1
             g = float(x[ps[0]]) - self.sums[acc] / n2
             subsets = [(p,) for p in ps] + ([tuple(sorted(ps))] if len(ps) > 1 else [])
-            want += [(reclass.transfer_delta(h * h, g * g, len(sub), n1, n2),
+            want += [(float(reclass.transfer_deltas(h * h, g * g, len(sub), n1, n2)),
                       don, acc, sub[0], len(sub), sub) for sub in subsets]
         # below = inf drops only the moves that would empty their donor
         want = [(d, dn, ac, sub) for d, dn, ac, _, _, sub in sorted(want) if d < np.inf]
@@ -731,8 +874,16 @@ def test_rebuild_matches_a_brute_force_grid_scan(monkeypatch):
                 lab = np.unique(lab, return_inverse=True)[1]
                 facing = _grid_facing(lab.reshape(h, w))
                 assert sm.facing == facing
-                want = sorted(sm._edge(s, t) for s in facing for t in facing[s] if s < t)
-                assert sorted(sm.heap) == want
+                want = []
+                for s, t in ((s, t) for s in facing for t in facing[s] if s < t):
+                    ns, nt = sm.counts[s], sm.counts[t]
+                    d = sm.sums[s] / ns - sm.sums[t] / nt
+                    want.append((reclass.merge_deltas(d * d, ns, nt), s, t,
+                                 sm.version[s], sm.version[t]))
+                want.sort()
+                got = sorted(sm.heap)
+                assert [e[1:] for e in got] == [e[1:] for e in want]
+                assert [e[0].hex() for e in got] == [e[0].hex() for e in want]
                 for cost, s, t, _, _ in want:
                     assert cost == pytest.approx(reclass.delta_e_merge(
                         *(ClusterStats.from_points(img.intensities[lab == u][:, None])

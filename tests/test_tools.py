@@ -1,12 +1,16 @@
 """The repository's tools, run as their users run them."""
 
+import hashlib
 import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from khcluster.segment import GrayImage, segment_curve
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -159,3 +163,23 @@ def test_target_sizes_summary_on_fixed_numbers():
     assert s["same_e_bits"]
     bits[7] = ["0x1.8p+1", "0x1.0000000000001p+0"]
     assert not tool.summarize(rounds, {"parent": 1, "change": 1}, bits)["same_e_bits"]
+
+
+def test_target_sizes_segment_case_gives_curve_bits_and_labels():
+    """A case gN of tools/target_sizes.py runs segment_curve on the NxN C9
+    image of seed 0 in a fresh interpreter: its bits are the E of every
+    row of the merge-only and the corrected curve, then the sha256 of each
+    final labelling, as the same curve computed here gives them."""
+    res = _tool("target_sizes").run_case(ROOT, "g6", False)
+    spec = importlib.util.spec_from_file_location("workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = sys.modules.setdefault("workloads", importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)
+    curve = segment_curve(GrayImage.from_array(
+        workloads.quadrant_image(np.random.default_rng(0), 6)))
+    want = ([r.error.hex() for r in curve.merge_only + curve.corrected]
+            + [hashlib.sha256(sm.labels.tobytes()).hexdigest()
+               for sm in (curve.final_merge_only, curve.final_corrected)])
+    assert len(want) == 2 * 36 + 2
+    assert res["e_bits"] == want
+    assert res["seconds"] > 0.0 and res["peak"] is None

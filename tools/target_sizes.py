@@ -1,4 +1,4 @@
-"""Target-size timings of kh in two trees, for the ROADMAP's size rows.
+"""Target-size timings of kh and segment in two trees, for the ROADMAP's size rows.
 
 Usage: python3 tools/target_sizes.py PARENT_TREE CHANGE_TREE SIZES ALTERNATIONS
 
@@ -6,8 +6,11 @@ SIZES is a comma-separated list of cases. A case N times
 build_sequence(ds, 6) on the blob points
 perfbench/workloads.blobs2d_points(np.random.default_rng(0), N // 4); a
 case mN times one merge_step of the same kind of points, N of them, each
-its own cluster (a merge of N singletons). Each tree is a checkout of the
-repository, with its own src/ and perfbench/. For every case, each of
+its own cluster (a merge of N singletons); a case gN times
+segment_curve on the NxN image perfbench/workloads.quadrant_image(
+np.random.default_rng(0), N), and its E bits are those of both curves,
+followed by the sha256 of each final labelling. Each tree is a checkout of
+the repository, with its own src/ and perfbench/. For every case, each of
 ALTERNATIONS rounds runs it once per tree, each run in a fresh
 interpreter, the parent first in odd rounds and the change first in even
 ones; one more run per tree under tracemalloc gives the traced peak, which
@@ -32,27 +35,38 @@ from paired_runs import SIDES, summarize as summarize_pairs  # noqa: E402
 
 # One run of a case: prints its seconds, its E bits and its traced peak.
 CHILD = r"""
-import json, sys, time, tracemalloc
+import hashlib, json, sys, time, tracemalloc
 import numpy as np
 from khcluster.core import Dataset, Partition
 from khcluster.kh_engine import build_sequence, merge_step
-from workloads import blobs2d_points
+from khcluster.segment import GrayImage, segment_curve
+from workloads import blobs2d_points, quadrant_image
 
 case, traced = sys.argv[1], sys.argv[2] == "1"
-ds = Dataset(blobs2d_points(np.random.default_rng(0), int(case.lstrip("m")) // 4))
-if case.startswith("m"):
-    p = Partition.from_labels(ds, np.arange(ds.n))
-    run = lambda: [merge_step(p).total_e]
+size = int(case.lstrip("mg"))
+if case.startswith("g"):
+    img = GrayImage.from_array(quadrant_image(np.random.default_rng(0), size))
+
+    def run():
+        res = segment_curve(img)
+        return ([float(r.error).hex() for r in res.merge_only + res.corrected]
+                + [hashlib.sha256(sm.labels.tobytes()).hexdigest()
+                   for sm in (res.final_merge_only, res.final_corrected)])
 else:
-    run = lambda: [q.total_e for q in build_sequence(ds, 6).by_cluster_count.values()]
+    ds = Dataset(blobs2d_points(np.random.default_rng(0), size // 4))
+    if case.startswith("m"):
+        p = Partition.from_labels(ds, np.arange(ds.n))
+        run = lambda: [float(merge_step(p).total_e).hex()]
+    else:
+        run = lambda: [float(q.total_e).hex()
+                       for q in build_sequence(ds, 6).by_cluster_count.values()]
 if traced:
     tracemalloc.start()
 start = time.perf_counter()
-energies = run()
+bits = run()
 seconds = time.perf_counter() - start
 peak = tracemalloc.get_traced_memory()[1] if traced else None
-print(json.dumps({"seconds": seconds, "e_bits": [float(e).hex() for e in energies],
-                  "peak": peak}))
+print(json.dumps({"seconds": seconds, "e_bits": bits, "peak": peak}))
 """
 
 
@@ -86,7 +100,7 @@ def summarize(rounds: list[dict], peaks: dict, e_bits: list[list[str]]) -> dict:
 
 def main(argv: list[str]) -> int:
     cases = argv[2].split(",") if len(argv) == 4 else []
-    if (not cases or not all(re.fullmatch(r"m?\d+", c) for c in cases)
+    if (not cases or not all(re.fullmatch(r"[mg]?\d+", c) for c in cases)
             or not argv[3].isdigit() or int(argv[3]) < 1):
         print(__doc__, file=sys.stderr)
         return 2
