@@ -10,10 +10,12 @@ when its error delta is favorable. The lock is exact, with no window
 heuristics: searches from the donor pixels next to the moved ones run in
 turn and stop at the smaller side of a cut. Every segment carries a
 version, bumped whenever its pixels change; it keys the heap entries and
-the lock's passes. A lock refusal is keyed by the piece its search cut
-off instead, and holds until a pixel of that piece, next to it or of the
-moved subset changes label, so a merge or move elsewhere in the donor
-leaves it cached. The segments changed since the map was last
+the lock's passes. A changed segment's heap entries are pushed when the
+next merge needs the heap, once however often it changed, and the stale
+entries are dropped in bulk. A lock refusal is keyed by the piece its
+search cut off instead, and holds until a pixel of that piece, next to it
+or of the moved subset leaves or joins the donor, so a merge or move
+elsewhere leaves it cached. The segments changed since the map was last
 boundary-stable form a dirty set. One structure holds the borders, the
 facing sets: for adjacent segments s and t, the pixels of s with a
 4-neighbour in t. Kept exact, they give the adjacency graph (their keys)
@@ -205,7 +207,17 @@ class SegmentMap:
     live ids are the keys of pixels. The merge heap is
     lazily invalidated: every entry carries the version of both endpoints
     and is discarded when either version moved on, which also discards
-    every entry of a merged-away id. facing[s][t] is the set of pixels of s
+    every entry of a merged-away id. Merges and moves do not push: they
+    mark their segments unpushed, and merge_best (and a refresh) first
+    pushes every edge of the unpushed segments once, an edge between two
+    of them from its lower id, so a segment that moves several times
+    between two merges is costed once, from the statistics it ends with.
+    Stale entries are dropped in bulk, by one filter of the heap and a
+    heapify, whenever a push leaves the heap more than twice its size
+    after the last drop; each stale entry costs one pass of that filter
+    instead of a heappop, amortized O(1) per push. Valid entries pop in
+    the order of their (cost, ids) whatever the heap's layout, so neither
+    rule changes which pair merges. facing[s][t] is the set of pixels of s
     that have a 4-neighbour in t, so the keys of facing[s] are the
     neighbours of s. The sets are exact: a merge unites them, a move takes
     the moved pixels and their neighbours out and puts them back by the
@@ -227,10 +239,13 @@ class SegmentMap:
 
     The lock caches a pass against the donor's version, and a refusal
     against the piece C of the donor minus the subset that its search
-    walked: the refusal holds while no pixel of C, next to C or of the
-    subset has changed label and the donor holds pixels outside the
-    subset and C. Each of those pixels watches the refusal, and a label
-    change drops the refusals its pixel watches.
+    walked: C stays a separate piece of the donor minus the subset, since
+    every donor pixel next to C lies in C or in the subset, until a pixel
+    of C, next to C or of the subset leaves or joins the donor, and the
+    refusal holds while none has and the donor holds pixels outside the
+    subset and C. Each of those pixels watches the refusal; a label change
+    drops the refusals its pixel watches whose donor it leaves or joins,
+    and keeps those of other donors, whose pixels it does not change.
     """
 
     def __init__(self, img: GrayImage, labels: np.ndarray):
@@ -289,14 +304,16 @@ class SegmentMap:
         self.heap: list[tuple] = []
         for u, row in self.facing.items():
             self._push_edges(u, [v for v in row if u < v])
+        self._heap_kept = len(self.heap)  # the heap's size after the last drop
+        self._unpushed: set[int] = set()  # segments changed since the last push
         self._restart()
 
     def _restart(self) -> None:
         """Restart from fresh statistics: total_e becomes the fresh sum of
-        the segment energies, every segment that can donate becomes dirty,
-        and the lock caches empty."""
-        self.total_e = float(sum(self._seg_energy(s) for s in range(len(self.counts))
-                                 if self.counts[s]))
+        the live segments' energies in ascending id order (the ids with a
+        nonzero count), every segment that can donate becomes dirty, and
+        the lock caches empty."""
+        self.total_e = float(sum(self._seg_energy(s) for s in sorted(self.pixels)))
         self._dirty = {s for s in self.pixels if self.counts[s] >= 2}
         self._passes: dict[tuple[int, tuple[int, ...]], int] = {}  # -> donor version
         self._refusals: dict[tuple[int, tuple[int, ...]], int] = {}  # -> piece size
@@ -305,13 +322,12 @@ class SegmentMap:
     def _refresh(self) -> None:
         """Rebuild, unless the fresh statistics have the bits of the running
         ones; then a rebuild would change nothing but what _restart sets,
-        and the heap keeps its valid entries only."""
+        and the heap, every change pushed, keeps its valid entries only."""
         fresh = self._fresh_stats()
         if all(f.tobytes() == np.array(run, f.dtype).tobytes()
                for f, run in zip(fresh, (self.counts, self.sums, self.sumsqs))):
-            v = self.version
-            self.heap = [e for e in self.heap if e[3] == v[e[1]] and e[4] == v[e[2]]]
-            heapq.heapify(self.heap)
+            self._push_unpushed()
+            self._drop_stale()
             self._restart()
         else:
             self._rebuild()
@@ -335,13 +351,33 @@ class SegmentMap:
         difference is negated when s is the higher id, which keeps its
         square's bits."""
         counts, sums, version, heap = self.counts, self.sums, self.version, self.heap
+        merge_deltas, push = reclass.merge_deltas, heapq.heappush
         n, mean, v = counts[s], sums[s] / counts[s], version[s]
         for t in ts:
             m = counts[t]
             d = mean - sums[t] / m
-            cost = reclass.merge_deltas(d * d, n, m)
-            heapq.heappush(heap, (cost, s, t, v, version[t]) if s < t
-                           else (cost, t, s, version[t], v))
+            cost = merge_deltas(d * d, n, m)
+            push(heap, (cost, s, t, v, version[t]) if s < t else (cost, t, s, version[t], v))
+
+    def _push_unpushed(self) -> None:
+        """Push the heap entries of every segment changed since the last
+        push, each edge once: an edge between two such segments is pushed
+        from its lower id. Then drop the stale entries if the heap has
+        grown past twice its size after the last drop."""
+        unpushed, facing = self._unpushed, self.facing
+        for s in unpushed:
+            self._push_edges(s, [t for t in facing[s] if t > s or t not in unpushed])
+        unpushed.clear()
+        if len(self.heap) > 2 * self._heap_kept:
+            self._drop_stale()
+
+    def _drop_stale(self) -> None:
+        """Keep the heap's valid entries only: those whose versions are
+        current, one per edge once every change is pushed."""
+        v = self.version
+        self.heap = [e for e in self.heap if e[3] == v[e[1]] and e[4] == v[e[2]]]
+        heapq.heapify(self.heap)
+        self._heap_kept = len(self.heap)
 
     def _file(self, ps) -> None:
         """Put each pixel of ps into facing[s][t], s its segment, for every
@@ -383,6 +419,7 @@ class SegmentMap:
         """
         if self.segment_count < 2:
             raise PreconditionError("merging needs at least two segments")
+        self._push_unpushed()
         while self.heap:
             cost, a, b, va, vb = heapq.heappop(self.heap)
             if va == self.version[a] and vb == self.version[b]:
@@ -398,7 +435,7 @@ class SegmentMap:
         lab, moved = self._labels, self.pixels.pop(b)
         for p in moved:
             lab[p] = a
-        self._forget_refusals(moved)
+        self._forget_refusals(moved, b, a)
         self.pixels[a] |= moved
         counts[a] += counts[b]
         self.sums[a] += self.sums[b]
@@ -423,7 +460,8 @@ class SegmentMap:
         self.version[b] += 1
         self._dirty.discard(b)
         self._dirty.add(a)
-        self._push_edges(a, row_a)
+        self._unpushed.discard(b)
+        self._unpushed.add(a)
         self._tick()
         return a, b
 
@@ -439,9 +477,12 @@ class SegmentMap:
         statistics elsewhere are unchanged since the map was last
         boundary-stable, so a new improving move must take from or give to
         a dirty segment. Each pair (s, t) with s dirty is visited once and
-        scored both ways, from facing[s][t] and facing[t][s]. The pixels of
-        a group share one single move delta, so it is computed once per
-        group, and the single move's size factors once per direction.
+        scored both ways, from facing[s][t] and facing[t][s], with the
+        counts and means of s and t read once per pair. The pixels of a
+        group share one single move delta, so it is computed once per
+        group, and the single move's size factors once per direction. A
+        one-pixel border, nearly half of all, is its own group and needs
+        no grouping.
 
         The delta is the closed form of reclass.transfer_deltas, written
         out on Python numbers with the same bits: each size factor is an
@@ -453,23 +494,30 @@ class SegmentMap:
         dirty = self._dirty
         ranked = []
         for s in dirty:
+            n_s = counts[s]
+            mean_s = sums[s] / n_s
             for t, toward_t in facing[s].items():
                 if t < s and t in dirty:
                     continue  # visited from t
-                for don, acc, border in ((s, t, toward_t), (t, s, facing[t][s])):
-                    n1 = counts[don]
+                n_t = counts[t]
+                mean_t = sums[t] / n_t
+                for don, acc, n1, n2, mean_d, mean_a, border in (
+                        (s, t, n_s, n_t, mean_s, mean_t, toward_t),
+                        (t, s, n_t, n_s, mean_t, mean_s, facing[t][s])):
                     if n1 < 2:  # a move may not empty its donor
                         continue
-                    n2 = counts[acc]
-                    mean_d, mean_a = sums[don] / n1, sums[acc] / n2
                     away, home = n2 / (1 + n2), n1 / (n1 - 1)  # k = 1
-                    groups: dict[float, list[int]] = {}
-                    for p in border:
-                        if (ps := groups.get(px[p])) is None:
-                            groups[px[p]] = [p]
-                        else:
-                            ps.append(p)
-                    for ps in groups.values():
+                    if len(border) == 1:
+                        groups = (tuple(border),)
+                    else:
+                        by_x: dict[float, list[int]] = {}
+                        for p in border:
+                            if (ps := by_x.get(px[p])) is None:
+                                by_x[px[p]] = [p]
+                            else:
+                                ps.append(p)
+                        groups = by_x.values()
+                    for ps in groups:
                         x = px[ps[0]]
                         h = x - mean_d
                         g = x - mean_a
@@ -516,14 +564,27 @@ class SegmentMap:
             watchers.setdefault(p, []).append(key)
         return False
 
-    def _forget_refusals(self, ps) -> None:
-        """Drop the cached refusals that a pixel of ps watches; ps change label."""
+    def _forget_refusals(self, ps, old: int, new: int) -> None:
+        """Drop the cached refusals of donor old or new that a pixel of ps
+        watches; the pixels of ps leave old for new. Refusals of other
+        donors stay: their donors' pixels are unchanged."""
         watchers, refusals = self._watchers, self._refusals
         if not watchers:
             return
         for p in ps:
-            for key in watchers.pop(p, ()):
-                refusals.pop(key, None)
+            keys = watchers.get(p)
+            if keys is None:
+                continue
+            kept = []
+            for key in keys:
+                if key[0] == old or key[0] == new:
+                    refusals.pop(key, None)
+                else:
+                    kept.append(key)
+            if kept:
+                watchers[p] = kept
+            else:
+                del watchers[p]
 
     def _donor_survives_uncached(self, subset: tuple[int, ...], don: int) -> bool:
         """The lock's verdict, searched afresh."""
@@ -612,7 +673,7 @@ class SegmentMap:
             lab[p] = acc
             self.pixels[don].discard(p)
             self.pixels[acc].add(p)
-        self._forget_refusals(subset)
+        self._forget_refusals(subset, don, acc)
         self._file(touched)
         for s in (don, acc):
             for t in [t for t, f in facing[s].items() if not f]:
@@ -623,8 +684,7 @@ class SegmentMap:
         self.version[don] += 1
         self.version[acc] += 1
         self._dirty.update((don, acc))
-        self._push_edges(don, facing[don])
-        self._push_edges(acc, [t for t in facing[acc] if t != don])
+        self._unpushed.update((don, acc))
         self._tick()
 
     def correct_boundaries(self) -> int:

@@ -396,6 +396,93 @@ def test_a_refresh_of_exact_sums_equals_a_rebuild():
     assert checked == 15
 
 
+def test_a_restart_sums_the_live_energies_in_id_order():
+    """A restart sets total_e to the sum of the live segments' energies in
+    ascending id order, the order of a sum over every id with a nonzero
+    count, whatever order the map met its labels in, and also once merges
+    have left dead ids. On float images labelled in 2x2 blocks numbered
+    backwards, the sum in the order the labels were met has other bits on
+    most images."""
+    rng = np.random.default_rng(3)
+    blocks = ((np.arange(12)[:, None] // 2) * 6 + np.arange(12)[None, :] // 2).reshape(-1)
+    other_order = 0
+    for _ in range(8):
+        sm = SegmentMap(GrayImage.from_array(rng.uniform(0, 255, (12, 12))), 35 - blocks)
+        for merges in (0, 10):
+            for _ in range(merges):
+                sm.merge_best()
+            sm._restart()
+            by_id = float(sum(sm._seg_energy(s) for s in range(len(sm.counts))
+                              if sm.counts[s]))
+            assert sm.total_e.hex() == by_id.hex()
+        met = float(sum(sm._seg_energy(s) for s in sm.pixels))
+        other_order += met.hex() != by_id.hex()
+    assert other_order >= 4
+
+
+def _fresh_edge_costs(sm):
+    """(cost, lower id, higher id) of every live edge, the cost by
+    reclass.merge_deltas from the map's current statistics."""
+    out = []
+    for s, row in sm.facing.items():
+        for t in row:
+            if s < t:
+                d = sm.sums[s] / sm.counts[s] - sm.sums[t] / sm.counts[t]
+                out.append((reclass.merge_deltas(d * d, sm.counts[s], sm.counts[t]), s, t))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("init", ["pixels", "flat_zones"])
+@pytest.mark.parametrize("floats", [False, True], ids=["8bit", "float"])
+def test_every_merge_takes_the_least_cost_live_pair(monkeypatch, init, floats):
+    """Along corrected curves of random small images, every merge_best
+    merges the live adjacent pair with the least (merge_deltas cost from
+    the map's current statistics, lower id, higher id). Once every change
+    is pushed, the heap holds exactly one valid entry per live edge, with
+    that cost's bits. After every merge and move the heap holds at most
+    twice its size at the last drop of stale entries, and such drops
+    happen."""
+    real_best, real_drop = SegmentMap.merge_best, SegmentMap._drop_stale
+    counts = {"merge_best": 0, "drops": 0, "_merge": 0, "_apply_move": 0}
+
+    def best(self):
+        self._push_unpushed()
+        v = self.version
+        valid = sorted((cost.hex(), a, b) for cost, a, b, va, vb in self.heap
+                       if va == v[a] and vb == v[b])
+        fresh = _fresh_edge_costs(self)
+        assert valid == sorted((cost.hex(), a, b) for cost, a, b in fresh)
+        kept, gone = real_best(self)
+        assert (min(kept, gone), max(kept, gone)) == fresh[0][1:]
+        counts["merge_best"] += 1
+        return kept, gone
+
+    def drop(self):
+        counts["drops"] += 1
+        real_drop(self)
+
+    for name in ("_merge", "_apply_move"):
+        def bounded(self, *args, real=getattr(SegmentMap, name), name=name):
+            out = real(self, *args)
+            assert len(self.heap) <= 2 * self._heap_kept
+            counts[name] += 1
+            return out
+        monkeypatch.setattr(SegmentMap, name, bounded)
+    monkeypatch.setattr(SegmentMap, "merge_best", best)
+    monkeypatch.setattr(SegmentMap, "_drop_stale", drop)
+    rng = np.random.default_rng(43)
+    for _ in range(6):
+        h, w = int(rng.integers(3, 10)), int(rng.integers(3, 10))
+        if floats:
+            arr = rng.uniform(0, 255, (h, w))
+        else:
+            arr = (rng.choice([20.0, 90.0, 150.0, 220.0], size=(h, w))
+                   + rng.integers(0, 3, size=(h, w)))
+        segment_curve(GrayImage.from_array(arr), init=init)
+    assert counts["merge_best"] == counts["_merge"] > 300
+    assert counts["_apply_move"] > 10 and counts["drops"] > 10
+
+
 def test_a_refresh_rebuilds_drifted_sums(monkeypatch):
     """On float images, a refresh whose fresh sums differ from the running
     ones, here by a perturbation of one segment's sum, rebuilds the map,
@@ -657,15 +744,17 @@ def test_lock_is_exact_on_random_images():
 
 def test_piece_cache_verdicts_are_exact(monkeypatch):
     """Along corrected curves of random images, every verdict of the cached
-    lock equals a plain search over the donor minus the subset. Some
-    refusals are answered from the piece cache, some of them after a merge
-    into the donor since the refusal was cached, where a cache keyed on the
-    donor's version would search again. Every refresh leaves the lock
-    caches empty."""
-    survives, merge, refresh = (SegmentMap._donor_survives, SegmentMap._merge,
-                                SegmentMap._refresh)
+    lock equals a plain search over the donor minus the subset and the
+    uncached lock. Some refusals are answered from the piece cache, some of
+    them after a merge into the donor since the refusal was cached, where a
+    cache keyed on the donor's version would search again, and some after
+    a pixel they watch changed label between two other segments, which
+    keeps them. Every refresh leaves the lock caches empty."""
+    survives, merge, refresh, forget = (SegmentMap._donor_survives, SegmentMap._merge,
+                                        SegmentMap._refresh, SegmentMap._forget_refusals)
     cached_at, merged_at = {}, {}  # refusal -> ops when cached; survivor -> ops at merge
-    hits = {"piece": 0, "after_merge": 0}
+    kept = set()  # refusals a label change of a pixel they watch left cached
+    hits = {"piece": 0, "after_merge": 0, "kept": 0}
     refreshes = []
 
     def checked(self, subset, don):
@@ -674,13 +763,22 @@ def test_piece_cache_verdicts_are_exact(monkeypatch):
         from_piece = size is not None and self.counts[don] > len(subset) + size
         ok = survives(self, subset, don)
         assert ok == _stays_connected(self, subset, don)
+        assert ok == self._donor_survives_uncached(subset, don)
         if from_piece:
             assert not ok
             hits["piece"] += 1
             hits["after_merge"] += merged_at.get(don, -1) > cached_at[key]
+            hits["kept"] += key in kept
         elif not ok:
             cached_at[key] = self._ops
+            kept.discard(key)
         return ok
+
+    def forgot(self, ps, old, new):
+        watched = {key for p in ps for key in self._watchers.get(p, ())
+                   if key in self._refusals}
+        forget(self, ps, old, new)
+        kept.update(key for key in watched if key in self._refusals)
 
     def merged(self, a, b):
         kept, gone = merge(self, a, b)
@@ -696,6 +794,7 @@ def test_piece_cache_verdicts_are_exact(monkeypatch):
     monkeypatch.setattr(SegmentMap, "_donor_survives", checked)
     monkeypatch.setattr(SegmentMap, "_merge", merged)
     monkeypatch.setattr(SegmentMap, "_refresh", refreshed)
+    monkeypatch.setattr(SegmentMap, "_forget_refusals", forgot)
     rng = np.random.default_rng(37)
     for _ in range(14):
         h, w = int(rng.integers(3, 13)), int(rng.integers(3, 13))
@@ -708,6 +807,7 @@ def test_piece_cache_verdicts_are_exact(monkeypatch):
             sm.merge_best()
             sm.correct_boundaries()
     assert hits["piece"] > 100 and hits["after_merge"] > 40
+    assert hits["kept"] > 40
     assert len(refreshes) > 10
 
 
@@ -789,6 +889,41 @@ def test_a_cached_refusal_lapses_with_the_rest_of_the_donor():
     for p in (13, 12, 11, 10):
         sm._apply_move((p,), 1, 0, sm._moved_stats((p,), 1, 0))
         assert sm._donor_survives(cut, 1) == (p == 10)
+    sm.check_consistency()
+
+
+def test_a_refusal_outlives_label_changes_between_other_segments(monkeypatch):
+    """A refusal cached against the piece its search cut off is kept
+    through a move and a merge between two other segments next to that
+    piece, and answers without a search; it lapses once a pixel next to
+    the piece joins the donor. Rows: segment 0, a 1-px path (segment 1),
+    segments 2 and 3; cutting the path at column 2 walks the 2-pixel piece
+    on the left."""
+    lab = np.repeat([[0], [1], [2], [3]], 7, axis=1)
+    sm = SegmentMap(GrayImage.from_array(lab * 50.0), lab.reshape(-1))
+    searches = []
+    cut_piece = SegmentMap._cut_piece
+
+    def counted(self, subset, don):
+        searches.append(subset)
+        return cut_piece(self, subset, don)
+
+    monkeypatch.setattr(SegmentMap, "_cut_piece", counted)
+    cut = (9,)  # row 1, column 2
+    assert not sm._donor_survives(cut, 1)
+    assert sm._refusals[(1, cut)] == 2 and len(searches) == 1
+    # pixel 14 (row 2, column 0) lies next to the piece
+    sm._apply_move((14,), 2, 3, sm._moved_stats((14,), 2, 3))
+    assert not sm._donor_survives(cut, 1)
+    assert sm._merge(2, 3) == (3, 2)  # pixels 15-20 pass from 2 to 3
+    assert not sm._donor_survives(cut, 1)
+    assert sm._refusals[(1, cut)] == 2 and len(searches) == 1
+    sm.check_consistency()
+    # pixel 15 (row 2, column 1), next to the piece, joins the donor
+    sm._apply_move((15,), 3, 1, sm._moved_stats((15,), 3, 1))
+    assert (1, cut) not in sm._refusals
+    assert not sm._donor_survives(cut, 1)
+    assert sm._refusals[(1, cut)] == 3 and len(searches) == 2
     sm.check_consistency()
 
 

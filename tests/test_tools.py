@@ -183,3 +183,34 @@ def test_target_sizes_segment_case_gives_curve_bits_and_labels():
     assert len(want) == 2 * 36 + 2
     assert res["e_bits"] == want
     assert res["seconds"] > 0.0 and res["peak"] is None
+
+
+@pytest.mark.parametrize("same", [True, False])
+def test_target_sizes_prints_the_bits_verdict_before_the_traced_runs(
+        tmp_path, monkeypatch, capsys, same):
+    """tools/target_sizes.py prints whether the timed runs of both trees
+    gave the same E bits before its first traced run starts, so a traced
+    run that never ends, here one that raises, leaves the verdict printed.
+    Fixed runs stand in for the fresh interpreters."""
+    tool = _tool("target_sizes")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    runs = []
+
+    class Stopped(Exception):
+        pass
+
+    def fake(tree, case, traced):
+        runs.append(traced)
+        if traced:
+            raise Stopped
+        bits = ["0x1.0p+0"] if same or tree.name == "parent" else ["0x1.0000000000001p+0"]
+        return {"seconds": 1.0 if tree.name == "parent" else 0.5, "e_bits": bits, "peak": None}
+
+    monkeypatch.setattr(tool, "run_case", fake)
+    with pytest.raises(Stopped):
+        tool.main([str(parent), str(change), "g8", "2"])
+    assert runs == [False] * 4 + [True]
+    assert capsys.readouterr().out.splitlines() == [
+        "g8 round 1 (parent first): parent 1.0000 s, change 0.5000 s",
+        "g8 round 2 (change first): parent 1.0000 s, change 0.5000 s",
+        f"g8: same E bits over the timed rounds: {same}"]

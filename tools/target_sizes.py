@@ -14,7 +14,9 @@ the repository, with its own src/ and perfbench/. For every case, each of
 ALTERNATIONS rounds runs it once per tree, each run in a fresh
 interpreter, the parent first in odd rounds and the change first in even
 ones; one more run per tree under tracemalloc gives the traced peak, which
-the timed runs do not pay for. Prints every run, then per side the min,
+the timed runs do not pay for. Prints every run and whether the timed runs
+of both trees gave the same E bits, before the traced runs start (under
+tracemalloc a large case runs several times slower), then per side the min,
 median and inclusive quartiles of the seconds, the change's wins and losses
 over the rounds, the traced peaks, and whether every run of both trees gave
 the same E bits. The last line is the whole record as one JSON object.
@@ -82,6 +84,11 @@ def run_case(tree: Path, case: str, traced: bool) -> dict:
     return json.loads(lines[-1])
 
 
+def same_bits(e_bits: list[list[str]]) -> bool:
+    """Whether every run gave the same E bits."""
+    return len({tuple(bits) for bits in e_bits}) == 1
+
+
 def summarize(rounds: list[dict], peaks: dict, e_bits: list[list[str]]) -> dict:
     """One case's record. rounds holds one {"parent": s, "change": s} of
     seconds per round; peaks each side's traced peak in bytes; e_bits the E
@@ -94,7 +101,7 @@ def summarize(rounds: list[dict], peaks: dict, e_bits: list[list[str]]) -> dict:
     for side in SIDES:
         out[side]["min"] = min(out[side]["runs"])
     out["peak_mib"] = {side: peaks[side] / 2**20 for side in SIDES}
-    out["same_e_bits"] = len({tuple(bits) for bits in e_bits}) == 1
+    out["same_e_bits"] = same_bits(e_bits)
     return out
 
 
@@ -117,7 +124,8 @@ def main(argv: list[str]) -> int:
                 e_bits.append(res["e_bits"])
             rounds.append(times)
             print(f"{case} round {i + 1} ({order[0]} first): parent {times['parent']:.4f} s,"
-                  f" change {times['change']:.4f} s")
+                  f" change {times['change']:.4f} s", flush=True)
+        print(f"{case}: same E bits over the timed rounds: {same_bits(e_bits)}", flush=True)
         peaks = {}
         for side in SIDES:
             res = run_case(trees[side], case, True)
